@@ -10,7 +10,8 @@ detail separated by tabs; json-lines format prints one object per item
 after a leading configuration object, with sorted keys and fixed
 separators so runs with the same inputs are byte identical.  The exit
 code is the most severe that applies: 0 ok, 1 type error, 2 parse
-error, 3 budget exhausted, 4 file problem, 5 counterexample found.
+error, 3 budget exhausted, 4 file problem, 5 counterexample found,
+6 internal error (a fault of pimodulo, reported on one line).
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ from .syntax import (
     print_judgement,
     print_term,
 )
-from .terms import term_size
 from .theories import builtin_example, load_theory
-from .typecheck import check, check_theory, infer
+from .typecheck import check, check_frame, check_theory, infer
 
 EXIT_OK = 0
 EXIT_TYPE = 1
@@ -49,6 +49,7 @@ EXIT_PARSE = 2
 EXIT_FUEL = 3
 EXIT_IO = 4
 EXIT_COUNTEREXAMPLE = 5
+EXIT_INTERNAL = 6
 
 _STATUS_CODES = {
     "ok": EXIT_OK,
@@ -58,6 +59,7 @@ _STATUS_CODES = {
     "io-error": EXIT_IO,
     "counterexample": EXIT_COUNTEREXAMPLE,
     "unknown": EXIT_FUEL,
+    "internal-error": EXIT_INTERNAL,
 }
 
 
@@ -119,6 +121,7 @@ def cmd_check(args, rep: Reporter) -> None:
         for j in judgements:
             item = f"{spec}:{j.line}"
             try:
+                check_frame(tf.theory, j.ctx, j.expected, Fuel(args.fuel))
                 if j.expected is None:
                     ty = infer(tf.theory, j.ctx, j.term, Fuel(args.fuel))
                     rep.emit(item, "judgement", "ok", f"inferred {print_term(ty)}")
@@ -322,6 +325,11 @@ def cmd_consistency_scan(args, rep: Reporter) -> None:
     except ParseError as exc:
         rep.emit("target", "config", "parse-error", str(exc))
         return
+    try:
+        check_frame(tf.theory, j.ctx, j.term, Fuel(args.fuel))
+    except PiModuloError as exc:
+        rep.emit("target", "config", _error_status(exc), str(exc))
+        return
     found = 0
     for t in enumerate_normal_inhabitants(tf.theory, j.term, args.max_size, j.ctx):
         found += 1
@@ -361,14 +369,6 @@ def cmd_sn_scan(args, rep: Reporter) -> None:
 
 # --- entry ------------------------------------------------------------------------
 
-def _fuel_default() -> int:
-    raw = os.environ.get("PIMODULO_FUEL", "")
-    try:
-        return int(raw)
-    except ValueError:
-        return 1_000_000
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="pimodulo",
@@ -379,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--theory", default="stt",
                        help="builtin theory name (stt, cc) or a theory file path")
-        p.add_argument("--fuel", type=int, default=_fuel_default(),
+        # a string default goes through `type` like a command-line value,
+        # so a bad PIMODULO_FUEL is a usage error just as a bad --fuel is
+        p.add_argument("--fuel", type=int, default=os.environ.get("PIMODULO_FUEL") or "1000000",
                        help="reduction budget (env PIMODULO_FUEL)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=1)
@@ -445,6 +447,8 @@ def main(argv=None) -> int:
         rep.emit("fatal", "error", _error_status(exc), str(exc))
     except OSError as exc:
         rep.emit("fatal", "error", "io-error", str(exc))
+    except Exception as exc:  # noqa: BLE001 - any other failure is pimodulo's own
+        rep.emit("fatal", "error", "internal-error", f"{type(exc).__name__}: {exc}")
     return rep.worst
 
 

@@ -96,7 +96,7 @@ def match_pattern(lhs: Term, t: Term) -> dict[str, Term] | None:
 
 def r_root(t: Term, theory: Theory) -> tuple[Term, str] | None:
     """First rule in declaration order whose lhs matches at the root."""
-    for rule in theory.rules:
+    for rule in theory.rule_index.candidates(t):
         binding = match_pattern(rule.lhs, t)
         if binding is not None:
             return substitute_many(rule.rhs, binding), rule.label
@@ -124,21 +124,124 @@ def one_step_reducts(t: Term, theory: Theory, mode: str = BETA_R) -> list[Term]:
     return list(dict.fromkeys(out))
 
 
+# -- leftmost-outermost search ------------------------------------------------
+#
+# A search walks the term in preorder with an explicit stack of the current
+# position's ancestors, each with the index of the child taken.  Whether a
+# position is a redex depends only on the subterm there, so after a step at
+# position p only p's ancestors can have changed before p in preorder:
+# those are re-checked outermost first, and failing them the search resumes
+# at p.  The steps taken are exactly those of a rescan from the root after
+# every step.  Only applications among the ancestors need the re-check: a
+# binder is a redex only under a bare pattern-variable lhs, which fires at
+# the root and so never lets the search go below it.
+#
+# Ancestors on the stack may be stale: a step below them replaced the child
+# they were entered by.  Each entry records whether its node is newer than
+# the one its own parent holds, and a stale ancestor is rebuilt only when it
+# is needed (an application to re-check, a trace entry, the final term) or
+# on the way back up, so a step deep under binders copies no path above it.
+
+Ancestors = list[tuple[Term, int, bool]]
+
+
+def _first_step(t: Term, theory: Theory, mode: str) -> tuple[Term, str] | None:
+    """The step leftmost-outermost takes at the root of t: beta before rules."""
+    if isinstance(t, App) and isinstance(t.fn, Lam):
+        return instantiate(t.fn.body, t.arg), "beta"
+    if mode == BETA_R:
+        return r_root(t, theory)
+    return None
+
+
+def _rebuild(above: Ancestors, sub: Term, new: bool, level: int = 0) -> Term:
+    """Bring the ancestors from `level` down up to date with `sub`, the
+    subterm below the last of them, which holds an older one if `new`;
+    returns the node at `level`."""
+    for k in range(len(above) - 1, level - 1, -1):
+        node, i, up = above[k]
+        if new:
+            node, up = replace_at(node, (i,), sub), True
+        above[k] = (node, i, up and k == level)
+        sub, new = node, up
+    return sub
+
+
+def _search(t: Term, new: bool, above: Ancestors, theory: Theory, mode: str):
+    """First step at t or after it in preorder, every position before t
+    being normal: (step, redex, new) with `above` left holding the redex's
+    ancestors, or (None, root, _) with `above` emptied.  `new` says
+    whether t's parent holds an older subterm."""
+    while True:
+        step = _first_step(t, theory, mode)
+        if step is not None:
+            return step, t, new
+        match t:
+            case App(first, _) | Pi(_, first, _) | Lam(_, first, _):
+                above.append((t, 0, new))
+                t, new = first, False
+                continue
+        while above:
+            parent, i, up = above.pop()
+            if new:
+                parent, up = replace_at(parent, (i,), t), True
+            if i == 0:
+                above.append((parent, 1, up))
+                t, new = children(parent)[1], False
+                break
+            t, new = parent, up
+        else:
+            return None, t, new
+
+
+def _reduce(
+    t: Term,
+    theory: Theory,
+    mode: str,
+    fuel: Fuel,
+    trace: list[tuple[Position, str, Term]] | None,
+    head: bool,
+) -> Term | FuelExhausted:
+    """Leftmost-outermost steps until normal, or with `head` until the root
+    is not an application."""
+    if head and not isinstance(t, App):
+        return t
+    above: Ancestors = []
+    step, t, new = _search(t, False, above, theory, mode)
+    while step is not None:
+        if not fuel.spend():
+            return FuelExhausted(_rebuild(above, t, new))
+        t, label = step
+        new = True
+        if trace is not None:
+            trace.append((tuple(i for _, i, _ in above), label, _rebuild(above, t, new)))
+            new = False
+        if head and not isinstance(above[0][0] if above else t, App):
+            return _rebuild(above, t, new)
+        step = None
+        apps = [k for k, (node, _, _) in enumerate(above) if isinstance(node, App)]
+        if apps:
+            _rebuild(above, t, new, apps[0])
+            new = False
+            for k in apps:
+                step = _first_step(above[k][0], theory, mode)
+                if step is not None:
+                    t, _, new = above[k]
+                    del above[k:]
+                    break
+        if step is None:
+            step, t, new = _search(t, new, above, theory, mode)
+    return t
+
+
 def leftmost_outermost(t: Term, theory: Theory, mode: str) -> tuple[Position, Term, str] | None:
     """First preorder position carrying a root step, with its reduct."""
-
-    def go(sub: Term, pos: Position):
-        steps = root_steps(sub, theory, mode)
-        if steps:
-            reduct, label = steps[0]
-            return pos, reduct, label
-        for i, child in enumerate(children(sub)):
-            hit = go(child, pos + (i,))
-            if hit is not None:
-                return hit
+    above: Ancestors = []
+    step, _, _ = _search(t, False, above, theory, mode)
+    if step is None:
         return None
-
-    return go(t, ())
+    reduct, label = step
+    return tuple(i for _, i, _ in above), reduct, label
 
 
 def normalize(
@@ -149,18 +252,7 @@ def normalize(
     trace: list[tuple[Position, str, Term]] | None = None,
 ) -> Term | FuelExhausted:
     """Leftmost-outermost normalization; exhaustion returns the last term."""
-    if fuel is None:
-        fuel = Fuel()
-    while True:
-        hit = leftmost_outermost(t, theory, mode)
-        if hit is None:
-            return t
-        if not fuel.spend():
-            return FuelExhausted(t)
-        pos, reduct, label = hit
-        t = replace_at(t, pos, reduct)
-        if trace is not None:
-            trace.append((pos, label, t))
+    return _reduce(t, theory, mode, Fuel() if fuel is None else fuel, trace, head=False)
 
 
 def whnf(t: Term, theory: Theory, mode: str = BETA_R, fuel: Fuel | None = None) -> Term | FuelExhausted:
@@ -170,18 +262,7 @@ def whnf(t: Term, theory: Theory, mode: str = BETA_R, fuel: Fuel | None = None) 
     application this keeps taking leftmost-outermost steps; it stops as soon
     as the root is a binder, sort, or atom, leaving subterms untouched.
     """
-    if fuel is None:
-        fuel = Fuel()
-    while True:
-        if not isinstance(t, App):
-            return t
-        hit = leftmost_outermost(t, theory, mode)
-        if hit is None:
-            return t
-        if not fuel.spend():
-            return FuelExhausted(t)
-        pos, reduct, _ = hit
-        t = replace_at(t, pos, reduct)
+    return _reduce(t, theory, mode, Fuel() if fuel is None else fuel, None, head=True)
 
 
 def convertible(
@@ -219,7 +300,7 @@ def convertible(
 
 
 def is_normal(t: Term, theory: Theory, mode: str = BETA_R) -> bool:
-    return leftmost_outermost(t, theory, mode) is None
+    return _search(t, False, [], theory, mode)[0] is None
 
 
 def pattern_variables(lhs: Term) -> list[str]:

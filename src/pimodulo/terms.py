@@ -3,11 +3,16 @@
 Bound variables are nameless de Bruijn indices; free variables and signature
 constants are referenced by name.  Binders keep a display hint that is ignored
 by equality and hashing, so ``==`` on terms is exactly alpha-equivalence.
+
+Each node caches `loose_bound`, how many enclosing binders its loose indices
+need, so `shift` and `instantiate` hand back unchanged, rather than copy, a
+subterm none of whose indices they can reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterator, Union
 
 Term = Union["Var", "FVar", "Const", "SortType", "SortKind", "Pi", "Lam", "App"]
@@ -20,6 +25,7 @@ class Var:
 
     index: int
     span: Any = field(default=None, compare=False, repr=False)
+    _loose = None
 
 
 @dataclass(frozen=True)
@@ -28,6 +34,7 @@ class FVar:
 
     name: str
     span: Any = field(default=None, compare=False, repr=False)
+    _loose = 0
 
 
 @dataclass(frozen=True)
@@ -36,16 +43,19 @@ class Const:
 
     name: str
     span: Any = field(default=None, compare=False, repr=False)
+    _loose = 0
 
 
 @dataclass(frozen=True)
 class SortType:
     span: Any = field(default=None, compare=False, repr=False)
+    _loose = 0
 
 
 @dataclass(frozen=True)
 class SortKind:
     span: Any = field(default=None, compare=False, repr=False)
+    _loose = 0
 
 
 @dataclass(frozen=True)
@@ -54,6 +64,7 @@ class Pi:
     domain: Term
     codomain: Term
     span: Any = field(default=None, compare=False, repr=False)
+    _loose = None
 
 
 @dataclass(frozen=True)
@@ -62,6 +73,7 @@ class Lam:
     annotation: Term
     body: Term
     span: Any = field(default=None, compare=False, repr=False)
+    _loose = None
 
 
 @dataclass(frozen=True)
@@ -69,6 +81,7 @@ class App:
     fn: Term
     arg: Term
     span: Any = field(default=None, compare=False, repr=False)
+    _loose = None
 
 
 TYPE = SortType()
@@ -90,38 +103,53 @@ def term_size(t: Term) -> int:
             return 1
 
 
+def loose_bound(t: Term) -> int:
+    """One more than the largest bound index escaping t, 0 when none does.
+
+    Computed once per node and kept on it (`_loose`, outside the fields)."""
+    bound = t._loose
+    if bound is None:
+        match t:
+            case Var(i):
+                bound = i + 1
+            case Pi(_, a, b) | Lam(_, a, b):
+                bound = max(loose_bound(a), loose_bound(b) - 1)
+            case App(f, a):
+                bound = max(loose_bound(f), loose_bound(a))
+        object.__setattr__(t, "_loose", bound)
+    return bound
+
+
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add `by` to every bound index >= cutoff (indices escaping the term)."""
+    if by == 0 or loose_bound(t) <= cutoff:
+        return t
     match t:
         case Var(i):
-            return Var(i + by) if i >= cutoff else t
+            return Var(i + by)
         case Pi(h, a, b):
             return Pi(h, shift(a, by, cutoff), shift(b, by, cutoff + 1))
         case Lam(h, a, b):
             return Lam(h, shift(a, by, cutoff), shift(b, by, cutoff + 1))
         case App(f, a):
             return App(shift(f, by, cutoff), shift(a, by, cutoff))
-        case _:
-            return t
 
 
 def instantiate(body: Term, u: Term) -> Term:
     """Replace the binder variable of an opened body (index 0) by u."""
 
     def go(t: Term, depth: int) -> Term:
+        if loose_bound(t) <= depth:
+            return t
         match t:
             case Var(i):
-                if i == depth:
-                    return shift(u, depth)
-                return Var(i - 1) if i > depth else t
+                return shift(u, depth) if i == depth else Var(i - 1)
             case Pi(h, a, b):
                 return Pi(h, go(a, depth), go(b, depth + 1))
             case Lam(h, a, b):
                 return Lam(h, go(a, depth), go(b, depth + 1))
             case App(f, a):
                 return App(go(f, depth), go(a, depth))
-            case _:
-                return t
 
     return go(body, 0)
 
@@ -311,10 +339,64 @@ class RewriteRule:
     label: str = field(default="rule", compare=False)
 
 
+class RuleIndex:
+    """A theory's rules by the head constant and spine arity of their lhs,
+    then by the head constant of the lhs's first argument.
+
+    A rule whose first argument is a pattern variable sits in every bucket
+    of its head, and a rule whose lhs has no constant head in every bucket,
+    so each bucket holds, in declaration order, every rule that can match a
+    subject with that key.  Spines are unwound at most `limit` applications
+    deep: a longer spine matches no constant-headed pattern.
+    """
+
+    def __init__(self, rules: tuple[RewriteRule, ...]):
+        keyed = []
+        self.limit = 0
+        for rule in rules:
+            head, args = spine(rule.lhs)
+            first, first_args = spine(args[0]) if args else (None, [])
+            self.limit = max(self.limit, len(args), len(first_args))
+            key = (head.name, len(args)) if isinstance(head, Const) else None
+            first_name = first.name if key and isinstance(first, Const) else None
+            keyed.append((key, first_name, rule))
+        self.generic = tuple(rule for key, _, rule in keyed if key is None)
+        self.table = {}
+        for key in {key for key, _, _ in keyed if key is not None}:
+            members = [(first, rule) for k, first, rule in keyed if k in (key, None)]
+            default = tuple(rule for first, rule in members if first is None)
+            by_first = {
+                name: tuple(rule for first, rule in members if first in (name, None))
+                for name, _ in members
+                if name is not None
+            }
+            self.table[key] = (by_first, default)
+
+    def candidates(self, t: Term) -> tuple[RewriteRule, ...]:
+        """The rules that may match t at the root, in declaration order."""
+        arity, first = 0, None
+        while isinstance(t, App) and arity < self.limit:
+            first, t = t.arg, t.fn
+            arity += 1
+        entry = self.table.get((t.name, arity)) if isinstance(t, Const) else None
+        if entry is None:
+            return self.generic
+        by_first, default = entry
+        depth = 0
+        while isinstance(first, App) and depth < self.limit:
+            first = first.fn
+            depth += 1
+        return by_first.get(first.name, default) if isinstance(first, Const) else default
+
+
 @dataclass(frozen=True)
 class Theory:
     signature: Context = ()
     rules: tuple[RewriteRule, ...] = ()
+
+    @cached_property
+    def rule_index(self) -> RuleIndex:
+        return RuleIndex(self.rules)
 
     def const_type(self, name: str) -> Term | None:
         for n, ty in self.signature:

@@ -198,6 +198,31 @@ def check_context(theory: Theory, ctx: Context, fuel: Fuel | None = None, mode: 
             raise IllegalSort(f"type of {name} has no sort", term=print_term(ty))
 
 
+def check_frame(
+    theory: Theory,
+    ctx: Context,
+    ty: Term | None,
+    fuel: Fuel | None = None,
+    mode: str = BETA_R,
+) -> None:
+    """ctx is well formed and ty, unless it is None or Kind, is a type in it."""
+    if fuel is None:
+        fuel = Fuel()
+    check_context(theory, ctx, fuel, mode)
+    if ty is None or ty == KIND:
+        return
+    s = infer(theory, ctx, ty, fuel, mode)
+    if s != TYPE and s != KIND:
+        from .syntax import print_term
+
+        raise IllegalSort(
+            "not a type: its type is not a sort",
+            span=ty.span,
+            term=print_term(ty),
+            actual=print_term(s),
+        )
+
+
 def is_object(theory: Theory, ctx: Context, t: Term, fuel: Fuel | None = None) -> bool:
     """Is t's type itself of type Type?"""
     if fuel is None:

@@ -1,0 +1,134 @@
+"""Reference normalizer: the original rescan-from-root reduction strategy.
+
+Every step tries every rule at every position from the root, then
+rebuilds with `replace_at`; this is slow but plainly leftmost-outermost,
+so the oracle tests hold `pimodulo.reduction` to it.  Only the strategy
+lives here: the matching and substitution helpers are the package's own.
+"""
+
+from __future__ import annotations
+
+from pimodulo import reduction
+from pimodulo.reduction import BETA_R, Fuel, FuelExhausted, beta_root, match_pattern
+from pimodulo.syntax import print_term
+from pimodulo.terms import (
+    App,
+    Position,
+    Term,
+    Theory,
+    children,
+    replace_at,
+    substitute_many,
+    subterm_positions,
+)
+
+
+def r_root(t: Term, theory: Theory) -> tuple[Term, str] | None:
+    for rule in theory.rules:
+        binding = match_pattern(rule.lhs, t)
+        if binding is not None:
+            return substitute_many(rule.rhs, binding), rule.label
+    return None
+
+
+def root_steps(t: Term, theory: Theory, mode: str) -> list[tuple[Term, str]]:
+    out = []
+    reduct = beta_root(t)
+    if reduct is not None:
+        out.append((reduct, "beta"))
+    if mode == BETA_R:
+        hit = r_root(t, theory)
+        if hit is not None:
+            out.append(hit)
+    return out
+
+
+def one_step_reducts(t: Term, theory: Theory, mode: str = BETA_R) -> list[Term]:
+    out: list[Term] = []
+    for pos, sub in subterm_positions(t):
+        for reduct, _ in root_steps(sub, theory, mode):
+            out.append(replace_at(t, pos, reduct))
+    return list(dict.fromkeys(out))
+
+
+def leftmost_outermost(t: Term, theory: Theory, mode: str) -> tuple[Position, Term, str] | None:
+    def go(sub: Term, pos: Position):
+        steps = root_steps(sub, theory, mode)
+        if steps:
+            reduct, label = steps[0]
+            return pos, reduct, label
+        for i, child in enumerate(children(sub)):
+            hit = go(child, pos + (i,))
+            if hit is not None:
+                return hit
+        return None
+
+    return go(t, ())
+
+
+def normalize(t, theory, mode=BETA_R, fuel=None, trace=None):
+    if fuel is None:
+        fuel = Fuel()
+    while True:
+        hit = leftmost_outermost(t, theory, mode)
+        if hit is None:
+            return t
+        if not fuel.spend():
+            return FuelExhausted(t)
+        pos, reduct, label = hit
+        t = replace_at(t, pos, reduct)
+        if trace is not None:
+            trace.append((pos, label, t))
+
+
+def whnf(t, theory, mode=BETA_R, fuel=None):
+    if fuel is None:
+        fuel = Fuel()
+    while True:
+        if not isinstance(t, App):
+            return t
+        hit = leftmost_outermost(t, theory, mode)
+        if hit is None:
+            return t
+        if not fuel.spend():
+            return FuelExhausted(t)
+        pos, reduct, _ = hit
+        t = replace_at(t, pos, reduct)
+
+
+def is_normal(t: Term, theory: Theory, mode: str = BETA_R) -> bool:
+    return leftmost_outermost(t, theory, mode) is None
+
+
+def _outcome(result):
+    if isinstance(result, FuelExhausted):
+        return "exhausted", result.last
+    return "done", result
+
+
+def assert_agrees(t: Term, theory: Theory, mode: str, fuel: int) -> None:
+    """The package's reduction takes exactly the reference's steps on t:
+    same normal form or last term, trace, fuel spent, weak-head form,
+    normality, first redex, root steps and one-step reducts."""
+    got_fuel, want_fuel = Fuel(fuel), Fuel(fuel)
+    got_trace: list = []
+    want_trace: list = []
+    got = reduction.normalize(t, theory, mode, got_fuel, trace=got_trace)
+    want = normalize(t, theory, mode, want_fuel, trace=want_trace)
+    assert _outcome(got) == _outcome(want)
+    assert got_trace == want_trace
+    assert [print_term(u) for _, _, u in got_trace] == [print_term(u) for _, _, u in want_trace]
+    assert got_fuel.remaining == want_fuel.remaining
+    # without a trace the path above a step is rebuilt lazily
+    assert _outcome(reduction.normalize(t, theory, mode, Fuel(fuel))) == _outcome(want)
+
+    got_fuel, want_fuel = Fuel(fuel), Fuel(fuel)
+    got = reduction.whnf(t, theory, mode, got_fuel)
+    assert _outcome(got) == _outcome(whnf(t, theory, mode, want_fuel))
+    assert got_fuel.remaining == want_fuel.remaining
+
+    assert reduction.is_normal(t, theory, mode) == is_normal(t, theory, mode)
+    assert reduction.leftmost_outermost(t, theory, mode) == leftmost_outermost(t, theory, mode)
+    assert reduction.one_step_reducts(t, theory, mode) == one_step_reducts(t, theory, mode)
+    for _, sub in subterm_positions(t):
+        assert reduction.r_root(sub, theory) == r_root(sub, theory)

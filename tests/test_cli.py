@@ -3,7 +3,7 @@
 Most tests drive main(argv) in process and read captured stdout; a few
 go through a subprocess where environment or worker processes matter.
 The exit-code contract: 0 ok, 1 type error, 2 parse error, 3 budget
-exhausted, 4 file problem, 5 counterexample found.
+exhausted, 4 file problem, 5 counterexample found, 6 internal error.
 """
 
 import json
@@ -62,6 +62,27 @@ def test_check_reports_missing_files(capsys, tmp_path):
     code, out = run_cli(capsys, "check", "--theory", "stt", str(tmp_path / "absent.tm"))
     assert code == 4
     assert "io-error" in out
+
+
+def test_check_rejects_ill_formed_contexts(capsys, tmp_path):
+    bad = tmp_path / "contexts.tm"
+    bad.write_text("x : imp |- x : imp\ny : Kind |- y : Kind\nx : imp |- x\n")
+    code, out = run_cli(capsys, "check", "--theory", "stt", str(bad))
+    assert code == 1
+    judged = [l for l in out.splitlines() if str(bad) in l]
+    assert len(judged) == 3
+    assert all(l.startswith("type-error") for l in judged)
+
+
+def test_check_rejects_an_expected_type_that_is_not_a_type(capsys, tmp_path):
+    # the expected type converts to o, so only its own typing is at fault
+    bad = tmp_path / "expected.tm"
+    bad.write_text("x : o |- x : (\\y : o. o) imp\n|- Type : Kind\n")
+    code, out = run_cli(capsys, "check", "--theory", "stt", str(bad))
+    assert code == 1
+    lines = [l for l in out.splitlines() if str(bad) in l]
+    assert lines[0].startswith("type-error")
+    assert lines[1].startswith("ok")
 
 
 def test_check_validates_the_theory_itself(capsys):
@@ -166,6 +187,21 @@ def test_consistency_scan_reports_inhabitants(capsys):
     assert ": eps x. " in out
 
 
+def test_consistency_scan_rejects_an_ill_formed_target_context(capsys):
+    code, out = run_cli(capsys, "consistency-scan", "--theory", "stt",
+                        "--target", "x : imp |- eps x", "--max-size", "4")
+    assert code == 1
+    assert out.startswith("type-error\ttarget")
+    assert "no normal inhabitant" not in out
+
+
+def test_consistency_scan_rejects_a_target_that_is_not_a_type(capsys):
+    code, out = run_cli(capsys, "consistency-scan", "--theory", "stt",
+                        "--target", "x : o |- x", "--max-size", "4")
+    assert code == 1
+    assert out.startswith("type-error\ttarget")
+
+
 # --- sn-scan ---
 
 
@@ -192,6 +228,23 @@ def test_fuel_environment_default(monkeypatch, capsys):
     code, out = run_cli(capsys, "normalize", "--format", "json-lines", "o")
     assert code == 0
     assert json.loads(out.splitlines()[0])["fuel"] == 12345
+
+
+def test_bad_fuel_environment_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("PIMODULO_FUEL", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", "o"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_internal_failures_get_their_own_exit_code(capsys):
+    # the parser recurses once per parenthesis and runs out of stack
+    code, out = run_cli(capsys, "normalize", "(" * 1200 + "o" + ")" * 1200)
+    assert code == 6
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("internal-error\tfatal\tRecursionError: ")
 
 
 def test_command_is_required():

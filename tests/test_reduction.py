@@ -18,7 +18,8 @@ from pimodulo.reduction import (
     rule_overlap_warnings,
     whnf,
 )
-from pimodulo.terms import App, Const, FVar, Lam, Pi, TYPE, Theory, Var
+from pimodulo.terms import App, Const, FVar, Lam, Pi, RewriteRule, TYPE, Theory, Var
+from pimodulo.syntax import parse_theory
 from pimodulo.theories import builtin_theory
 
 STT = builtin_theory("stt").theory
@@ -64,6 +65,24 @@ def test_match_pattern_never_matches_binders() -> None:
     assert match_pattern(Lam("x", TYPE, Var(0)), lhs) is None
 
 
+# Rules of g interleave constant first arguments (a, b) with a pattern
+# variable one; c has a rule of arity 0 and h rules of arity 2 only.
+ORDERED = parse_theory("""\
+a : Type
+b : Type
+c : Type
+d : Type
+g : Type -> Type -> Type
+h : Type -> Type -> Type
+[Y : Type] g a Y --> a : Type
+[X : Type, Y : Type] g X Y --> X : Type
+[Y : Type] g b Y --> b : Type
+[X : Type] g X d --> d : Type
+[] c --> d : Type
+[X : Type, Y : Type] h X Y --> Y : Type
+""").theory
+
+
 def test_r_root_fires_the_first_matching_rule() -> None:
     t = stt_term("eps (imp p q)", "p", "q")
     hit = r_root(t, STT)
@@ -71,6 +90,33 @@ def test_r_root_fires_the_first_matching_rule() -> None:
     reduct, label = hit
     assert label == "r1"
     assert reduct == stt_term("eps p -> eps q", "p", "q")
+
+    def fired(text: str):
+        hit = r_root(stt_term(text), ORDERED)
+        return None if hit is None else (hit[1], hit[0])
+
+    assert fired("g a d") == ("r1", Const("a"))
+    # g b d matches r2, r3 and r4; the pattern variable comes first
+    assert fired("g b d") == ("r2", Const("b"))
+    assert fired("g (h a b) d") == ("r2", stt_term("h a b"))
+    assert fired("c") == ("r5", Const("d"))
+    assert fired("h a b") == ("r6", Const("b"))
+    # g and h have rules of arity 2 only, c of arity 0 only
+    assert fired("g a") is None
+    assert fired("g a b c") is None
+    assert fired("h a") is None
+    assert fired("c a") is None
+    assert fired("d") is None
+
+
+def test_r_root_tries_a_rule_without_a_constant_head_everywhere() -> None:
+    # no checked theory has one, but the index must not lose it
+    any_app = RewriteRule((), App(FVar("F"), FVar("Y")), FVar("Y"), TYPE, label="any")
+    theory = Theory(ORDERED.signature, ORDERED.rules[:1] + (any_app,))
+    assert r_root(stt_term("g a d"), theory) == (Const("a"), "r1")
+    assert r_root(stt_term("g b d"), theory) == (Const("d"), "any")
+    assert r_root(stt_term("h a (c d)"), theory) == (stt_term("c d"), "any")
+    assert r_root(Lam("x", TYPE, Var(0)), theory) is None
 
 
 def test_r_root_returns_none_off_pattern() -> None:
