@@ -33,7 +33,6 @@ from .generate import (
 )
 from .reduction import BETA, BETA_R, Fuel, FuelExhausted, normalize
 from .syntax import (
-    Judgement,
     parse_judgement,
     parse_judgements,
     parse_term,
@@ -179,47 +178,32 @@ def _model_algebras(args):
     return list(sample_full_algebras(n, count, args.seed))
 
 
-def _check_rule_on_algebra(spec) -> tuple[str, str]:
-    family, name, alg, label = spec
-    tf = load_theory(name)
-    rule = next(r for r in tf.theory.rules if r.label == label)
-    if family == "stt":
-        for phi in model_stt.enumerate_valuations(rule.ctx, alg):
-            if not model_stt.check_conversion_stt(rule.lhs, rule.rhs, phi, alg):
-                return "counterexample", _witness(alg, rule.lhs, rule.rhs, phi)
-        return "ok", ""
-    for psi in model_cc.enumerate_psis(rule.ctx, alg):
-        for phi in model_cc.enumerate_m_valuations(rule.ctx, psi, alg):
-            if not model_cc.check_conversion_cc(rule.lhs, rule.rhs, phi, psi, alg):
-                return "counterexample", _witness(alg, rule.lhs, rule.rhs, phi, psi)
-    return "ok", ""
-
-
-def _check_pair_on_algebra(spec) -> tuple[str, str]:
-    family, alg, t, u, ctx = spec
+def _valuations(family: str, ctx, alg):
+    """Every valuation of ctx as (phi, psi); psi, the outer valuation of the
+    three-layer model, is None for the one-layer model."""
     if family == "stt":
         for phi in model_stt.enumerate_valuations(ctx, alg):
-            if not model_stt.check_conversion_stt(t, u, phi, alg):
-                return "counterexample", _witness(alg, t, u, phi)
-        return "ok", ""
+            yield phi, None
+        return
     for psi in model_cc.enumerate_psis(ctx, alg):
         for phi in model_cc.enumerate_m_valuations(ctx, psi, alg):
-            if not model_cc.check_conversion_cc(t, u, phi, psi, alg):
-                return "counterexample", _witness(alg, t, u, phi, psi)
-    return "ok", ""
+            yield phi, psi
 
 
-def _check_subst_on_algebra(spec) -> tuple[str, str]:
-    family, alg, t, x, u, ctx = spec
-    if family == "stt":
-        for phi in model_stt.enumerate_valuations(ctx, alg):
-            if not model_stt.check_substitution_stt(t, x, u, phi, alg):
-                return "counterexample", _witness(alg, t, u, phi)
-        return "ok", ""
-    for psi in model_cc.enumerate_psis(ctx, alg):
-        for phi in model_cc.enumerate_m_valuations(ctx, psi, alg):
-            if not model_cc.check_substitution_cc(t, x, u, phi, psi, alg):
-                return "counterexample", _witness(alg, t, u, phi, psi)
+def _check_on_algebra(spec) -> tuple[str, str]:
+    """One item on one algebra, under every valuation: t converts to u when
+    x is None, else substituting u for x in t commutes with interpretation."""
+    family, alg, t, u, x, ctx = spec
+    for phi, psi in _valuations(family, ctx, alg):
+        if family == "stt":
+            holds = (model_stt.check_conversion_stt(t, u, phi, alg) if x is None
+                     else model_stt.check_substitution_stt(t, x, u, phi, alg))
+        elif x is None:
+            holds = model_cc.check_conversion_cc(t, u, phi, psi, alg)
+        else:
+            holds = model_cc.check_substitution_cc(t, x, u, phi, psi, alg)
+        if not holds:
+            return "counterexample", _witness(alg, t, u, phi, psi)
     return "ok", ""
 
 
@@ -243,21 +227,19 @@ def cmd_model_check(args, rep: Reporter) -> None:
                  "model checking needs a theory over the shipped vocabularies")
         return
     algebras = _model_algebras(args)
-    specs = [
-        (family, args.theory, alg, rule.label)
-        for rule in tf.theory.rules
-        for alg in algebras
-    ]
-    results = _run_items(_check_rule_on_algebra, specs, args.jobs)
+    items = [(rule, alg) for rule in tf.theory.rules for alg in algebras]
+    results = _run_items(
+        [(family, alg, rule.lhs, rule.rhs, None, rule.ctx) for rule, alg in items], args.jobs
+    )
     by_rule: dict[str, tuple[int, int]] = {}
-    for (_, _, alg, label), (status, detail) in zip(specs, results):
-        held, total = by_rule.get(label, (0, 0))
+    for (rule, alg), (status, detail) in zip(items, results):
+        held, total = by_rule.get(rule.label, (0, 0))
         if status != "ok":
-            rep.emit(f"rule {label} algebra {algebras.index(alg)}",
+            rep.emit(f"rule {rule.label} algebra {algebras.index(alg)}",
                      "rule-conversion", status, detail)
         else:
             held += 1
-        by_rule[label] = (held, total + 1)
+        by_rule[rule.label] = (held, total + 1)
     for label, (held, total) in by_rule.items():
         if held == total:
             rep.emit(f"rule {label}", "rule-conversion", "ok",
@@ -267,19 +249,9 @@ def cmd_model_check(args, rep: Reporter) -> None:
     seeds = [t for t, _ in sample_well_typed(tf.theory, args.pairs, args.seed, ctx)]
     pairs = list(convertible_pairs(tf.theory, seeds, max_size=40, ctx=ctx))[: args.pairs]
     pair_algs = algebras[:: max(1, len(algebras) // 8)]
-    specs2 = [
-        (family, alg, t, u, ctx) for t, u in pairs for alg in pair_algs
-    ]
-    results2 = _run_items(_check_pair_on_algebra, specs2, args.jobs)
-    bad = [
-        (i, detail)
-        for i, (status, detail) in enumerate(results2)
-        if status != "ok"
-    ]
-    for i, detail in bad:
-        rep.emit(f"pair {i}", "pair-conversion", "counterexample", detail)
-    rep.emit("pairs", "pair-conversion", "ok" if not bad else "counterexample",
-             f"{len(pairs)} convertible pairs over {len(pair_algs)} algebras")
+    specs = [(family, alg, t, u, None, ctx) for t, u in pairs for alg in pair_algs]
+    _report_items(rep, _run_items(specs, args.jobs), "pair", "pair-conversion", "pairs",
+                  f"{len(pairs)} convertible pairs over {len(pair_algs)} algebras")
 
     subst_terms = [t for t, _ in sample_well_typed(tf.theory, args.subst, args.seed + 1, ctx)]
     x = ctx[0][0]
@@ -288,26 +260,27 @@ def cmd_model_check(args, rep: Reporter) -> None:
     if not images:
         images = [parse_term("imp p q" if family == "stt" else "p",
                              var_names=frozenset(n for n, _ in ctx))]
-    specs3 = [
-        (family, alg, t, x, images[i % len(images)], ctx)
+    specs = [
+        (family, alg, t, images[i % len(images)], x, ctx)
         for i, t in enumerate(subst_terms)
         for alg in pair_algs
     ]
-    results3 = _run_items(_check_subst_on_algebra, specs3, args.jobs)
-    bad3 = [
-        (i, detail) for i, (status, detail) in enumerate(results3) if status != "ok"
-    ]
-    for i, detail in bad3:
-        rep.emit(f"subst {i}", "substitution", "counterexample", detail)
-    rep.emit("substitution", "substitution", "ok" if not bad3 else "counterexample",
-             f"{len(subst_terms)} instances over {len(pair_algs)} algebras")
+    _report_items(rep, _run_items(specs, args.jobs), "subst", "substitution", "substitution",
+                  f"{len(subst_terms)} instances over {len(pair_algs)} algebras")
 
 
-def _run_items(worker, specs, jobs: int):
+def _report_items(rep: Reporter, results, item: str, kind: str, summary: str, detail: str) -> None:
+    bad = [(i, witness) for i, (status, witness) in enumerate(results) if status != "ok"]
+    for i, witness in bad:
+        rep.emit(f"{item} {i}", kind, "counterexample", witness)
+    rep.emit(summary, kind, "counterexample" if bad else "ok", detail)
+
+
+def _run_items(specs, jobs: int):
     if jobs <= 1:
-        return [worker(s) for s in specs]
+        return [_check_on_algebra(s) for s in specs]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, specs))
+        return list(pool.map(_check_on_algebra, specs))
 
 
 # --- consistency-scan -------------------------------------------------------------

@@ -61,24 +61,6 @@ def enumerate_raw_terms(max_size: int, atoms: tuple[Term, ...] = (TYPE,)):
         yield from exact(size, 0)
 
 
-def enumerate_well_typed(
-    theory: Theory,
-    max_size: int = 5,
-    ctx: Context = (),
-    mode: str = BETA_R,
-):
-    """Raw terms over the theory's constants and the context's variables
-    that the checker accepts, with their inferred types."""
-    atoms: list[Term] = [TYPE]
-    atoms.extend(Const(name) for name, _ in theory.signature)
-    atoms.extend(FVar(name) for name, _ in ctx)
-    for t in enumerate_raw_terms(max_size, tuple(atoms)):
-        try:
-            yield t, infer(theory, ctx, t, mode=mode)
-        except PiModuloError:
-            continue
-
-
 def sample_well_typed(
     theory: Theory,
     count: int,

@@ -9,15 +9,15 @@ interpretation maps a term and two valuations (phi over M-values, psi
 over N-values) to an element of M at the term's type; with a finite
 algebra every interpretation-level value is finite except the shared
 meaning of the four pi codes, which is kept symbolic and applied on
-demand.
+demand.  The sets and tabulated elements are the shared ones of `values`;
+the symbolic elements below are this model's own.
 
 Equality of values is extensional.  Finite sets and functions are
 canonicalized to element sets and graphs; functions over unenumerable
 domains are compared on a fixed finite probe menu, which can certify
 difference but takes agreement on the menu as equality.  The collapse
 conventions (a function space into {e} is {e}; a function whose outputs
-are all e is e) are applied by the factories, as in the simple-type
-case.
+are all e is e) are applied by the constructors of `values`.
 """
 
 from __future__ import annotations
@@ -41,80 +41,37 @@ from .terms import (
     substitute,
     uses_bound,
 )
-
-DEFAULT_CAP = 10**6
-
-
-# --- set layer -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CarrierB:
-    pass
-
-
-@dataclass(frozen=True)
-class USingleton:
-    pass
-
-
-@dataclass(frozen=True)
-class EUniverse:
-    pass
-
-
-@dataclass(frozen=True)
-class UFunSpace:
-    dom: "UniverseSet"
-    cod: "UniverseSet"
-
-
-@dataclass(frozen=True)
-class ExplicitSet:
-    members: frozenset
+from .values import (
+    CARRIER,
+    DEFAULT_CAP,
+    E_POINT,
+    E_UNIVERSE,
+    SINGLETON_E,
+    AlgElem,
+    Carrier,
+    ElemValue,
+    EPoint,
+    EUniverse,
+    ExplicitSet,
+    FiniteFun,
+    FunSpace,
+    SetValue,
+    SingletonE,
+    apply_elem,
+    as_carrier,
+    cardinality,
+    enumerate_set,
+    explicit_set,
+    finite_fun,
+    fun_space,
+)
 
 
-UniverseSet = CarrierB | USingleton | EUniverse | UFunSpace | ExplicitSet
-
-CARRIER_B = CarrierB()
-U_SINGLETON = USingleton()
-E_UNIVERSE = EUniverse()
-
-
-def u_fun_space(dom: UniverseSet, cod: UniverseSet) -> UniverseSet:
-    if cod == U_SINGLETON:
-        return U_SINGLETON
-    if isinstance(cod, ExplicitSet) and cod.members == frozenset({U_E_POINT}):
-        return U_SINGLETON
-    return UFunSpace(dom, cod)
-
-
-def explicit_set(members) -> UniverseSet:
-    ms = frozenset(members)
-    if ms == frozenset({U_E_POINT}):
-        return U_SINGLETON
-    return ExplicitSet(ms)
-
-
-# --- element layer ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class UEPoint:
-    pass
-
-
-@dataclass(frozen=True)
-class UAlgElem:
-    value: int
-
+# --- symbolic values ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class SetElem:
-    s: UniverseSet
-
-
-@dataclass(frozen=True)
-class UFun:
-    graph: frozenset  # of (UniverseElem, UniverseElem) pairs
+    s: SetValue
 
 
 @dataclass(frozen=True)
@@ -140,7 +97,7 @@ class MPiTKK1:
 @dataclass(frozen=True)
 class MConstFun:
     """A constant function over a domain too big to tabulate."""
-    dom: UniverseSet
+    dom: SetValue
     value: "UniverseElem"
 
 
@@ -150,7 +107,7 @@ class MClosure:
     body: Term
     env: tuple
     psi: tuple  # sorted (name, value) pairs
-    dom: UniverseSet
+    dom: SetValue
 
 
 @dataclass(frozen=True)
@@ -162,116 +119,63 @@ class IPiDot1:
 
 
 UniverseElem = (
-    UEPoint | UAlgElem | SetElem | UFun
+    ElemValue | SetElem
     | MIdent | MPiKKK | MPiKKK1 | MPiTKK1 | MConstFun | MClosure | IPiDot1
 )
 
-U_E_POINT = UEPoint()
 M_IDENT = MIdent()
 
 
-def u_fun(pairs) -> UniverseElem:
-    graph = frozenset(pairs)
-    if graph and all(v == U_E_POINT for _, v in graph):
-        return U_E_POINT
-    return UFun(graph)
-
-
-def as_set(v: UniverseElem, what: str = "value") -> UniverseSet:
+def as_set(v: UniverseElem, what: str = "value") -> SetValue:
     if isinstance(v, SetElem):
         return v.s
     raise PiModuloError(f"{what} is not a set: {v!r}")
 
 
-# --- enumeration ------------------------------------------------------------
-
-def u_cardinality(s: UniverseSet, alg: FiniteAlgebra) -> int | None:
-    """Number of elements, or None when the set cannot be enumerated."""
-    match s:
-        case CarrierB():
-            return alg.n
-        case USingleton():
-            return 1
-        case EUniverse():
-            return None
-        case ExplicitSet(members):
-            return len(members)
-        case UFunSpace(dom, cod):
-            d = u_cardinality(dom, alg)
-            c = u_cardinality(cod, alg)
-            if d is None or c is None:
-                return None
-            return c**d
-    raise PiModuloError(f"unknown set {s!r}")
-
-
-def enumerable(s: UniverseSet, alg: FiniteAlgebra) -> bool:
-    return u_cardinality(s, alg) is not None
-
-
-def enumerate_uset(s: UniverseSet, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> list:
-    size = u_cardinality(s, alg)
-    if size is None:
-        raise UnenumerableUnion(f"cannot list the elements of {s!r}")
-    if size > cap:
-        raise SizeLimitExceeded(f"set has {size} elements, over the cap {cap}")
-    match s:
-        case CarrierB():
-            return [UAlgElem(w) for w in range(alg.n)]
-        case USingleton():
-            return [U_E_POINT]
-        case ExplicitSet(members):
-            return sorted(members, key=repr)
-        case UFunSpace(dom, cod):
-            keys = enumerate_uset(dom, alg, cap)
-            vals = enumerate_uset(cod, alg, cap)
-            return [
-                u_fun(zip(keys, choice))
-                for choice in product(vals, repeat=len(keys))
-            ]
-    raise PiModuloError(f"unknown set {s!r}")
+def enumerable(s: SetValue, alg: FiniteAlgebra) -> bool:
+    return cardinality(s, alg.n) is not None
 
 
 # --- extensional equality ----------------------------------------------------
 
-def probe_menu(s: UniverseSet, alg: FiniteAlgebra) -> list:
+def probe_menu(s: SetValue, alg: FiniteAlgebra) -> list:
     """A few members of s, used to compare functions that cannot be tabulated."""
     match s:
         case EUniverse():
             return [
-                SetElem(CARRIER_B),
-                SetElem(U_SINGLETON),
-                SetElem(u_fun_space(CARRIER_B, CARRIER_B)),
+                SetElem(CARRIER),
+                SetElem(SINGLETON_E),
+                SetElem(fun_space(CARRIER, CARRIER)),
             ]
-        case UFunSpace(dom, cod) if not enumerable(s, alg):
+        case FunSpace(dom, cod) if not enumerable(s, alg):
             if enumerable(dom, alg):
-                keys = enumerate_uset(dom, alg)
-                return [u_fun((k, m) for k in keys) for m in probe_menu(cod, alg)]
+                keys = enumerate_set(dom, alg)
+                return [finite_fun((k, m) for k in keys) for m in probe_menu(cod, alg)]
             return [MConstFun(dom, m) for m in probe_menu(cod, alg)]
         case _:
-            return enumerate_uset(s, alg)[:3]
+            return enumerate_set(s, alg)[:3]
 
 
-def canon_set(s: UniverseSet, alg: FiniteAlgebra, cap: int = DEFAULT_CAP):
+def canon_set(s: SetValue, alg: FiniteAlgebra, cap: int = DEFAULT_CAP):
     if enumerable(s, alg):
-        return ("set", frozenset(canon_elem(x, alg, cap) for x in enumerate_uset(s, alg, cap)))
+        return ("set", frozenset(canon_elem(x, alg, cap) for x in enumerate_set(s, alg, cap)))
     match s:
         case EUniverse():
             return ("E",)
-        case UFunSpace(dom, cod):
+        case FunSpace(dom, cod):
             return ("fspace", canon_set(dom, alg, cap), canon_set(cod, alg, cap))
     raise PiModuloError(f"cannot canonicalize {s!r}")
 
 
 def canon_elem(v: UniverseElem, alg: FiniteAlgebra, cap: int = DEFAULT_CAP):
     match v:
-        case UEPoint():
+        case EPoint():
             return ("e",)
-        case UAlgElem(w):
+        case AlgElem(w):
             return ("w", w)
         case SetElem(s):
             return ("S", canon_set(s, alg, cap))
-        case UFun(graph):
+        case FiniteFun(graph):
             return (
                 "fun",
                 frozenset(
@@ -303,7 +207,7 @@ def equal_values(a: UniverseElem, b: UniverseElem, alg: FiniteAlgebra, cap: int 
     return a == b or canon_elem(a, alg, cap) == canon_elem(b, alg, cap)
 
 
-def equal_sets(a: UniverseSet, b: UniverseSet, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> bool:
+def equal_sets(a: SetValue, b: SetValue, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> bool:
     return a == b or canon_set(a, alg, cap) == canon_set(b, alg, cap)
 
 
@@ -311,55 +215,53 @@ def equal_sets(a: UniverseSet, b: UniverseSet, alg: FiniteAlgebra, cap: int = DE
 
 def apply_u(f: UniverseElem, a: UniverseElem, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> UniverseElem:
     match f:
-        case UEPoint():
-            return U_E_POINT
+        case EPoint() | FiniteFun():
+            try:
+                return apply_elem(f, a)
+            except PiModuloError:
+                ca = canon_elem(a, alg, cap)
+                for k, v in f.graph:
+                    if canon_elem(k, alg, cap) == ca:
+                        return v
+                raise
         case MIdent():
             return a
-        case UFun(graph):
-            for k, v in graph:
-                if k == a:
-                    return v
-            ca = canon_elem(a, alg, cap)
-            for k, v in graph:
-                if canon_elem(k, alg, cap) == ca:
-                    return v
-            raise PiModuloError(f"applied a finite function outside its domain: {a!r}")
         case MPiKKK():
             return MPiKKK1(a)
         case MPiTKK1():
-            he = apply_u(a, U_E_POINT, alg, cap)
-            return SetElem(u_fun_space(U_SINGLETON, as_set(he, "pi code output")))
+            he = apply_u(a, E_POINT, alg, cap)
+            return SetElem(fun_space(SINGLETON_E, as_set(he, "pi code output")))
         case MPiKKK1(aset):
-            he = apply_u(a, U_E_POINT, alg, cap)
-            return SetElem(u_fun_space(as_set(aset, "pi code argument"), as_set(he, "pi code output")))
+            he = apply_u(a, E_POINT, alg, cap)
+            return SetElem(fun_space(as_set(aset, "pi code argument"), as_set(he, "pi code output")))
         case MConstFun(_, value):
             return value
         case MClosure(body, env, psi, _):
             return m_value(body, dict(psi), alg, cap, env=list(env) + [a])
         case IPiDot1(c):
-            if not isinstance(a, UFun):
+            if not isinstance(a, FiniteFun):
                 raise PiModuloError(
                     f"a pi code needs a finite function argument, got {a!r}"
                 )
             outs = set()
             for _, out in a.graph:
-                if not isinstance(out, UAlgElem):
+                if not isinstance(out, AlgElem):
                     raise PiModuloError(f"pi code body output off the carrier: {out!r}")
                 outs.add(out.value)
-            return UAlgElem(alg.pi(c, alg.mask_of(outs)))
+            return AlgElem(alg.pi(c, alg.mask_of(outs)))
     raise PiModuloError(f"applied a non-function value {f!r}")
 
 
 # --- the N family ------------------------------------------------------------
 
-def domain_n(t: Term) -> UniverseSet:
+def domain_n(t: Term) -> SetValue:
     match t:
         case SortKind() | SortType() | Const("U_Kind"):
             return E_UNIVERSE
         case Pi(_, dom, cod):
-            return u_fun_space(domain_n(dom), domain_n(cod))
+            return fun_space(domain_n(dom), domain_n(cod))
         case Const(_) | FVar(_) | Var(_):
-            return U_SINGLETON
+            return SINGLETON_E
         case Lam(_, _, body):
             return domain_n(body)
         case App(fn, _):
@@ -384,17 +286,17 @@ def m_value(
     def m(t: Term, env: list[UniverseElem]) -> UniverseElem:
         match t:
             case SortKind() | SortType():
-                return SetElem(CARRIER_B)
+                return SetElem(CARRIER)
             case Const(name) if name in _M_UNIVERSE_CONSTS:
-                return SetElem(CARRIER_B)
+                return SetElem(CARRIER)
             case Const("eps_Kind"):
                 return M_IDENT
             case Const("eps_Type"):
-                return UFun(frozenset({(U_E_POINT, SetElem(U_SINGLETON))}))
+                return FiniteFun(frozenset({(E_POINT, SetElem(SINGLETON_E))}))
             case Const("pi_TTT") | Const("pi_KTT"):
-                return U_E_POINT
+                return E_POINT
             case Const("pi_TKK"):
-                return UFun(frozenset({(U_E_POINT, MPiTKK1())}))
+                return FiniteFun(frozenset({(E_POINT, MPiTKK1())}))
             case Const("pi_KKK"):
                 return MPiKKK()
             case Const(name):
@@ -410,69 +312,69 @@ def m_value(
                 if enumerable(n_ann, alg):
                     pairs = [
                         (c, m(body, env + [c]))
-                        for c in enumerate_uset(n_ann, alg, cap)
+                        for c in enumerate_set(n_ann, alg, cap)
                     ]
-                    return u_fun(pairs)
+                    return finite_fun(pairs)
                 return MClosure(
                     body, tuple(env), tuple(sorted(psi.items(), key=lambda kv: kv[0])), n_ann
                 )
             case App(fn, arg):
                 f_val = m(fn, env)
-                if f_val == U_E_POINT:
-                    return U_E_POINT
+                if f_val == E_POINT:
+                    return E_POINT
                 return apply_u(f_val, m(arg, env), alg, cap)
             case Pi(_, ann, cod):
                 dom_set = as_set(m(ann, env), "product domain")
                 n_ann = domain_n(ann)
                 if not uses_bound(cod):
-                    union = as_set(m(cod, env + [U_E_POINT]), "product codomain")
+                    union = as_set(m(cod, env + [E_POINT]), "product codomain")
                 elif enumerable(n_ann, alg):
                     parts = [
                         as_set(m(cod, env + [c]), "product codomain")
-                        for c in enumerate_uset(n_ann, alg, cap)
+                        for c in enumerate_set(n_ann, alg, cap)
                     ]
                     union = _union_sets(parts, alg, cap)
                 else:
                     raise UnenumerableUnion(
                         "product codomain union runs over an unenumerable set"
                     )
-                if equal_sets(union, U_SINGLETON, alg, cap):
-                    return SetElem(U_SINGLETON)
-                return SetElem(u_fun_space(dom_set, union))
+                if equal_sets(union, SINGLETON_E, alg, cap):
+                    return SetElem(SINGLETON_E)
+                return SetElem(fun_space(dom_set, union))
         raise PiModuloError(f"no middle-layer value for {t!r}")
 
     return m(t, env)
 
 
-def _union_sets(parts: list[UniverseSet], alg: FiniteAlgebra, cap: int) -> UniverseSet:
+def _union_sets(parts: list[SetValue], alg: FiniteAlgebra, cap: int) -> SetValue:
     first = parts[0]
     if all(equal_sets(p, first, alg, cap) for p in parts[1:]):
         return first
     members: dict = {}
     for p in parts:
-        for x in enumerate_uset(p, alg, cap):
+        for x in enumerate_set(p, alg, cap):
             members.setdefault(canon_elem(x, alg, cap), x)
     return explicit_set(members.values())
 
 
-def domain_m(t: Term, psi: dict[str, UniverseElem], alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> UniverseSet:
+def domain_m(t: Term, psi: dict[str, UniverseElem], alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SetValue:
     return as_set(m_value(t, psi, alg, cap), "middle-layer domain")
 
 
 # --- the interpretation --------------------------------------------------------
 
-def default_n_value(s: UniverseSet, alg: FiniteAlgebra) -> UniverseElem:
+def default_n_value(s: SetValue, alg: FiniteAlgebra) -> UniverseElem:
     """A canonical inhabitant of an N-layer set, used to extend psi when the
     interpreter walks under a binder."""
     match s:
-        case USingleton():
-            return U_E_POINT
+        case SingletonE():
+            return E_POINT
         case EUniverse():
-            return SetElem(CARRIER_B)
-        case UFunSpace(dom, cod):
+            return SetElem(CARRIER)
+        case FunSpace(dom, cod):
             filler = default_n_value(cod, alg)
             if enumerable(dom, alg):
-                return u_fun((k, filler) for k in enumerate_uset(dom, alg))
+                return finite_fun((k, filler) for k in enumerate_set(dom, alg))
             return MConstFun(dom, filler)
     raise PiModuloError(f"no default inhabitant for {s!r}")
 
@@ -484,14 +386,9 @@ def interp_cc(
     alg: FiniteAlgebra,
     cap: int = DEFAULT_CAP,
 ) -> UniverseElem:
-    top = UAlgElem(alg.top)
-    ident_b = UFun(frozenset((UAlgElem(w), UAlgElem(w)) for w in range(alg.n)))
-    pi_code = UFun(frozenset((UAlgElem(w), IPiDot1(w)) for w in range(alg.n)))
-
-    def as_element(v: UniverseElem, what: str) -> int:
-        if not isinstance(v, UAlgElem):
-            raise PiModuloError(f"{what} did not land in the carrier: {v!r}")
-        return v.value
+    top = AlgElem(alg.top)
+    ident_b = FiniteFun(frozenset((AlgElem(w), AlgElem(w)) for w in range(alg.n)))
+    pi_code = FiniteFun(frozenset((AlgElem(w), IPiDot1(w)) for w in range(alg.n)))
 
     def ev(t: Term, phi_env: list, psi_env: list) -> UniverseElem:
         match t:
@@ -516,26 +413,26 @@ def interp_cc(
                 filler = default_n_value(domain_n(ann), alg)
                 pairs = [
                     (c, ev(body, phi_env + [c], psi_env + [filler]))
-                    for c in enumerate_uset(m_ann, alg, cap)
+                    for c in enumerate_set(m_ann, alg, cap)
                 ]
-                return u_fun(pairs)
+                return finite_fun(pairs)
             case App(fn, arg):
                 f_val = ev(fn, phi_env, psi_env)
-                if f_val == U_E_POINT:
-                    return U_E_POINT
+                if f_val == E_POINT:
+                    return E_POINT
                 return apply_u(f_val, ev(arg, phi_env, psi_env), alg, cap)
             case Pi(_, ann, cod):
-                w_dom = as_element(ev(ann, phi_env, psi_env), "product domain")
+                w_dom = as_carrier(ev(ann, phi_env, psi_env), "product domain")
                 m_ann = as_set(m_value(ann, psi, alg, cap, env=psi_env), "binder domain")
                 filler = default_n_value(domain_n(ann), alg)
                 outs = {
-                    as_element(
+                    as_carrier(
                         ev(cod, phi_env + [c], psi_env + [filler]),
                         "product codomain",
                     )
-                    for c in enumerate_uset(m_ann, alg, cap)
+                    for c in enumerate_set(m_ann, alg, cap)
                 }
-                return UAlgElem(alg.pi(w_dom, alg.mask_of(outs)))
+                return AlgElem(alg.pi(w_dom, alg.mask_of(outs)))
         raise PiModuloError(f"cannot interpret {t!r}")
 
     return ev(t, [], [])
@@ -557,7 +454,7 @@ def enumerate_psis(
     for _, ty in ctx:
         n_ty = domain_n(ty)
         if enumerable(n_ty, alg):
-            pools.append(enumerate_uset(n_ty, alg, cap))
+            pools.append(enumerate_set(n_ty, alg, cap))
         else:
             pools.append(probe_menu(n_ty, alg))
     total = 1
@@ -578,7 +475,7 @@ def enumerate_m_valuations(
     declared type under psi."""
     names = [name for name, _ in ctx]
     pools = [
-        enumerate_uset(domain_m(ty, psi, alg, cap), alg, cap) for _, ty in ctx
+        enumerate_set(domain_m(ty, psi, alg, cap), alg, cap) for _, ty in ctx
     ]
     total = 1
     for pool in pools:
@@ -637,34 +534,34 @@ def check_n_substitution(t: Term, x: str, u: Term) -> bool:
 
 def check_lemma1_cc(t: Term) -> bool:
     """For terms free of Kind, Type, and U_Kind the outer domain is {e}."""
-    return domain_n(t) == U_SINGLETON
+    return domain_n(t) == SINGLETON_E
 
 
-def member_of_n(v: UniverseElem, s: UniverseSet, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> bool:
+def member_of_n(v: UniverseElem, s: SetValue, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> bool:
     """Does v inhabit the N-layer set s?  The point e doubles as any
     collapsed constant-e function, so it inhabits a function space whose
     codomain admits it."""
     match s:
-        case USingleton():
-            return v == U_E_POINT
+        case SingletonE():
+            return v == E_POINT
         case EUniverse():
             return isinstance(v, SetElem)
-        case CarrierB():
-            return isinstance(v, UAlgElem) and 0 <= v.value < alg.n
+        case Carrier():
+            return isinstance(v, AlgElem) and 0 <= v.value < alg.n
         case ExplicitSet(members):
             cv = canon_elem(v, alg, cap)
             return any(cv == canon_elem(m, alg, cap) for m in members)
-        case UFunSpace(dom, cod):
-            if v == U_E_POINT:
-                return member_of_n(U_E_POINT, cod, alg, cap)
+        case FunSpace(dom, cod):
+            if v == E_POINT:
+                return member_of_n(E_POINT, cod, alg, cap)
             if isinstance(v, MIdent):
                 return dom == E_UNIVERSE and cod == E_UNIVERSE
-            if isinstance(v, UFun):
+            if isinstance(v, FiniteFun):
                 if not enumerable(dom, alg):
                     return False
                 keys = {canon_elem(k, alg, cap) for k, _ in v.graph}
                 expected = {
-                    canon_elem(k, alg, cap) for k in enumerate_uset(dom, alg, cap)
+                    canon_elem(k, alg, cap) for k in enumerate_set(dom, alg, cap)
                 }
                 if keys != expected:
                     return False

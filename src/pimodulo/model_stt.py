@@ -1,21 +1,18 @@
 """The finite model of the simple-type-theory embedding.
 
-Every term gets a domain (a set) and, once a valuation supplies values
-for its free variables, an interpretation (an element).  Domains are one
-of the algebra's carrier B, the one-point set {e}, or a function space;
-the collapse convention identifies a function space into {e}, and any
-function all of whose outputs are e, with the point e itself.  Those two
-normalizations make structural equality of values extensional equality.
+The one-layer case of the model: every term gets a domain (a set) and,
+once a valuation supplies values for its free variables, an
+interpretation (an element).  Domains are the algebra's carrier B, the
+one-point set {e}, or function spaces over them; the values, their
+collapse convention and their enumeration live in `values`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .algebra import FiniteAlgebra
-from .errors import PiModuloError, SizeLimitExceeded
+from .errors import PiModuloError
 from .syntax import parse_term
 from .terms import (
     App,
@@ -30,116 +27,23 @@ from .terms import (
     Var,
     substitute,
 )
-
-DEFAULT_CAP = 10**6
-
-
-# --- value shapes ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class Carrier:
-    pass
-
-
-@dataclass(frozen=True)
-class SingletonE:
-    pass
-
-
-@dataclass(frozen=True)
-class FunSpace:
-    dom: "SetValue"
-    cod: "SetValue"
-
-
-SetValue = Carrier | SingletonE | FunSpace
-
-CARRIER = Carrier()
-SINGLETON_E = SingletonE()
-
-
-def fun_space(dom: SetValue, cod: SetValue) -> SetValue:
-    if cod == SINGLETON_E:
-        return SINGLETON_E
-    return FunSpace(dom, cod)
-
-
-@dataclass(frozen=True)
-class AlgElem:
-    value: int
-
-
-@dataclass(frozen=True)
-class EPoint:
-    pass
-
-
-@dataclass(frozen=True)
-class FiniteFun:
-    graph: frozenset  # of (ElemValue, ElemValue) pairs, total over a domain
-
-
-ElemValue = AlgElem | EPoint | FiniteFun
-
-E_POINT = EPoint()
-
-
-def finite_fun(pairs) -> ElemValue:
-    graph = frozenset(pairs)
-    if graph and all(v == E_POINT for _, v in graph):
-        return E_POINT
-    return FiniteFun(graph)
-
-
-def apply_elem(f: ElemValue, a: ElemValue) -> ElemValue:
-    if f == E_POINT:
-        return E_POINT
-    if isinstance(f, FiniteFun):
-        for k, v in f.graph:
-            if k == a:
-                return v
-        raise PiModuloError(f"applied a finite function outside its domain: {a!r}")
-    raise PiModuloError(f"applied a non-function value {f!r}")
+from .values import (
+    CARRIER,
+    DEFAULT_CAP,
+    E_POINT,
+    SINGLETON_E,
+    AlgElem,
+    ElemValue,
+    SetValue,
+    apply_elem,
+    as_carrier,
+    enumerate_set,
+    finite_fun,
+    fun_space,
+)
 
 
 # --- domains ---------------------------------------------------------------
-
-def set_cardinality(s: SetValue, n: int) -> int:
-    match s:
-        case Carrier():
-            return n
-        case SingletonE():
-            return 1
-        case FunSpace(dom, cod):
-            return set_cardinality(cod, n) ** set_cardinality(dom, n)
-    raise PiModuloError(f"unknown set value {s!r}")
-
-
-def enumerate_set(s: SetValue, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> list[ElemValue]:
-    """Complete, duplicate-free listing of a domain's elements."""
-    if set_cardinality(s, alg.n) > cap:
-        raise SizeLimitExceeded(
-            f"domain has more than {cap} elements; raise the cap to enumerate it"
-        )
-    return _enumerate(s, alg)
-
-
-@lru_cache(maxsize=None)
-def _enumerate(s: SetValue, alg: FiniteAlgebra) -> list[ElemValue]:
-    match s:
-        case Carrier():
-            return [AlgElem(w) for w in range(alg.n)]
-        case SingletonE():
-            return [E_POINT]
-        case FunSpace(dom, cod):
-            keys = _enumerate(dom, alg)
-            vals = _enumerate(cod, alg)
-            return [
-                finite_fun(zip(keys, choice))
-                for choice in product(vals, repeat=len(keys))
-            ]
-    raise PiModuloError(f"unknown set value {s!r}")
-
 
 def domain_stt(t: Term, alg: FiniteAlgebra | None = None) -> SetValue:
     """The domain of a term.  The algebra argument is accepted for call-shape
@@ -176,11 +80,6 @@ def interp_stt(
     """Interpretation under a valuation; phi maps free variables to values."""
     top = AlgElem(alg.top)
 
-    def as_element(v: ElemValue, what: str) -> int:
-        if not isinstance(v, AlgElem):
-            raise PiModuloError(f"{what} did not land in the carrier: {v!r}")
-        return v.value
-
     def ev(t: Term, env: list[ElemValue]) -> ElemValue:
         match t:
             case SortKind() | SortType() | Const("iota") | Const("o"):
@@ -201,12 +100,12 @@ def interp_stt(
             case Const(name) if name.startswith("all["):
                 quant_dom = _all_quantifier_domain(name)
                 dom_set = domain_stt(quant_dom)
-                w_c = as_element(ev(quant_dom, []), "quantifier domain")
+                w_c = as_carrier(ev(quant_dom, []), "quantifier domain")
                 members = enumerate_set(dom_set, alg, cap)
                 pairs = []
                 for f in enumerate_set(fun_space(dom_set, CARRIER), alg, cap):
                     outs = {
-                        as_element(apply_elem(f, c), "proposition body")
+                        as_carrier(apply_elem(f, c), "proposition body")
                         for c in members
                     }
                     pairs.append((f, AlgElem(alg.pi(w_c, alg.mask_of(outs)))))
@@ -231,9 +130,9 @@ def interp_stt(
                     return E_POINT
                 return apply_elem(f_val, ev(arg, env))
             case Pi(_, dom, cod):
-                w_dom = as_element(ev(dom, env), "product domain")
+                w_dom = as_carrier(ev(dom, env), "product domain")
                 outs = {
-                    as_element(ev(cod, env + [c]), "product codomain")
+                    as_carrier(ev(cod, env + [c]), "product codomain")
                     for c in enumerate_set(domain_stt(dom), alg, cap)
                 }
                 return AlgElem(alg.pi(w_dom, alg.mask_of(outs)))

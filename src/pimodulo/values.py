@@ -1,0 +1,181 @@
+"""Set and element values shared by the finite models.
+
+Both models give every term a set (its domain) and an element of it.
+Sets are the algebra's carrier B, the one-point set {e}, the universe E
+of sets (handled symbolically, never enumerated), function spaces and
+explicit finite sets.  Elements are carrier elements, the point e and
+finite functions given by their graphs.  The collapse convention
+identifies a function space into {e} with {e}, and a function all of
+whose outputs are e with the point e; the constructors below apply it,
+so structural equality of tabulated values is extensional equality.
+
+Enumeration depends only on the carrier's size, so listings are cached
+by set, carrier size and cap, shared by every algebra of that size and by
+both models; keying by the cap keeps a call's verdict (a listing or
+SizeLimitExceeded) independent of earlier calls.  A cached listing is
+shared: callers must not change it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
+
+from .algebra import FiniteAlgebra
+from .errors import PiModuloError, SizeLimitExceeded, UnenumerableUnion
+
+DEFAULT_CAP = 10**6
+# Listings kept at once.  A sweep meets few distinct sets (25 in the
+# benchmark's model-sweep, seed 0), so this keeps all of them while a long
+# run cannot hold every listing it ever made.
+ENUMERATION_CACHE_SIZE = 256
+
+
+# --- sets ------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Carrier:
+    pass
+
+
+@dataclass(frozen=True)
+class SingletonE:
+    pass
+
+
+@dataclass(frozen=True)
+class EUniverse:
+    pass
+
+
+@dataclass(frozen=True)
+class FunSpace:
+    dom: "SetValue"
+    cod: "SetValue"
+
+
+@dataclass(frozen=True)
+class ExplicitSet:
+    members: frozenset
+
+
+SetValue = Carrier | SingletonE | EUniverse | FunSpace | ExplicitSet
+
+CARRIER = Carrier()
+SINGLETON_E = SingletonE()
+E_UNIVERSE = EUniverse()
+
+
+# --- elements ----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AlgElem:
+    value: int
+
+
+@dataclass(frozen=True)
+class EPoint:
+    pass
+
+
+@dataclass(frozen=True)
+class FiniteFun:
+    graph: frozenset  # of (element, element) pairs, total over a domain
+
+
+ElemValue = AlgElem | EPoint | FiniteFun
+
+E_POINT = EPoint()
+
+
+# --- collapsing constructors ---------------------------------------------------
+
+def fun_space(dom: SetValue, cod: SetValue) -> SetValue:
+    if cod == SINGLETON_E or isinstance(cod, ExplicitSet) and cod.members == {E_POINT}:
+        return SINGLETON_E
+    return FunSpace(dom, cod)
+
+
+def explicit_set(members) -> SetValue:
+    ms = frozenset(members)
+    if ms == {E_POINT}:
+        return SINGLETON_E
+    return ExplicitSet(ms)
+
+
+def finite_fun(pairs) -> ElemValue:
+    graph = frozenset(pairs)
+    if graph and all(v == E_POINT for _, v in graph):
+        return E_POINT
+    return FiniteFun(graph)
+
+
+def apply_elem(f: ElemValue, a: ElemValue) -> ElemValue:
+    if f == E_POINT:
+        return E_POINT
+    if isinstance(f, FiniteFun):
+        for k, v in f.graph:
+            if k == a:
+                return v
+        raise PiModuloError(f"applied a finite function outside its domain: {a!r}")
+    raise PiModuloError(f"applied a non-function value {f!r}")
+
+
+def as_carrier(v: ElemValue, what: str) -> int:
+    if not isinstance(v, AlgElem):
+        raise PiModuloError(f"{what} did not land in the carrier: {v!r}")
+    return v.value
+
+
+# --- enumeration ---------------------------------------------------------------
+
+def cardinality(s: SetValue, n: int) -> int | None:
+    """Number of elements over a carrier of n elements, or None when the
+    set cannot be enumerated."""
+    match s:
+        case Carrier():
+            return n
+        case SingletonE():
+            return 1
+        case EUniverse():
+            return None
+        case ExplicitSet(members):
+            return len(members)
+        case FunSpace(dom, cod):
+            d = cardinality(dom, n)
+            c = cardinality(cod, n)
+            if d is None or c is None:
+                return None
+            return c**d
+    raise PiModuloError(f"unknown set {s!r}")
+
+
+def enumerate_set(s: SetValue, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> list:
+    """Complete, duplicate-free listing of a set's elements, in a fixed order."""
+    return _listing(s, alg.n, cap)
+
+
+def _listing(s: SetValue, n: int, cap: int) -> list:
+    size = cardinality(s, n)
+    if size is None:
+        raise UnenumerableUnion(f"cannot list the elements of {s!r}")
+    if size > cap:
+        raise SizeLimitExceeded(f"set has {size} elements, over the cap {cap}")
+    return _enumerate(s, n, cap)
+
+
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
+def _enumerate(s: SetValue, n: int, cap: int) -> list:
+    match s:
+        case Carrier():
+            return [AlgElem(w) for w in range(n)]
+        case SingletonE():
+            return [E_POINT]
+        case ExplicitSet(members):
+            return sorted(members, key=repr)
+        case FunSpace(dom, cod):
+            keys = _listing(dom, n, cap)
+            vals = _listing(cod, n, cap)
+            return [finite_fun(zip(keys, choice)) for choice in product(vals, repeat=len(keys))]
+    raise PiModuloError(f"unknown set {s!r}")

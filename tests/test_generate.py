@@ -12,7 +12,6 @@ from pimodulo.generate import (
     convertible_pairs,
     enumerate_normal_inhabitants,
     enumerate_raw_terms,
-    enumerate_well_typed,
     gen_raw_term,
     sample_well_typed,
 )
@@ -53,15 +52,6 @@ def test_raw_enumeration_grows_with_the_bound():
 
 
 # --- well-typed enumeration and sampling ---
-
-
-def test_enumerated_terms_carry_their_inferred_types():
-    ctx = (("p", Const("o")),)
-    hits = list(enumerate_well_typed(STT, max_size=3, ctx=ctx))
-    assert (Const("o"), TYPE) in hits
-    assert (App(Const("eps"), FVar("p")), TYPE) in hits
-    for t, ty in hits:
-        assert infer(STT, ctx, t) == ty
 
 
 def test_sampling_is_deterministic_in_the_seed():

@@ -10,17 +10,9 @@ import pytest
 from pimodulo.algebra import enumerate_full_algebras
 from pimodulo.errors import SizeLimitExceeded, UnenumerableUnion
 from pimodulo.model_cc import (
-    CARRIER_B,
-    E_UNIVERSE,
     M_IDENT,
-    U_E_POINT,
-    U_SINGLETON,
-    CarrierB,
-    EUniverse,
     MIdent,
     SetElem,
-    UAlgElem,
-    UFunSpace,
     apply_u,
     canon_elem,
     check_conversion_cc,
@@ -34,23 +26,31 @@ from pimodulo.model_cc import (
     enumerable,
     enumerate_m_valuations,
     enumerate_psis,
-    enumerate_uset,
     equal_sets,
     equal_values,
-    explicit_set,
     interp_cc,
     m_value,
     member_of_n,
     probe_menu,
-    u_cardinality,
-    u_fun,
-    u_fun_space,
 )
 from pimodulo.reduction import BETA_R, one_step_reducts
 from pimodulo.syntax import parse_term
 from pimodulo.terms import KIND, TYPE, Const, FVar
 from pimodulo.theories import builtin_theory
 from pimodulo.typecheck import infer
+from pimodulo.values import (
+    CARRIER,
+    E_POINT,
+    E_UNIVERSE,
+    SINGLETON_E,
+    AlgElem,
+    FunSpace,
+    cardinality,
+    enumerate_set,
+    explicit_set,
+    finite_fun,
+    fun_space,
+)
 
 CC = builtin_theory("cc").theory
 
@@ -78,56 +78,56 @@ def cc(text, *free):
 
 
 def test_fun_space_collapses_to_singleton_codomain():
-    assert u_fun_space(CARRIER_B, U_SINGLETON) is U_SINGLETON
-    space = u_fun_space(CARRIER_B, CARRIER_B)
-    assert space == UFunSpace(CARRIER_B, CARRIER_B)
+    assert fun_space(CARRIER, SINGLETON_E) is SINGLETON_E
+    space = fun_space(CARRIER, CARRIER)
+    assert space == FunSpace(CARRIER, CARRIER)
 
 
 def test_explicit_set_of_points_is_the_singleton():
-    assert explicit_set([U_E_POINT]) is U_SINGLETON
-    assert explicit_set([U_E_POINT, U_E_POINT]) is U_SINGLETON
+    assert explicit_set([E_POINT]) is SINGLETON_E
+    assert explicit_set([E_POINT, E_POINT]) is SINGLETON_E
 
 
 def test_constant_point_functions_collapse_to_the_point():
-    graph = [(UAlgElem(0), U_E_POINT), (UAlgElem(1), U_E_POINT)]
-    assert u_fun(graph) == U_E_POINT
+    graph = [(AlgElem(0), E_POINT), (AlgElem(1), E_POINT)]
+    assert finite_fun(graph) == E_POINT
 
 
 def test_fun_equality_ignores_graph_order():
-    left = u_fun([(UAlgElem(0), UAlgElem(0)), (UAlgElem(1), UAlgElem(1))])
-    right = u_fun([(UAlgElem(1), UAlgElem(1)), (UAlgElem(0), UAlgElem(0))])
+    left = finite_fun([(AlgElem(0), AlgElem(0)), (AlgElem(1), AlgElem(1))])
+    right = finite_fun([(AlgElem(1), AlgElem(1)), (AlgElem(0), AlgElem(0))])
     assert left == right
 
 
 def test_cardinality_and_enumeration():
     alg = ALGS[1]
-    assert u_cardinality(U_SINGLETON, alg) == 1
-    assert u_cardinality(CARRIER_B, alg) == alg.n
-    assert u_cardinality(E_UNIVERSE, alg) is None
+    assert cardinality(SINGLETON_E, alg.n) == 1
+    assert cardinality(CARRIER, alg.n) == alg.n
+    assert cardinality(E_UNIVERSE, alg.n) is None
     assert not enumerable(E_UNIVERSE, alg)
-    assert list(enumerate_uset(CARRIER_B, alg)) == [UAlgElem(0), UAlgElem(1)]
+    assert list(enumerate_set(CARRIER, alg)) == [AlgElem(0), AlgElem(1)]
 
 
 def test_enumeration_respects_the_cap():
-    two = explicit_set([UAlgElem(0), UAlgElem(1)])
-    space = u_fun_space(two, two)
+    two = explicit_set([AlgElem(0), AlgElem(1)])
+    space = fun_space(two, two)
     alg = ALGS[1]
-    assert len(list(enumerate_uset(space, alg))) == 4
+    assert len(list(enumerate_set(space, alg))) == 4
     with pytest.raises(SizeLimitExceeded):
-        list(enumerate_uset(space, alg, cap=3))
+        list(enumerate_set(space, alg, cap=3))
 
 
 def test_probe_menu_for_the_full_universe():
     menu = probe_menu(E_UNIVERSE, ALGS[1])
-    assert SetElem(CARRIER_B) in menu
-    assert SetElem(U_SINGLETON) in menu
+    assert SetElem(CARRIER) in menu
+    assert SetElem(SINGLETON_E) in menu
     assert len(menu) == 3
 
 
 def test_apply_identity():
     alg = ALGS[1]
-    assert apply_u(M_IDENT, UAlgElem(1), alg) == UAlgElem(1)
-    assert apply_u(M_IDENT, SetElem(CARRIER_B), alg) == SetElem(CARRIER_B)
+    assert apply_u(M_IDENT, AlgElem(1), alg) == AlgElem(1)
+    assert apply_u(M_IDENT, SetElem(CARRIER), alg) == SetElem(CARRIER)
 
 
 # --- outer domains ---
@@ -140,22 +140,22 @@ def test_sorts_and_the_kind_universe_get_the_full_universe():
 
 
 def test_type_universe_and_constants_get_the_singleton():
-    assert domain_n(Const("U_Type")) is U_SINGLETON
-    assert domain_n(Const("dot_Type")) is U_SINGLETON
-    assert domain_n(FVar("x")) is U_SINGLETON
+    assert domain_n(Const("U_Type")) is SINGLETON_E
+    assert domain_n(Const("dot_Type")) is SINGLETON_E
+    assert domain_n(FVar("x")) is SINGLETON_E
 
 
 def test_product_domains_build_function_spaces():
     t = cc("Pi x : U_Kind. U_Kind")
-    assert domain_n(t) == UFunSpace(E_UNIVERSE, E_UNIVERSE)
+    assert domain_n(t) == FunSpace(E_UNIVERSE, E_UNIVERSE)
     # a singleton codomain collapses the whole space
-    assert domain_n(cc("Pi x : U_Type. U_Type")) is U_SINGLETON
-    assert domain_n(cc("Pi x : U_Kind. U_Type")) is U_SINGLETON
+    assert domain_n(cc("Pi x : U_Type. U_Type")) is SINGLETON_E
+    assert domain_n(cc("Pi x : U_Kind. U_Type")) is SINGLETON_E
 
 
 def test_abstraction_and_application_domains_delegate():
     assert domain_n(cc("\\x : U_Type. U_Kind")) is E_UNIVERSE
-    assert domain_n(cc("eps_Type x", "x")) is U_SINGLETON
+    assert domain_n(cc("eps_Type x", "x")) is SINGLETON_E
 
 
 def test_lemma1_sort_free_terms_live_in_the_singleton():
@@ -171,32 +171,32 @@ def test_lemma1_sort_free_terms_live_in_the_singleton():
 
 def test_type_universe_denotes_the_carrier():
     alg = ALGS[1]
-    assert m_value(cc("U_Type"), {}, alg) == SetElem(CARRIER_B)
-    assert m_value(cc("dot_Type"), {}, alg) == SetElem(CARRIER_B)
+    assert m_value(cc("U_Type"), {}, alg) == SetElem(CARRIER)
+    assert m_value(cc("dot_Type"), {}, alg) == SetElem(CARRIER)
 
 
 def test_kind_decoder_is_the_identity():
     alg = ALGS[1]
     assert m_value(cc("eps_Kind"), {}, alg) == MIdent()
-    assert m_value(cc("eps_Kind dot_Type"), {}, alg) == SetElem(CARRIER_B)
+    assert m_value(cc("eps_Kind dot_Type"), {}, alg) == SetElem(CARRIER)
 
 
 def test_decoded_type_of_a_code_application_is_the_carrier():
     for alg in SOME_ALGS:
-        assert domain_m(cc("eps_Kind dot_Type"), {}, alg) == CARRIER_B
-        assert domain_m(cc("U_Type"), {}, alg) == CARRIER_B
+        assert domain_m(cc("eps_Kind dot_Type"), {}, alg) == CARRIER
+        assert domain_m(cc("U_Type"), {}, alg) == CARRIER
 
 
 def test_object_level_types_decode_to_the_singleton():
     alg = ALGS[1]
-    assert domain_m(cc("eps_Type (pi_TTT c d)"), {}, alg) == U_SINGLETON
+    assert domain_m(cc("eps_Type (pi_TTT c d)"), {}, alg) == SINGLETON_E
 
 
 def test_products_over_the_full_universe_need_a_constant_codomain():
     alg = ALGS[1]
     # codomain independent of the bound variable: no union demanded
     v = m_value(cc("Pi x : U_Kind. U_Type"), {}, alg)
-    assert v == SetElem(UFunSpace(CARRIER_B, CARRIER_B))
+    assert v == SetElem(FunSpace(CARRIER, CARRIER))
     with pytest.raises(UnenumerableUnion):
         m_value(cc("Pi x : U_Kind. eps_Kind x"), {}, alg)
 
@@ -206,7 +206,7 @@ def test_products_over_the_full_universe_need_a_constant_codomain():
 
 def test_universes_and_codes_interpret_to_the_top_element():
     for alg in SOME_ALGS:
-        top = UAlgElem(alg.top)
+        top = AlgElem(alg.top)
         assert interp_cc(cc("U_Type"), {}, {}, alg) == top
         assert interp_cc(cc("U_Kind"), {}, {}, alg) == top
         assert interp_cc(cc("dot_Type"), {}, {}, alg) == top
@@ -292,7 +292,7 @@ def test_singleton_pools_give_one_psi():
     ctx = (("x", cc("U_Type")),)
     alg = ALGS[1]
     psis = enumerate_psis(ctx, alg)
-    assert psis == [{"x": U_E_POINT}]
+    assert psis == [{"x": E_POINT}]
 
 
 def test_universe_pools_fall_back_to_the_probe_menu():
@@ -300,7 +300,7 @@ def test_universe_pools_fall_back_to_the_probe_menu():
     alg = ALGS[1]
     psis = enumerate_psis(ctx, alg)
     assert len(psis) == 3
-    assert {"x": SetElem(CARRIER_B)} in psis
+    assert {"x": SetElem(CARRIER)} in psis
 
 
 def test_middle_valuations_range_over_the_decoded_type():
@@ -308,17 +308,17 @@ def test_middle_valuations_range_over_the_decoded_type():
     alg = ALGS[1]
     (psi,) = enumerate_psis(ctx, alg)
     ms = enumerate_m_valuations(ctx, psi, alg)
-    assert ms == [{"x": UAlgElem(0)}, {"x": UAlgElem(1)}]
+    assert ms == [{"x": AlgElem(0)}, {"x": AlgElem(1)}]
 
 
 def test_default_valuations_pick_canonical_inhabitants():
     alg = ALGS[1]
-    assert default_psi((("x", cc("U_Type")),), alg) == {"x": U_E_POINT}
-    assert default_psi((("x", cc("U_Kind")),), alg) == {"x": SetElem(CARRIER_B)}
+    assert default_psi((("x", cc("U_Type")),), alg) == {"x": E_POINT}
+    assert default_psi((("x", cc("U_Kind")),), alg) == {"x": SetElem(CARRIER)}
     # binder extension only ever needs outer-layer sets, never the carrier
     assert default_n_value(domain_n(cc("Pi x : U_Kind. U_Kind")), alg) is not None
     with pytest.raises(Exception):
-        default_n_value(CARRIER_B, alg)
+        default_n_value(CARRIER, alg)
 
 
 # --- membership and equality ---
@@ -333,23 +333,23 @@ def test_signature_constants_inhabit_their_outer_domains():
 
 def test_membership_in_basic_sets():
     alg = ALGS[1]
-    assert member_of_n(UAlgElem(1), CARRIER_B, alg)
-    assert not member_of_n(UAlgElem(2), CARRIER_B, alg)
-    assert member_of_n(U_E_POINT, U_SINGLETON, alg)
-    assert member_of_n(SetElem(CARRIER_B), E_UNIVERSE, alg)
+    assert member_of_n(AlgElem(1), CARRIER, alg)
+    assert not member_of_n(AlgElem(2), CARRIER, alg)
+    assert member_of_n(E_POINT, SINGLETON_E, alg)
+    assert member_of_n(SetElem(CARRIER), E_UNIVERSE, alg)
     # the point doubles as a constant function exactly when the codomain
     # admits the point itself
-    assert member_of_n(U_E_POINT, UFunSpace(E_UNIVERSE, U_SINGLETON), alg)
-    assert not member_of_n(U_E_POINT, u_fun_space(CARRIER_B, E_UNIVERSE), alg)
+    assert member_of_n(E_POINT, FunSpace(E_UNIVERSE, SINGLETON_E), alg)
+    assert not member_of_n(E_POINT, fun_space(CARRIER, E_UNIVERSE), alg)
 
 
 def test_set_equality_is_extensional():
     alg = ALGS[1]
-    assert equal_sets(CARRIER_B, explicit_set([UAlgElem(0), UAlgElem(1)]), alg)
-    assert not equal_sets(CARRIER_B, U_SINGLETON, alg)
-    left = u_fun([(UAlgElem(0), UAlgElem(1)), (UAlgElem(1), UAlgElem(1))])
-    right = u_fun([(UAlgElem(k), UAlgElem(1)) for k in range(2)])
+    assert equal_sets(CARRIER, explicit_set([AlgElem(0), AlgElem(1)]), alg)
+    assert not equal_sets(CARRIER, SINGLETON_E, alg)
+    left = finite_fun([(AlgElem(0), AlgElem(1)), (AlgElem(1), AlgElem(1))])
+    right = finite_fun([(AlgElem(k), AlgElem(1)) for k in range(2)])
     assert equal_values(left, right, alg)
-    assert canon_elem(SetElem(CARRIER_B), alg) == canon_elem(
-        SetElem(explicit_set([UAlgElem(1), UAlgElem(0)])), alg
+    assert canon_elem(SetElem(CARRIER), alg) == canon_elem(
+        SetElem(explicit_set([AlgElem(1), AlgElem(0)])), alg
     )

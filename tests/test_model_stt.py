@@ -3,26 +3,28 @@ import pytest
 from pimodulo.algebra import FiniteAlgebra, enumerate_full_algebras
 from pimodulo.errors import PiModuloError
 from pimodulo.model_stt import (
-    AlgElem,
-    CARRIER,
-    EPoint,
-    FiniteFun,
-    SINGLETON_E,
-    apply_elem,
     check_conversion_stt,
     check_lemma1_stt,
     check_substitution_stt,
     domain_stt,
-    enumerate_set,
     enumerate_valuations,
-    finite_fun,
-    fun_space,
     interp_stt,
 )
 from pimodulo.reduction import BETA_R, one_step_reducts
 from pimodulo.syntax import parse_term
 from pimodulo.terms import FVar, KIND, Lam, TYPE, Var
 from pimodulo.theories import builtin_theory
+from pimodulo.values import (
+    CARRIER,
+    SINGLETON_E,
+    AlgElem,
+    EPoint,
+    FiniteFun,
+    apply_elem,
+    enumerate_set,
+    finite_fun,
+    fun_space,
+)
 
 STT = builtin_theory("stt").theory
 ALGS = list(enumerate_full_algebras(2))

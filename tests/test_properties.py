@@ -7,9 +7,24 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from pimodulo import values  # noqa: E402
+from pimodulo.algebra import enumerate_full_algebras  # noqa: E402
+from pimodulo.errors import SizeLimitExceeded  # noqa: E402
 from pimodulo.generate import gen_raw_term  # noqa: E402
 from pimodulo.reduction import BETA, BETA_R  # noqa: E402
 from pimodulo.syntax import parse_theory  # noqa: E402
+from pimodulo.values import (  # noqa: E402
+    CARRIER,
+    E_POINT,
+    SINGLETON_E,
+    AlgElem,
+    FunSpace,
+    apply_elem,
+    cardinality,
+    enumerate_set,
+    explicit_set,
+    fun_space,
+)
 from reference_reduction import assert_agrees  # noqa: E402
 
 # Rules over the constants `gen_raw_term` draws: a pattern-variable first
@@ -32,3 +47,37 @@ def test_raw_terms_reduce_as_the_reference_does(seed, size, fuel):
     t = gen_raw_term(random.Random(seed), size)
     for mode in (BETA, BETA_R):
         assert_agrees(t, RAW_THEORY, mode, fuel)
+
+
+# Small set values of the shared model layer: the carrier, {e}, explicit
+# sets, and function spaces nested up to two deep, on algebras of size 1
+# and 2.  Listings past the cap must be refused, not built.
+SET_CAP = 512
+ALGEBRAS = list(enumerate_full_algebras(1)) + list(enumerate_full_algebras(2))
+BASE_SETS = st.one_of(
+    st.just(CARRIER),
+    st.just(SINGLETON_E),
+    st.sets(st.sampled_from([AlgElem(0), AlgElem(1), E_POINT]), min_size=1).map(explicit_set),
+)
+SETS_1 = st.one_of(BASE_SETS, st.builds(fun_space, BASE_SETS, BASE_SETS))
+SETS_2 = st.one_of(SETS_1, st.builds(fun_space, SETS_1, SETS_1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=SETS_2, alg=st.sampled_from(ALGEBRAS))
+def test_set_values_list_each_element_once(s, alg):
+    size = cardinality(s, alg.n)
+    if size > SET_CAP:
+        with pytest.raises(SizeLimitExceeded):
+            enumerate_set(s, alg, SET_CAP)
+        return
+    listed = enumerate_set(s, alg, SET_CAP)
+    assert len(set(listed)) == len(listed) == size
+    values._enumerate.cache_clear()
+    assert enumerate_set(s, alg, SET_CAP) == listed
+    if isinstance(s, FunSpace):
+        dom = enumerate_set(s.dom, alg, SET_CAP)
+        cod = set(enumerate_set(s.cod, alg, SET_CAP))
+        for f in listed:
+            for a in dom:
+                assert apply_elem(f, a) in cod

@@ -178,6 +178,24 @@ def test_fuel_exhausted_has_no_truth_value() -> None:
         bool(out)
 
 
+@pytest.mark.parametrize("n", [1600, 3200])
+def test_normalize_reaches_deep_eps_chains(n) -> None:
+    # built as terms, since the parser recurses; past about 1,000 levels a
+    # recursive walk over the chain overflows the stack
+    p = FVar("p")
+    chain = p
+    for _ in range(n):
+        chain = App(App(Const("imp"), p), chain)
+    out = normalize(App(Const("eps"), chain), STT, mode=BETA_R, fuel=Fuel(10 * n))
+    eps_p = App(Const("eps"), p)
+    depth = 0
+    while isinstance(out, Pi):
+        assert out.domain == eps_p
+        depth, out = depth + 1, out.codomain
+    assert depth == n
+    assert out == eps_p
+
+
 # ------------- weak head reduction -------------
 
 

@@ -9,8 +9,6 @@ from pimodulo.terms import (
     TYPE,
     Theory,
     Var,
-    alpha_eq,
-    apply_spine,
     arrow,
     children,
     close_binder,
@@ -46,12 +44,6 @@ def test_different_bodies_are_unequal() -> None:
 def test_free_and_bound_variables_are_distinct_constructors() -> None:
     assert Var(0) != FVar("0")
     assert FVar("c") != Const("c")
-
-
-def test_alpha_eq_is_plain_equality() -> None:
-    t = Lam("x", TYPE, Var(0))
-    assert alpha_eq(t, Lam("renamed", TYPE, Var(0)))
-    assert not alpha_eq(t, TYPE)
 
 
 def test_terms_are_hashable_up_to_alpha() -> None:
@@ -197,11 +189,6 @@ def test_spine_unwinds_applications() -> None:
     head, args = spine(t)
     assert head == Const("f")
     assert args == [FVar("a"), FVar("b")]
-
-
-def test_apply_spine_is_inverse_of_spine() -> None:
-    t = App(App(Const("f"), FVar("a")), FVar("b"))
-    assert apply_spine(*spine(t)) == t
 
 
 # ------------- positions -------------

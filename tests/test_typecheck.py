@@ -31,7 +31,6 @@ from pimodulo.typecheck import (
     check_rule,
     check_theory,
     infer,
-    is_object,
 )
 
 STT = builtin_theory("stt").theory
@@ -152,12 +151,6 @@ def test_check_context_requires_sorted_types() -> None:
     # imp : o -> o -> o is not a sort, so nothing can be declared at it
     with pytest.raises(IllegalSort):
         check_context(STT, (("x", Const("imp")),))
-
-
-def test_is_object_separates_proofs_from_propositions() -> None:
-    ctx, t = judged("p : o, h : eps p |- h")
-    assert is_object(STT, ctx, t)
-    assert not is_object(STT, (), Const("o"))
 
 
 # ------------- rule validation -------------
