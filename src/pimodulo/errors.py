@@ -1,16 +1,15 @@
 """Error hierarchy shared by the whole package.
 
-Every failure carries a machine-readable ``code`` so the CLI can map it to an
-exit code, plus optional detail fields (source span, offending term, expected
-and actual forms) that the reporting layer prints when present.
+Each failure is a subclass of `PiModuloError`, which the CLI maps to a
+status and an exit code by class.  A failure carries optional detail
+fields (source span, offending term, expected and actual forms) that
+`str` prints when present.
 """
 
 from __future__ import annotations
 
 
 class PiModuloError(Exception):
-    code = "error"
-
     def __init__(self, message, *, span=None, term=None, expected=None, actual=None):
         super().__init__(message)
         self.message = message
@@ -33,56 +32,52 @@ class PiModuloError(Exception):
 
 
 class ParseError(PiModuloError):
-    code = "parse"
+    """Text that is not a term, judgement or theory."""
 
 
 class UnboundVariable(PiModuloError):
-    code = "unbound-variable"
+    """A name that no context, signature or pattern declares."""
 
 
 class NotAFunction(PiModuloError):
-    code = "not-a-function"
+    """An application whose head's type is not a product."""
 
 
 class DomainMismatch(PiModuloError):
-    code = "domain-mismatch"
+    """An argument whose type does not convert to the domain."""
 
 
 class IllegalSort(PiModuloError):
-    code = "illegal-sort"
+    """A sort where none may be, or a type that has no sort."""
 
 
 class TypeMismatch(PiModuloError):
-    code = "type-mismatch"
+    """A term whose type does not convert to the expected one."""
 
 
 class DuplicateName(PiModuloError):
-    code = "duplicate-name"
+    """A name declared twice in one signature or context."""
 
 
 class NotBetaNormal(PiModuloError):
-    code = "not-beta-normal"
+    """A side of a rewrite rule that is not beta-normal."""
 
 
 class NonAlgebraicLhs(PiModuloError):
-    code = "non-algebraic-lhs"
+    """A rule lhs that is not a linear algebraic pattern."""
 
 
 class FuelError(PiModuloError):
     """Raised when a typing-level operation runs out of reduction fuel."""
 
-    code = "fuel-exhausted"
-
 
 class SizeTooLargeForExhaustive(PiModuloError):
-    code = "size-too-large"
+    """An exhaustive enumeration asked for past its reach."""
 
 
 class SizeLimitExceeded(PiModuloError):
-    code = "size-limit"
+    """A set too large to list within the cap."""
 
 
 class UnenumerableUnion(PiModuloError):
     """A semantic value over the symbolic universe E was demanded pointwise."""
-
-    code = "unenumerable-union"

@@ -167,15 +167,18 @@ def _rebuild(above: Ancestors, sub: Term, new: bool, level: int = 0) -> Term:
     return sub
 
 
-def _search(t: Term, new: bool, above: Ancestors, theory: Theory, mode: str):
+def _search(t: Term, new: bool, above: Ancestors, theory: Theory, mode: str, head: bool = False):
     """First step at t or after it in preorder, every position before t
     being normal: (step, redex, new) with `above` left holding the redex's
     ancestors, or (None, root, _) with `above` emptied.  `new` says
-    whether t's parent holds an older subterm."""
+    whether t's parent holds an older subterm.  With `head`, a root that
+    is neither an application nor a redex ends the search."""
     while True:
         step = _first_step(t, theory, mode)
         if step is not None:
             return step, t, new
+        if head and not above and not isinstance(t, App):
+            return None, t, new
         match t:
             case App(first, _) | Pi(_, first, _) | Lam(_, first, _):
                 above.append((t, 0, new))
@@ -203,11 +206,9 @@ def _reduce(
     head: bool,
 ) -> Term | FuelExhausted:
     """Leftmost-outermost steps until normal, or with `head` until the root
-    is not an application."""
-    if head and not isinstance(t, App):
-        return t
+    is neither an application nor a redex."""
     above: Ancestors = []
-    step, t, new = _search(t, False, above, theory, mode)
+    step, t, new = _search(t, False, above, theory, mode, head)
     while step is not None:
         if not fuel.spend():
             return FuelExhausted(_rebuild(above, t, new))
@@ -216,8 +217,6 @@ def _reduce(
         if trace is not None:
             trace.append((tuple(i for _, i, _ in above), label, _rebuild(above, t, new)))
             new = False
-        if head and not isinstance(above[0][0] if above else t, App):
-            return _rebuild(above, t, new)
         step = None
         apps = [k for k, (node, _, _) in enumerate(above) if isinstance(node, App)]
         if apps:
@@ -230,18 +229,8 @@ def _reduce(
                     del above[k:]
                     break
         if step is None:
-            step, t, new = _search(t, new, above, theory, mode)
+            step, t, new = _search(t, new, above, theory, mode, head)
     return t
-
-
-def leftmost_outermost(t: Term, theory: Theory, mode: str) -> tuple[Position, Term, str] | None:
-    """First preorder position carrying a root step, with its reduct."""
-    above: Ancestors = []
-    step, _, _ = _search(t, False, above, theory, mode)
-    if step is None:
-        return None
-    reduct, label = step
-    return tuple(i for _, i, _ in above), reduct, label
 
 
 def normalize(
@@ -256,11 +245,13 @@ def normalize(
 
 
 def whnf(t: Term, theory: Theory, mode: str = BETA_R, fuel: Fuel | None = None) -> Term | FuelExhausted:
-    """Reduce until the root shape is stable (non-application or normal).
+    """Leftmost-outermost steps until the root is neither an application
+    nor a redex: a binder, a sort or an atom no rule rewrites, subterms
+    untouched.
 
-    Rule patterns can require inner structure, so when the root is still an
-    application this keeps taking leftmost-outermost steps; it stops as soon
-    as the root is a binder, sort, or atom, leaving subterms untouched.
+    Rule patterns can require inner structure, so while the root is an
+    application this keeps stepping below it; an application root is left
+    only when the whole term is normal.
     """
     return _reduce(t, theory, mode, Fuel() if fuel is None else fuel, None, head=True)
 
@@ -272,11 +263,13 @@ def convertible(
     fuel: Fuel | None = None,
     mode: str = BETA_R,
 ) -> bool | FuelExhausted:
-    """Beta-R convertibility, decided by weak-head comparison with fallback
-    to full normal forms.  Sound and complete when the theory's rewrite
-    relation is confluent and terminating (both shipped theories are)."""
-    if fuel is None:
-        fuel = Fuel()
+    """Beta-R convertibility, decided on weak-head forms: binders compare
+    part by part, and any other root, whnf leaving it only on a normal
+    term, by alpha-equivalence.  Each side thus follows the one
+    leftmost-outermost strategy, so the answer is whether the normal forms
+    are equal, whenever they exist; that is convertibility when the
+    theory's rewrite relation is confluent (both shipped theories are)."""
+    fuel = Fuel() if fuel is None else fuel
     if t == u:
         return True
     wt = whnf(t, theory, mode, fuel)
@@ -291,10 +284,6 @@ def convertible(
             if sub is not True:
                 return sub
             return convertible(b1, b2, theory, fuel, mode)
-        case (App(), App()):
-            # whnf only leaves an application root when the whole term is
-            # normal, so a plain alpha comparison decides it.
-            return wt == wu
         case _:
             return wt == wu
 

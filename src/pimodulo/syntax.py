@@ -42,6 +42,7 @@ from .terms import (
     Var,
     const_names,
     free_vars,
+    instantiate,
     uses_bound,
 )
 
@@ -311,8 +312,6 @@ def type_text(t: Term) -> str:
 
 def _drop_binder(cod: Term) -> Term:
     # the bound variable is known to be unused, so any closed filler works
-    from .terms import instantiate
-
     return instantiate(cod, TYPE)
 
 

@@ -1,9 +1,12 @@
 """Syntax-directed typing for the lambda-Pi-calculus modulo a theory.
 
-Conversion happens at exactly two places: application arguments and explicit
-``check`` sites.  Inferred types are reported in beta-R-normal form.  Rewrite
-rules and signatures are validated against the bare calculus, with beta
-conversion only.
+Types are kept as the typing rules build them and reduced, to weak-head
+form only, where a product or a sort must be seen: the head of an
+application, a binder domain, a sort check.  Every other comparison is
+left to `convertible`, so a term types even if a type in it has no normal
+form.  The public `infer` reports normal forms, and so do error messages,
+computed once the error is certain.  Rewrite rules and signatures are
+validated against the bare calculus, with beta conversion only.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from .reduction import (
     normalize,
     pattern_variables,
     rule_overlap_warnings,
+    whnf,
 )
+from .syntax import print_term
 from .terms import (
     KIND,
     TYPE,
@@ -55,24 +60,43 @@ from .terms import (
     open_binder,
 )
 
-def _normal(t: Term, theory: Theory, mode: str, fuel: Fuel) -> Term:
-    result = normalize(t, theory, mode, fuel)
+# The last term of a reduction that ran out of fuel can be arbitrarily deep
+# and long; a FuelError prints it cut to this depth, then to this length.
+FUEL_TERM_DEPTH = 24
+FUEL_TERM_CHARS = 240
+
+
+def _cut(t: Term, depth: int) -> Term:
+    if depth == 0 and isinstance(t, (App, Pi, Lam)):
+        return Const("...")
+    match t:
+        case App(f, a):
+            return App(_cut(f, depth - 1), _cut(a, depth - 1))
+        case Pi(hint, a, b) | Lam(hint, a, b):
+            return type(t)(hint, _cut(a, depth - 1), _cut(b, depth - 1))
+    return t
+
+
+def _fueled(result, doing: str):
+    """The result of a reduction, or a FuelError if it ran out of fuel."""
     if isinstance(result, FuelExhausted):
-        raise FuelError("ran out of fuel while normalizing", term=result.last)
+        text = print_term(_cut(result.last, FUEL_TERM_DEPTH))[:FUEL_TERM_CHARS]
+        raise FuelError(f"ran out of fuel while {doing}", term=text)
     return result
 
 
-def _convertible(t: Term, u: Term, theory: Theory, mode: str, fuel: Fuel) -> bool:
-    result = convertible(t, u, theory, fuel, mode)
-    if isinstance(result, FuelExhausted):
-        raise FuelError("ran out of fuel while comparing types", term=result.last)
-    return result
+def _shown(t: Term, theory: Theory, mode: str, fuel: Fuel) -> str:
+    """The normal form of t, printed for an error message."""
+    return print_term(_fueled(normalize(t, theory, mode, fuel), "normalizing"))
 
 
 def infer(theory: Theory, ctx: Context, t: Term, fuel: Fuel | None = None, mode: str = BETA_R) -> Term:
     """Infer the type of t; the result is returned in normal form."""
-    if fuel is None:
-        fuel = Fuel()
+    fuel = Fuel() if fuel is None else fuel
+    return _fueled(normalize(_infer(theory, ctx, t, fuel, mode), theory, mode, fuel), "normalizing")
+
+
+def _infer(theory: Theory, ctx: Context, t: Term, fuel: Fuel, mode: str) -> Term:
     match t:
         case SortType():
             return KIND
@@ -84,70 +108,68 @@ def infer(theory: Theory, ctx: Context, t: Term, fuel: Fuel | None = None, mode:
                 ty = theory.const_type(x)
             if ty is None:
                 raise UnboundVariable(f"unbound variable {x}", span=t.span)
-            return _normal(ty, theory, mode, fuel)
+            return ty
         case Const(c):
             ty = theory.const_type(c)
             if ty is None:
                 raise UnboundVariable(f"undeclared constant {c}", span=t.span)
-            return _normal(ty, theory, mode, fuel)
+            return ty
         case Var(i):
             raise PiModuloError(f"loose bound variable #{i} (internal invariant broken)")
         case App(f, a):
-            fty = infer(theory, ctx, f, fuel, mode)
-            if not isinstance(fty, Pi):
-                from .syntax import print_term
-
+            pi = _whnf_type(theory, ctx, f, fuel, mode)
+            if not isinstance(pi, Pi):
                 raise NotAFunction(
                     "application head is not a function",
                     span=t.span,
                     term=print_term(f),
-                    actual=print_term(fty),
+                    actual=_shown(pi, theory, mode, fuel),
                 )
-            aty = infer(theory, ctx, a, fuel, mode)
-            if not _convertible(aty, fty.domain, theory, mode, fuel):
-                from .syntax import print_term
-
+            aty = _infer(theory, ctx, a, fuel, mode)
+            if not _fueled(convertible(aty, pi.domain, theory, fuel, mode), "comparing types"):
                 raise DomainMismatch(
                     "argument type does not match the function domain",
                     span=t.span,
                     term=print_term(a),
-                    expected=print_term(_normal(fty.domain, theory, mode, fuel)),
-                    actual=print_term(aty),
+                    expected=_shown(pi.domain, theory, mode, fuel),
+                    actual=_shown(aty, theory, mode, fuel),
                 )
-            return _normal(instantiate(fty.codomain, a), theory, mode, fuel)
+            return instantiate(pi.codomain, a)
         case Lam(hint, ann, body):
             _check_is_type(theory, ctx, ann, fuel, mode)
             # '!' cannot occur in surface names, and the context grows one
             # binder at a time, so the depth tells apart the names in scope
             x = f"{hint or 'x'}!{len(ctx)}"
-            body_ty = infer(theory, (*ctx, (x, ann)), open_binder(body, x), fuel, mode)
+            body_ty = _infer(theory, (*ctx, (x, ann)), open_binder(body, x), fuel, mode)
             if body_ty == KIND:
                 raise IllegalSort("abstraction body is a sort", span=t.span)
             # the abstraction rule also demands the product itself is sorted
-            s = infer(theory, (*ctx, (x, ann)), body_ty, fuel, mode)
-            if s != TYPE and s != KIND:
+            if _whnf_type(theory, (*ctx, (x, ann)), body_ty, fuel, mode) not in (TYPE, KIND):
                 raise IllegalSort("abstraction codomain has no sort", span=t.span)
-            return Pi(hint, _normal(ann, theory, mode, fuel), close_binder(body_ty, x))
+            return Pi(hint, ann, close_binder(body_ty, x))
         case Pi(hint, dom, cod):
             _check_is_type(theory, ctx, dom, fuel, mode)
             x = f"{hint or 'x'}!{len(ctx)}"
-            s = infer(theory, (*ctx, (x, dom)), open_binder(cod, x), fuel, mode)
-            if s != TYPE and s != KIND:
+            s = _whnf_type(theory, (*ctx, (x, dom)), open_binder(cod, x), fuel, mode)
+            if s not in (TYPE, KIND):
                 raise IllegalSort("product codomain is not a type or a kind", span=t.span)
             return s
     raise PiModuloError(f"unhandled term {t!r}")
 
 
-def _check_is_type(theory: Theory, ctx: Context, a: Term, fuel: Fuel, mode: str) -> None:
-    s = infer(theory, ctx, a, fuel, mode)
-    if s != TYPE:
-        from .syntax import print_term
+def _whnf_type(theory: Theory, ctx: Context, t: Term, fuel: Fuel, mode: str) -> Term:
+    """The type of t in weak-head form, where a product or a sort is demanded."""
+    return _fueled(whnf(_infer(theory, ctx, t, fuel, mode), theory, mode, fuel), "reducing a type")
 
+
+def _check_is_type(theory: Theory, ctx: Context, a: Term, fuel: Fuel, mode: str) -> None:
+    s = _whnf_type(theory, ctx, a, fuel, mode)
+    if s != TYPE:
         raise IllegalSort(
             "binder domain must be a type",
             span=a.span,
             term=print_term(a),
-            actual=print_term(s),
+            actual=_shown(s, theory, mode, fuel),
         )
 
 
@@ -160,34 +182,27 @@ def check(
     mode: str = BETA_R,
 ) -> None:
     """Check t against an expected type; raises on mismatch."""
-    if fuel is None:
-        fuel = Fuel()
-    actual = infer(theory, ctx, t, fuel, mode)
-    if not _convertible(actual, expected, theory, mode, fuel):
-        from .syntax import print_term
-
+    fuel = Fuel() if fuel is None else fuel
+    actual = _infer(theory, ctx, t, fuel, mode)
+    if not _fueled(convertible(actual, expected, theory, fuel, mode), "comparing types"):
         raise TypeMismatch(
             "term does not have the expected type",
             span=t.span,
             term=print_term(t),
-            expected=print_term(_normal(expected, theory, mode, fuel)),
-            actual=print_term(actual),
+            expected=_shown(expected, theory, mode, fuel),
+            actual=_shown(actual, theory, mode, fuel),
         )
 
 
 def check_context(theory: Theory, ctx: Context, fuel: Fuel | None = None, mode: str = BETA_R) -> None:
     """Names fresh against the signature and each other; types sorted."""
-    if fuel is None:
-        fuel = Fuel()
+    fuel = Fuel() if fuel is None else fuel
     seen: set[str] = set()
     for i, (name, ty) in enumerate(ctx):
         if name in seen or theory.const_type(name) is not None:
             raise DuplicateName(f"name {name} is already declared")
         seen.add(name)
-        s = infer(theory, ctx[:i], ty, fuel, mode)
-        if s != TYPE and s != KIND:
-            from .syntax import print_term
-
+        if _whnf_type(theory, ctx[:i], ty, fuel, mode) not in (TYPE, KIND):
             raise IllegalSort(f"type of {name} has no sort", term=print_term(ty))
 
 
@@ -199,33 +214,27 @@ def check_frame(
     mode: str = BETA_R,
 ) -> None:
     """ctx is well formed and ty, unless it is None or Kind, is a type in it."""
-    if fuel is None:
-        fuel = Fuel()
+    fuel = Fuel() if fuel is None else fuel
     check_context(theory, ctx, fuel, mode)
     if ty is None or ty == KIND:
         return
-    s = infer(theory, ctx, ty, fuel, mode)
-    if s != TYPE and s != KIND:
-        from .syntax import print_term
-
+    s = _whnf_type(theory, ctx, ty, fuel, mode)
+    if s not in (TYPE, KIND):
         raise IllegalSort(
             "not a type: its type is not a sort",
             span=ty.span,
             term=print_term(ty),
-            actual=print_term(s),
+            actual=_shown(s, theory, mode, fuel),
         )
 
 
 def check_rule(theory: Theory, rule: RewriteRule, fuel: Fuel | None = None) -> None:
     """Validate one rewrite rule against the bare signature (beta only)."""
-    if fuel is None:
-        fuel = Fuel()
+    fuel = Fuel() if fuel is None else fuel
     plain = theory.without_rules()
     check_context(plain, rule.ctx, fuel, BETA)
     for part, name in ((rule.lhs, "lhs"), (rule.rhs, "rhs"), (rule.rtype, "rule type")):
         if not is_normal(part, plain, BETA):
-            from .syntax import print_term
-
             raise NotBetaNormal(f"{name} of rule {rule.label} is not beta-normal", term=print_term(part))
     try:
         lhs_vars = pattern_variables(rule.lhs)
@@ -238,8 +247,7 @@ def check_rule(theory: Theory, rule: RewriteRule, fuel: Fuel | None = None) -> N
     stray_rhs = sorted(free_vars(rule.rhs) - set(lhs_vars))
     if stray_rhs:
         raise UnboundVariable(f"rule {rule.label}: rhs variables {stray_rhs} do not occur in the lhs")
-    s = infer(plain, rule.ctx, rule.rtype, fuel, BETA)
-    if s != TYPE and s != KIND:
+    if _whnf_type(plain, rule.ctx, rule.rtype, fuel, BETA) not in (TYPE, KIND):
         raise IllegalSort(f"rule {rule.label}: rule type has no sort")
     check(plain, rule.ctx, rule.lhs, rule.rtype, fuel, BETA)
     check(plain, rule.ctx, rule.rhs, rule.rtype, fuel, BETA)
@@ -260,8 +268,7 @@ class TheoryReport:
 
 def check_theory(theory: Theory, fuel: Fuel | None = None) -> TheoryReport:
     """Validate the signature and every rule; collect per-item statuses."""
-    if fuel is None:
-        fuel = Fuel()
+    fuel = Fuel() if fuel is None else fuel
     report = TheoryReport()
     seen: set[str] = set()
     for i, (name, ty) in enumerate(theory.signature):
@@ -271,8 +278,7 @@ def check_theory(theory: Theory, fuel: Fuel | None = None) -> TheoryReport:
                 raise DuplicateName(f"constant {name} declared twice")
             seen.add(name)
             prefix = Theory(signature=theory.signature[:i])
-            s = infer(prefix, (), ty, fuel, BETA)
-            if s != TYPE and s != KIND:
+            if _whnf_type(prefix, (), ty, fuel, BETA) not in (TYPE, KIND):
                 raise IllegalSort(f"type of constant {name} has no sort")
             report.items.append((label, "ok"))
         except PiModuloError as exc:

@@ -107,6 +107,51 @@ def test_check_validates_the_theory_itself(capsys):
     assert len([l for l in lines if l.startswith("ok")]) == len(lines)
 
 
+# A rule whose lhs is a bare constant, the common form of a definition.
+DEFINITION_THEORY = "c : Type\nd : Type\n[] c --> d : Type\n"
+
+# Dowek and Werner's theory: consistent, yet its proofs need not normalize.
+LOOP_THEORY = "P : Type\nQ : Type\n[] P --> P -> Q : Type\n"
+LOOP_PROOF = "|- (\\x : P. x x) (\\x : P. x x) : Q\n"
+
+
+def test_check_unfolds_a_definition_at_the_root(capsys, tmp_path):
+    (tmp_path / "def.th").write_text(DEFINITION_THEORY)
+    (tmp_path / "def.tm").write_text("x : d |- x : c\nx : c |- x : d\n")
+    code, out = run_cli(capsys, "check", "--theory", str(tmp_path / "def.th"), str(tmp_path / "def.tm"))
+    assert code == 0
+    assert len([l for l in out.splitlines() if l.startswith("ok\t" + str(tmp_path / "def.tm"))]) == 2
+
+
+def test_check_types_a_proof_whose_type_has_no_normal_form(tmp_path):
+    # one weak-head step of P types the self-application; normalizing P
+    # in full never ends, so the bound fails a checker that tries
+    (tmp_path / "loop.th").write_text(LOOP_THEORY)
+    (tmp_path / "loop.tm").write_text(LOOP_PROOF)
+    run = subprocess.run([sys.executable, "-m", "pimodulo.cli", "check", "--theory",
+                          str(tmp_path / "loop.th"), str(tmp_path / "loop.tm")],
+                         capture_output=True, text=True, timeout=5)
+    assert run.returncode == 0
+    assert run.stdout.splitlines()[-1].startswith("ok\t")
+
+
+@pytest.mark.parametrize("fuel", ("100", "1000"))
+def test_fuel_errors_print_a_bounded_term(capsys, tmp_path, fuel):
+    # the identity's type P -> P normalizes forever, each step one level
+    # deeper; the judgement after it must still be reported
+    (tmp_path / "loop.th").write_text(LOOP_THEORY)
+    (tmp_path / "loop.tm").write_text("|- \\x : P. x\n" + LOOP_PROOF)
+    code, out = run_cli(capsys, "check", "--theory", str(tmp_path / "loop.th"),
+                        "--fuel", fuel, str(tmp_path / "loop.tm"))
+    assert code == 3
+    judged = [l for l in out.splitlines() if str(tmp_path / "loop.tm") in l]
+    assert len(judged) == 2
+    assert judged[0].startswith("fuel-exhausted\t")
+    assert "Pi(hint=" not in judged[0]
+    assert len(judged[0]) < 400
+    assert judged[1].startswith("ok\t")
+
+
 # --- normalize ---
 
 

@@ -11,7 +11,15 @@ from pimodulo import values  # noqa: E402
 from pimodulo.algebra import enumerate_full_algebras  # noqa: E402
 from pimodulo.errors import SizeLimitExceeded  # noqa: E402
 from pimodulo.generate import gen_raw_term  # noqa: E402
-from pimodulo.reduction import BETA, BETA_R  # noqa: E402
+from pimodulo.reduction import (  # noqa: E402
+    BETA,
+    BETA_R,
+    Fuel,
+    FuelExhausted,
+    convertible,
+    normalize,
+    one_step_reducts,
+)
 from pimodulo.syntax import parse_theory  # noqa: E402
 from pimodulo.values import (  # noqa: E402
     CARRIER,
@@ -47,6 +55,30 @@ def test_raw_terms_reduce_as_the_reference_does(seed, size, fuel):
     t = gen_raw_term(random.Random(seed), size)
     for mode in (BETA, BETA_R):
         assert_agrees(t, RAW_THEORY, mode, fuel)
+
+
+NF_FUEL = 200
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 16), steps=st.integers(0, 4))
+def test_convertible_agrees_with_equal_normal_forms(seed, size, steps):
+    # RAW_THEORY is not confluent, so a reduct of t may have another
+    # normal form; convertible and normalize follow the one strategy, so
+    # they must still agree.  u ranges over t's one-step reducts and the
+    # terms of a short leftmost-outermost prefix.
+    t = gen_raw_term(random.Random(seed), size)
+    for mode in (BETA, BETA_R):
+        nt = normalize(t, RAW_THEORY, mode, Fuel(NF_FUEL))
+        if isinstance(nt, FuelExhausted):
+            continue
+        prefix: list = []
+        normalize(t, RAW_THEORY, mode, Fuel(steps), trace=prefix)
+        for u in one_step_reducts(t, RAW_THEORY, mode) + [u for _, _, u in prefix]:
+            nu = normalize(u, RAW_THEORY, mode, Fuel(NF_FUEL))
+            if not isinstance(nu, FuelExhausted):
+                # each side spends at most the steps of its normalization
+                assert convertible(t, u, RAW_THEORY, Fuel(2 * NF_FUEL), mode) is (nt == nu)
 
 
 # Small set values of the shared model layer: the carrier, {e}, explicit

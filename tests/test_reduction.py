@@ -8,7 +8,6 @@ from pimodulo.reduction import (
     beta_root,
     convertible,
     is_normal,
-    leftmost_outermost,
     match_pattern,
     normalize,
     one_step_reducts,
@@ -24,6 +23,8 @@ from pimodulo.theories import builtin_theory
 
 STT = builtin_theory("stt").theory
 CC = builtin_theory("cc").theory
+# a definition: a rule whose lhs is a bare constant
+DEFINITION = parse_theory("c : Type\nd : Type\n[] c --> d : Type\n").theory
 
 OMEGA_HALF = Lam("x", TYPE, App(Var(0), Var(0)))
 OMEGA = App(OMEGA_HALF, OMEGA_HALF)
@@ -219,6 +220,10 @@ def test_whnf_keeps_stepping_while_rules_can_fire() -> None:
     assert isinstance(out, Pi)
 
 
+def test_whnf_unfolds_a_bare_constant_at_the_root() -> None:
+    assert whnf(Const("c"), DEFINITION) == Const("d")
+
+
 # ------------- convertibility -------------
 
 
@@ -236,6 +241,11 @@ def test_convertible_is_symmetric() -> None:
 
 def test_convertible_distinguishes_distinct_normal_forms() -> None:
     assert convertible(Const("iota"), Const("o"), STT) is False
+
+
+def test_convertible_unfolds_a_bare_constant() -> None:
+    assert convertible(Const("c"), Const("d"), DEFINITION) is True
+    assert convertible(Const("d"), Const("c"), DEFINITION) is True
 
 
 def test_convertible_reports_fuel_exhaustion() -> None:
@@ -256,15 +266,6 @@ def test_is_normal_accounts_for_rules() -> None:
     assert not is_normal(t, STT)
     assert is_normal(t, STT, mode=BETA)
     assert is_normal(stt_term("eps p", "p"), STT)
-
-
-def test_leftmost_outermost_prefers_the_outer_redex() -> None:
-    inner = App(Lam("x", TYPE, Var(0)), FVar("y"))
-    t = App(Lam("x", TYPE, FVar("z")), inner)
-    pos, reduct, label = leftmost_outermost(t, Theory(), BETA)
-    assert pos == ()
-    assert label == "beta"
-    assert reduct == FVar("z")
 
 
 # ------------- pattern analysis -------------
