@@ -263,12 +263,12 @@ def convertible(
     fuel: Fuel | None = None,
     mode: str = BETA_R,
 ) -> bool | FuelExhausted:
-    """Beta-R convertibility, decided on weak-head forms: binders compare
-    part by part, and any other root, whnf leaving it only on a normal
-    term, by alpha-equivalence.  Each side thus follows the one
-    leftmost-outermost strategy, so the answer is whether the normal forms
-    are equal, whenever they exist; that is convertibility when the
-    theory's rewrite relation is confluent (both shipped theories are)."""
+    """Beta-R convertibility, decided on weak-head forms.  Two binders
+    compare part by part; any other pair by alpha-equivalence, which is
+    exact because whnf leaves any other root only on a normal term.  Both
+    sides follow the leftmost-outermost strategy, so the answer is whether
+    their normal forms are equal, whenever they exist: convertibility when
+    the theory's rewrite relation is confluent (both shipped theories are)."""
     fuel = Fuel() if fuel is None else fuel
     if t == u:
         return True
