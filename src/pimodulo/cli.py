@@ -304,7 +304,8 @@ def cmd_consistency_scan(args, rep: Reporter) -> None:
         rep.emit("target", "config", _error_status(exc), str(exc))
         return
     found = 0
-    for t in enumerate_normal_inhabitants(tf.theory, j.term, args.max_size, j.ctx):
+    for t in enumerate_normal_inhabitants(tf.theory, j.term, args.max_size, j.ctx,
+                                          fuel=args.fuel):
         found += 1
         rep.emit(f"inhabitant {found}", "inhabitant", "counterexample",
                  print_term(t))
@@ -341,6 +342,12 @@ def cmd_sn_scan(args, rep: Reporter) -> None:
 
 
 # --- entry ------------------------------------------------------------------------
+
+def _positive(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"invalid positive int value: {text!r}")
+    return int(text)
+
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -389,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, default=8)
     p.add_argument("--target",
                    help="judgement giving context and target, e.g. 'x : o |- eps x'")
-    p.add_argument("--limit", type=int, default=5,
+    p.add_argument("--limit", type=_positive, default=5,
                    help="stop after this many inhabitants")
     common(p)
     p.set_defaults(run=cmd_consistency_scan)
@@ -413,15 +420,26 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "theory": args.theory,
     }
-    rep = Reporter(args.format, config)
     try:
-        args.run(args, rep)
-    except PiModuloError as exc:
-        rep.emit("fatal", "error", _error_status(exc), str(exc))
-    except OSError as exc:
-        rep.emit("fatal", "error", "io-error", str(exc))
-    except Exception as exc:  # noqa: BLE001 - any other failure is pimodulo's own
-        rep.emit("fatal", "error", "internal-error", f"{type(exc).__name__}: {exc}")
+        rep = Reporter(args.format, config)
+        try:
+            args.run(args, rep)
+        except PiModuloError as exc:
+            rep.emit("fatal", "error", _error_status(exc), str(exc))
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            rep.emit("fatal", "error", "io-error", str(exc))
+        except Exception as exc:  # noqa: BLE001 - any other failure is pimodulo's own
+            rep.emit("fatal", "error", "internal-error", f"{type(exc).__name__}: {exc}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: nothing more can reach it, and stdout on
+        # devnull keeps the interpreter's final flush from failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
     return rep.worst
 
 

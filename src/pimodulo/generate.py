@@ -1,11 +1,12 @@
 """Term generators for tests and scans.
 
-Exhaustive enumeration is by node count, memoized on size and binder
-depth so subterms are shared.  The well-typed enumerators filter raw
-terms through the checker; the normal-inhabitant enumerator is instead
-type-directed and, for a confluent terminating theory, produces every
-normal inhabitant within the size bound, which is what lets an empty
-scan double as a non-inhabitation certificate.
+Both exhaustive enumerators go by node count and memoize the terms of
+each exact size, so subterms are shared: the raw one on size and binder
+depth, the normal-inhabitant one on goal type, size and local binders,
+named by depth so that keys repeat.  The latter is type-directed and,
+for a confluent terminating theory, produces every normal inhabitant
+within the size bound, which is what lets an empty scan double as a
+non-inhabitation certificate.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 import random
 from functools import cache
 
-from .errors import PiModuloError
-from .reduction import BETA_R, FuelExhausted, is_normal, normalize, one_step_reducts
+from .errors import FuelError, PiModuloError
+from .reduction import BETA_R, DEFAULT_FUEL, Fuel, FuelExhausted, is_normal, normalize
+from .reduction import one_step_reducts
 from .terms import (
     App,
     Const,
@@ -197,6 +199,7 @@ def enumerate_normal_inhabitants(
     max_size: int,
     ctx: Context = (),
     mode: str = BETA_R,
+    fuel: int = DEFAULT_FUEL,
 ):
     """Every normal term of size up to max_size whose type converts to the
     target, assuming the theory rewrites confluently and terminates.
@@ -205,70 +208,66 @@ def enumerate_normal_inhabitants(
     the annotation is forced to the product's normal domain), products and
     the sort Type (only against a sort), or spines headed by a variable or
     constant.  Spine arguments are enumerated left to right so dependent
-    domains see earlier arguments.
+    domains see earlier arguments.  Each term is built once: arguments and
+    product domains come from a memo of the terms of exact size k, keyed
+    by goal, k and the local (name, type) binders, each name fixed by
+    binder depth.  The order is that of first appearance when every
+    argument budget k = 1, 2, ... is searched in turn.  Each normalization
+    and inference has `fuel` steps; running out raises `FuelError`.
     """
 
     def norm(t: Term) -> Term:
-        out = normalize(t, theory, mode)
+        out = normalize(t, theory, mode, Fuel(fuel))
         if isinstance(out, FuelExhausted):
-            raise PiModuloError("normalization budget exhausted during enumeration")
+            raise FuelError("normalization budget exhausted during enumeration")
         return out
 
-    heads: list[tuple[Term, Term]] = []
-    heads.extend((FVar(n), norm(ty)) for n, ty in ctx)
+    heads = [(FVar(n), norm(ty)) for n, ty in ctx]
     heads.extend((Const(n), norm(ty)) for n, ty in theory.signature)
 
-    fresh_counter = [0]
+    @cache
+    def exact(goal: Term, n: int, local: tuple) -> tuple[Term, ...]:
+        return tuple(t for t, size in walk(goal, n, local) if size == n)
 
-    def fresh(hint: str) -> str:
-        fresh_counter[0] += 1
-        return f"{hint}?{fresh_counter[0]}"
-
-    def inhabit(goal: Term, size: int, local: list[tuple[str, Term]]):
-        """Normal terms of size <= size whose type converts to goal, which
-        must arrive normalized."""
-        if size < 1:
+    def walk(goal: Term, budget: int, local: tuple):
+        """(term, size) for each candidate of size <= budget whose type
+        converts to goal, which must arrive normalized."""
+        if budget < 1:
             return
+        x = f"?{len(local)}"
         match goal:
             case Pi(hint, dom, cod):
-                x = fresh(hint if hint != "_" else "z")
+                used = 1 + term_size(dom)
                 opened = norm(instantiate(cod, FVar(x)))
-                for body in inhabit(opened, size - 1 - term_size(dom), local + [(x, dom)]):
-                    yield Lam(hint, dom, close_binder(body, x))
+                for body, size in walk(opened, budget - used, local + ((x, dom),)):
+                    yield Lam(hint, dom, close_binder(body, x)), used + size
         if goal == KIND:
-            yield TYPE
+            yield TYPE, 1
         if goal in (TYPE, KIND):
-            for left in range(1, size - 1):
-                x = fresh("z")
-                for dom in inhabit(TYPE, left, local):
-                    for cod in inhabit(goal, size - 1 - left, local + [(x, dom)]):
-                        yield Pi("z", dom, close_binder(cod, x))
-        for head, hty in list(heads) + [(FVar(n), ty) for n, ty in local]:
-            yield from spines(head, hty, goal, size, local)
+            for left in range(1, budget - 1):
+                for dom in exact(TYPE, left, local):
+                    for cod, size in walk(goal, budget - 1 - left, local + ((x, dom),)):
+                        yield Pi("z", dom, close_binder(cod, x)), 1 + left + size
 
-    def spines(spine: Term, sty: Term, goal: Term, size: int, local):
-        used = term_size(spine)
-        if used > size:
-            return
-        if sty == goal:
-            yield spine
-        match sty:
-            case Pi(_, dom, cod):
-                for arg_size in range(1, size - used):
-                    for arg in inhabit(dom, arg_size, local):
-                        ext = norm(instantiate(cod, arg))
-                        yield from spines(App(spine, arg), ext, goal, size, local)
+        def spine(term: Term, ty: Term, used: int):
+            if ty == goal:
+                yield term, used
+            match ty:
+                case Pi(_, dom, cod):
+                    for k in range(1, budget - used):
+                        for arg in exact(dom, k, local):
+                            yield from spine(App(term, arg), norm(instantiate(cod, arg)), used + 1 + k)
 
-    goal_n = norm(target)
-    seen: set[Term] = set()
-    for t in inhabit(goal_n, max_size, []):
-        if t in seen:
-            continue
-        seen.add(t)
+        for head, hty in heads + [(FVar(n), ty) for n, ty in local]:
+            yield from spine(head, hty, 1)
+
+    for t, _ in walk(norm(target), max_size, ()):
         if not is_normal(t, theory, mode):
             continue
         try:
-            infer(theory, ctx, t, mode=mode)
+            infer(theory, ctx, t, Fuel(fuel), mode)
+        except FuelError:
+            raise
         except PiModuloError:
             continue
         yield t

@@ -297,6 +297,58 @@ def test_consistency_scan_rejects_a_target_that_is_not_a_type(capsys):
     assert out.startswith("type-error\ttarget")
 
 
+def test_consistency_scan_honours_the_fuel_budget(tmp_path):
+    # the context's type P normalizes forever; the scan must stop at the
+    # budget it was given and say so, not run to the default
+    (tmp_path / "loop.th").write_text(LOOP_THEORY)
+    run = subprocess.run([sys.executable, "-m", "pimodulo.cli", "consistency-scan", "--theory",
+                          str(tmp_path / "loop.th"), "--target", "x : P |- Q",
+                          "--max-size", "4", "--fuel", "100"],
+                         capture_output=True, text=True, timeout=5)
+    assert run.returncode == 3
+    assert run.stdout.startswith("fuel-exhausted\t")
+
+
+@pytest.mark.parametrize("limit", ("0", "-3"))
+def test_consistency_scan_limit_below_one_is_a_usage_error(capsys, limit):
+    with pytest.raises(SystemExit) as exc:
+        main(["consistency-scan", "--target", "x : o |- o", "--limit", limit])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--limit" in captured.err
+
+
+# sha256 of consistency-scan stdout, recorded before each candidate was
+# built once; the `x : o |- o` scans pin the order that --limit cuts
+CONSISTENCY_RUNS = {
+    "stt-11": ("--theory", "stt", "--max-size", "11"),
+    "cc-10": ("--theory", "cc", "--max-size", "10"),
+    "control": ("--theory", "stt", "--max-size", "10", "--target", "x : o |- eps x -> eps x"),
+    "o-7": ("--theory", "stt", "--max-size", "7", "--target", "x : o |- o"),
+    "o-7-limit-20": ("--theory", "stt", "--max-size", "7", "--target", "x : o |- o",
+                     "--limit", "20"),
+}
+CONSISTENCY_DIGESTS = {
+    ("stt-11", "text"): "1541e3e3673565b41d015f3cff697e9b9f770c4c1b0caec0a2331a61b8af72cf",
+    ("stt-11", "json-lines"): "48476575dde8f9e839ce292e1bb6f5a83a973af506010ec6e5bfd82befc49fa6",
+    ("cc-10", "text"): "14344711941dde1c416b36200020cdb8b3f774fd4419eecc1b719d90f2371446",
+    ("cc-10", "json-lines"): "54314a78e55cf41981f135de32a2b3fb9a4adc073867e6f403c6aee3d1a67cad",
+    ("control", "text"): "cf64267a60fcdd7312f88f0630eed9a5809bd5dbad8879439f7a8953c04c9117",
+    ("control", "json-lines"): "f946916c45af43ab3d624f71e5363d1bb0ba77f3ce016ecba204009425cff1cd",
+    ("o-7", "text"): "8bb4f1d52951975f70858f3ee46b78760afc4651c732627f331d1cb48361a0f7",
+    ("o-7", "json-lines"): "780b037c62f95af0a1cf0726259d2552c51219873b640edf0c23148b774fab9e",
+    ("o-7-limit-20", "text"): "2d403833a27de0fe08aa48f55ccf9bc7f7282b82de899e52bff70fd042eba960",
+    ("o-7-limit-20", "json-lines"): "b0d0959c58b65426f91cb14337718cdd73e50e2e302d6f89e9dcfb01c619ae94",
+}
+
+
+@pytest.mark.parametrize("run, fmt", sorted(CONSISTENCY_DIGESTS))
+def test_consistency_scan_output_is_byte_identical(capsys, run, fmt):
+    _, out = run_cli(capsys, "consistency-scan", *CONSISTENCY_RUNS[run], "--format", fmt)
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSISTENCY_DIGESTS[run, fmt], out
+
+
 # --- sn-scan ---
 
 
@@ -340,6 +392,20 @@ def test_internal_failures_get_their_own_exit_code(capsys):
     lines = out.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("internal-error\tfatal\tRecursionError: ")
+
+
+@pytest.mark.parametrize("fmt", ("text", "json-lines"))
+def test_a_closed_stdout_is_an_io_error_not_a_traceback(fmt):
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        run = subprocess.run([sys.executable, "-m", "pimodulo.cli", "consistency-scan",
+                              "--max-size", "4", "--format", fmt],
+                             stdout=w, stderr=subprocess.PIPE, text=True, timeout=30)
+    finally:
+        os.close(w)
+    assert run.returncode == 4
+    assert "Traceback" not in run.stderr
 
 
 def test_command_is_required():

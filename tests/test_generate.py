@@ -7,6 +7,7 @@ non-inhabitation for a confluent terminating theory.
 """
 
 import random
+import time
 
 from pimodulo.generate import (
     convertible_pairs,
@@ -140,6 +141,18 @@ def test_uninhabited_goals_enumerate_to_nothing():
     cc_ctx = (("x", Const("U_Type")),)
     cc_target = App(Const("eps_Type"), FVar("x"))
     assert list(enumerate_normal_inhabitants(CC, cc_target, 6, ctx=cc_ctx)) == []
+
+
+def test_consistency_targets_scale_past_the_benchmark_sizes():
+    # each candidate is built once; a budget-by-budget search, which grows
+    # about 3.5x per unit of size, needs over half a minute for these two
+    start = time.perf_counter()
+    stt_ctx = (("x", Const("o")),)
+    assert list(enumerate_normal_inhabitants(STT, App(Const("eps"), FVar("x")), 14, stt_ctx)) == []
+    cc_ctx = (("x", Const("U_Type")),)
+    cc_target = App(Const("eps_Type"), FVar("x"))
+    assert list(enumerate_normal_inhabitants(CC, cc_target, 13, cc_ctx)) == []
+    assert time.perf_counter() - start < 5
 
 
 # --- raw random generation ---
