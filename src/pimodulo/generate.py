@@ -1,12 +1,11 @@
 """Term generators for tests and scans.
 
 Both exhaustive enumerators go by node count and memoize the terms of
-each exact size, so subterms are shared: the raw one on size and binder
-depth, the normal-inhabitant one on goal type, size and local binders,
-named by depth so that keys repeat.  The latter is type-directed and,
-for a confluent terminating theory, produces every normal inhabitant
-within the size bound, which is what lets an empty scan double as a
-non-inhabitation certificate.
+each exact size, so subterms are shared: the raw one keyed also by binder
+depth, the normal-inhabitant one by goal and local binders.  The latter
+is type-directed and, for a confluent terminating theory, produces every
+normal inhabitant within the size bound, which is what lets an empty
+scan double as a non-inhabitation certificate.
 """
 
 from __future__ import annotations
@@ -42,11 +41,8 @@ def enumerate_raw_terms(max_size: int, atoms: tuple[Term, ...] = (TYPE,)):
 
     @cache
     def exact(size: int, depth: int) -> tuple[Term, ...]:
-        if size < 1:
-            return ()
         if size == 1:
-            here = list(atoms) + [Var(i) for i in range(depth)]
-            return tuple(here)
+            return tuple(atoms) + tuple(Var(i) for i in range(depth))
         out: list[Term] = []
         for left in range(1, size - 1):
             right = size - 1 - left
@@ -207,13 +203,16 @@ def enumerate_normal_inhabitants(
     Normal terms are abstractions (only against a product type, and then
     the annotation is forced to the product's normal domain), products and
     the sort Type (only against a sort), or spines headed by a variable or
-    constant.  Spine arguments are enumerated left to right so dependent
-    domains see earlier arguments.  Each term is built once: arguments and
-    product domains come from a memo of the terms of exact size k, keyed
-    by goal, k and the local (name, type) binders, each name fixed by
-    binder depth.  The order is that of first appearance when every
-    argument budget k = 1, 2, ... is searched in turn.  Each normalization
-    and inference has `fuel` steps; running out raises `FuelError`.
+    constant; spine arguments go left to right so dependent domains see
+    earlier ones.  Arguments and product domains come from a memo of the
+    terms of exact size k, keyed by k, the goal and the local binders
+    (named by depth), and by the repr of each type, since term equality
+    ignores the binder hints that abstractions take from their goal.  An
+    entry walks the goal at budget k and keeps the size-k terms: subterms
+    are shared, the outer constructors of smaller candidates are rebuilt
+    per k.  The order is that of first appearance when every argument
+    budget k = 1, 2, ... is searched in turn.  Each normalization and
+    inference has `fuel` steps; running out raises `FuelError`.
     """
 
     def norm(t: Term) -> Term:
@@ -226,7 +225,7 @@ def enumerate_normal_inhabitants(
     heads.extend((Const(n), norm(ty)) for n, ty in theory.signature)
 
     @cache
-    def exact(goal: Term, n: int, local: tuple) -> tuple[Term, ...]:
+    def exact(goal: Term, shown: str, n: int, local: tuple) -> tuple[Term, ...]:
         return tuple(t for t, size in walk(goal, n, local) if size == n)
 
     def walk(goal: Term, budget: int, local: tuple):
@@ -239,14 +238,14 @@ def enumerate_normal_inhabitants(
             case Pi(hint, dom, cod):
                 used = 1 + term_size(dom)
                 opened = norm(instantiate(cod, FVar(x)))
-                for body, size in walk(opened, budget - used, local + ((x, dom),)):
+                for body, size in walk(opened, budget - used, local + ((x, dom, repr(dom)),)):
                     yield Lam(hint, dom, close_binder(body, x)), used + size
         if goal == KIND:
             yield TYPE, 1
         if goal in (TYPE, KIND):
             for left in range(1, budget - 1):
-                for dom in exact(TYPE, left, local):
-                    for cod, size in walk(goal, budget - 1 - left, local + ((x, dom),)):
+                for dom in exact(TYPE, "", left, local):
+                    for cod, size in walk(goal, budget - 1 - left, local + ((x, dom, repr(dom)),)):
                         yield Pi("z", dom, close_binder(cod, x)), 1 + left + size
 
         def spine(term: Term, ty: Term, used: int):
@@ -254,11 +253,12 @@ def enumerate_normal_inhabitants(
                 yield term, used
             match ty:
                 case Pi(_, dom, cod):
+                    shown = repr(dom)
                     for k in range(1, budget - used):
-                        for arg in exact(dom, k, local):
+                        for arg in exact(dom, shown, k, local):
                             yield from spine(App(term, arg), norm(instantiate(cod, arg)), used + 1 + k)
 
-        for head, hty in heads + [(FVar(n), ty) for n, ty in local]:
+        for head, hty in heads + [(FVar(n), ty) for n, ty, _ in local]:
             yield from spine(head, hty, 1)
 
     for t, _ in walk(norm(target), max_size, ()):

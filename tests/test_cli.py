@@ -320,7 +320,10 @@ def test_consistency_scan_limit_below_one_is_a_usage_error(capsys, limit):
 
 
 # sha256 of consistency-scan stdout, recorded before each candidate was
-# built once; the `x : o |- o` scans pin the order that --limit cuts
+# built once; the `x : o |- o` scans pin the order that --limit cuts, and
+# in the `hints` scans two argument goals are equal up to a binder hint
+# (h's argument against all[o]'s, and against pi_TTT p's), so each
+# abstraction must print with its own goal's hint
 CONSISTENCY_RUNS = {
     "stt-11": ("--theory", "stt", "--max-size", "11"),
     "cc-10": ("--theory", "cc", "--max-size", "10"),
@@ -328,6 +331,11 @@ CONSISTENCY_RUNS = {
     "o-7": ("--theory", "stt", "--max-size", "7", "--target", "x : o |- o"),
     "o-7-limit-20": ("--theory", "stt", "--max-size", "7", "--target", "x : o |- o",
                      "--limit", "20"),
+    "stt-hints": ("--theory", "stt", "--max-size", "5", "--target",
+                  "h : (Pi y : o. o) -> o |- o", "--limit", "20"),
+    "cc-hints": ("--theory", "cc", "--max-size", "11", "--target",
+                 "p : U_Type, f : eps_Type p -> U_Type, h : (Pi y : eps_Type p. U_Type) -> U_Type"
+                 " |- U_Type", "--limit", "20"),
 }
 CONSISTENCY_DIGESTS = {
     ("stt-11", "text"): "1541e3e3673565b41d015f3cff697e9b9f770c4c1b0caec0a2331a61b8af72cf",
@@ -340,6 +348,10 @@ CONSISTENCY_DIGESTS = {
     ("o-7", "json-lines"): "780b037c62f95af0a1cf0726259d2552c51219873b640edf0c23148b774fab9e",
     ("o-7-limit-20", "text"): "2d403833a27de0fe08aa48f55ccf9bc7f7282b82de899e52bff70fd042eba960",
     ("o-7-limit-20", "json-lines"): "b0d0959c58b65426f91cb14337718cdd73e50e2e302d6f89e9dcfb01c619ae94",
+    ("stt-hints", "text"): "0a552819052accb9086314046611c770cb090bdd784b3a720021663805a87a1d",
+    ("stt-hints", "json-lines"): "a06cbdff7e372b6cd61d852fcec6976fa25e8ad491b153a74c899d0aaa09fb3b",
+    ("cc-hints", "text"): "dfadc89ff7305c4f924a341cf51c4c9077375a4a569d02bdd567034ec42bfd8c",
+    ("cc-hints", "json-lines"): "48de5cb084c048b22b402c710ef8e4ee545b3c3d36111b42fc46d6639fb815e6",
 }
 
 
