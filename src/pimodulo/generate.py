@@ -29,6 +29,7 @@ from .terms import (
     Theory,
     Var,
     close_binder,
+    free_vars,
     instantiate,
     term_size,
 )
@@ -119,7 +120,7 @@ def sample_well_typed(
                 continue
             ann = rng.choice(anns)
             body, _ = rng.choice(pool)
-            bindable = sorted(_names(body) & {n for n, _ in ctx})
+            bindable = sorted(free_vars(body) & {n for n, _ in ctx})
             if bindable and rng.random() < 0.5:
                 body = close_binder(body, rng.choice(bindable))
             t = (Lam if rng.random() < 0.7 else Pi)("x", ann, body)
@@ -135,18 +136,6 @@ def sample_well_typed(
         seen.add(t)
         produced += 1
         yield t, ty
-
-
-def _names(t: Term) -> set[str]:
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        match stack.pop():
-            case FVar(name):
-                out.add(name)
-            case Pi(_, a, b) | Lam(_, a, b) | App(a, b):
-                stack.extend((a, b))
-    return out
 
 
 def convertible_pairs(

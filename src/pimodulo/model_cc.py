@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .algebra import FiniteAlgebra
 from .errors import PiModuloError, SizeLimitExceeded, UnenumerableUnion
@@ -449,7 +450,6 @@ def enumerate_psis(
 ) -> list[dict[str, UniverseElem]]:
     """All outer valuations for a context; unenumerable components fall back
     to the probe menu."""
-    names = [name for name, _ in ctx]
     pools = []
     for _, ty in ctx:
         n_ty = domain_n(ty)
@@ -457,12 +457,7 @@ def enumerate_psis(
             pools.append(enumerate_set(n_ty, alg, cap))
         else:
             pools.append(probe_menu(n_ty, alg))
-    total = 1
-    for pool in pools:
-        total *= len(pool)
-    if total > cap:
-        raise SizeLimitExceeded(f"{total} valuations is over the cap {cap}")
-    return [dict(zip(names, combo)) for combo in product(*pools)]
+    return _valuations(ctx, pools, cap)
 
 
 def enumerate_m_valuations(
@@ -473,15 +468,16 @@ def enumerate_m_valuations(
 ) -> list[dict[str, UniverseElem]]:
     """All inner valuations: each variable ranges over the M-value of its
     declared type under psi."""
-    names = [name for name, _ in ctx]
-    pools = [
-        enumerate_set(domain_m(ty, psi, alg, cap), alg, cap) for _, ty in ctx
-    ]
-    total = 1
-    for pool in pools:
-        total *= len(pool)
+    pools = [enumerate_set(domain_m(ty, psi, alg, cap), alg, cap) for _, ty in ctx]
+    return _valuations(ctx, pools, cap)
+
+
+def _valuations(ctx: Context, pools: list, cap: int) -> list[dict[str, UniverseElem]]:
+    """Every choice of one element per pool, by context name, up to `cap`."""
+    total = prod(len(pool) for pool in pools)
     if total > cap:
         raise SizeLimitExceeded(f"{total} valuations is over the cap {cap}")
+    names = [name for name, _ in ctx]
     return [dict(zip(names, combo)) for combo in product(*pools)]
 
 

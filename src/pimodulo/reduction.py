@@ -127,22 +127,27 @@ def one_step_reducts(t: Term, theory: Theory, mode: str = BETA_R) -> list[Term]:
 # -- leftmost-outermost search ------------------------------------------------
 #
 # A search walks the term in preorder with an explicit stack of the current
-# position's ancestors, each with the index of the child taken.  Whether a
-# position is a redex depends only on the subterm there, so after a step at
-# position p only p's ancestors can have changed before p in preorder:
-# those are re-checked outermost first, and failing them the search resumes
-# at p.  The steps taken are exactly those of a rescan from the root after
-# every step.  Only applications among the ancestors need the re-check: a
-# binder is a redex only under a bare pattern-variable lhs, which fires at
-# the root and so never lets the search go below it.
+# position's ancestors, each with the index of the child taken and that
+# child as the ancestor holds it.  Whether a position is a redex depends
+# only on the subterm there, so after a step at position p only p's
+# ancestors can have changed before p in preorder: the applications among
+# them up to the nearest binder above p are re-checked outermost first, and
+# failing them the search resumes at p.  The steps taken are exactly those
+# of a rescan from the root after every step.
 #
-# Ancestors on the stack may be stale: a step below them replaced the child
-# they were entered by.  Each entry records whether its node is newer than
-# the one its own parent holds, and a stale ancestor is rebuilt only when it
-# is needed (an application to re-check, a trace entry, the final term) or
-# on the way back up, so a step deep under binders copies no path above it.
+# A binder is a redex only under a bare pattern-variable lhs, which fires
+# at the root and so never lets the search go below it.  The step lies
+# below the nearest binder, so every node from it up keeps its constructor:
+# an application above it keeps its beta status, and a rule pattern sees
+# through a binder only with a pattern variable, which matches whatever
+# lies below.
+#
+# An ancestor is stale exactly when the subterm below it is not its recorded
+# child.  It is rebuilt only when needed (an application to re-check, a
+# trace entry, the final term) or on the way back up, so a step under a
+# binder copies no path above it.
 
-Ancestors = list[tuple[Term, int, bool]]
+Ancestors = list[tuple[Term, int, Term]]
 
 
 def _first_step(t: Term, theory: Theory, mode: str) -> tuple[Term, str] | None:
@@ -154,47 +159,45 @@ def _first_step(t: Term, theory: Theory, mode: str) -> tuple[Term, str] | None:
     return None
 
 
-def _rebuild(above: Ancestors, sub: Term, new: bool, level: int = 0) -> Term:
+def _rebuild(above: Ancestors, sub: Term, level: int = 0) -> Term:
     """Bring the ancestors from `level` down up to date with `sub`, the
-    subterm below the last of them, which holds an older one if `new`;
-    returns the node at `level`."""
+    subterm below the last of them; returns the node at `level`."""
     for k in range(len(above) - 1, level - 1, -1):
-        node, i, up = above[k]
-        if new:
-            node, up = replace_at(node, (i,), sub), True
-        above[k] = (node, i, up and k == level)
-        sub, new = node, up
+        node, i, child = above[k]
+        if child is not sub:
+            node = replace_at(node, (i,), sub)
+            above[k] = (node, i, sub)
+        sub = node
     return sub
 
 
-def _search(t: Term, new: bool, above: Ancestors, theory: Theory, mode: str, head: bool = False):
+def _search(t: Term, above: Ancestors, theory: Theory, mode: str, head: bool = False):
     """First step at t or after it in preorder, every position before t
-    being normal: (step, redex, new) with `above` left holding the redex's
-    ancestors, or (None, root, _) with `above` emptied.  `new` says
-    whether t's parent holds an older subterm.  With `head`, a root that
-    is neither an application nor a redex ends the search."""
+    being normal: (step, redex) with `above` left holding the redex's
+    ancestors, or (None, root) with `above` emptied.  With `head`, a root
+    that is neither an application nor a redex ends the search."""
     while True:
         step = _first_step(t, theory, mode)
         if step is not None:
-            return step, t, new
+            return step, t
         if head and not above and not isinstance(t, App):
-            return None, t, new
+            return None, t
         match t:
             case App(first, _) | Pi(_, first, _) | Lam(_, first, _):
-                above.append((t, 0, new))
-                t, new = first, False
+                above.append((t, 0, first))
+                t = first
                 continue
         while above:
-            parent, i, up = above.pop()
-            if new:
-                parent, up = replace_at(parent, (i,), t), True
+            parent, i, child = above.pop()
+            if child is not t:
+                parent = replace_at(parent, (i,), t)
             if i == 0:
-                above.append((parent, 1, up))
-                t, new = children(parent)[1], False
+                t = children(parent)[1]
+                above.append((parent, 1, t))
                 break
-            t, new = parent, up
+            t = parent
         else:
-            return None, t, new
+            return None, t
 
 
 def _reduce(
@@ -208,28 +211,25 @@ def _reduce(
     """Leftmost-outermost steps until normal, or with `head` until the root
     is neither an application nor a redex."""
     above: Ancestors = []
-    step, t, new = _search(t, False, above, theory, mode, head)
+    step, t = _search(t, above, theory, mode, head)
     while step is not None:
         if not fuel.spend():
-            return FuelExhausted(_rebuild(above, t, new))
+            return FuelExhausted(_rebuild(above, t))
         t, label = step
-        new = True
         if trace is not None:
-            trace.append((tuple(i for _, i, _ in above), label, _rebuild(above, t, new)))
-            new = False
-        step = None
-        apps = [k for k, (node, _, _) in enumerate(above) if isinstance(node, App)]
-        if apps:
-            _rebuild(above, t, new, apps[0])
-            new = False
-            for k in apps:
-                step = _first_step(above[k][0], theory, mode)
-                if step is not None:
-                    t, _, new = above[k]
-                    del above[k:]
-                    break
-        if step is None:
-            step, t, new = _search(t, new, above, theory, mode, head)
+            trace.append((tuple(i for _, i, _ in above), label, _rebuild(above, t)))
+        fence = len(above)
+        while fence and isinstance(above[fence - 1][0], App):
+            fence -= 1
+        _rebuild(above, t, fence)
+        for k in range(fence, len(above)):
+            step = _first_step(above[k][0], theory, mode)
+            if step is not None:
+                t = above[k][0]
+                del above[k:]
+                break
+        else:
+            step, t = _search(t, above, theory, mode, head)
     return t
 
 
@@ -289,7 +289,7 @@ def convertible(
 
 
 def is_normal(t: Term, theory: Theory, mode: str = BETA_R) -> bool:
-    return _search(t, False, [], theory, mode)[0] is None
+    return _search(t, [], theory, mode)[0] is None
 
 
 def pattern_variables(lhs: Term) -> list[str]:

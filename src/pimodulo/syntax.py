@@ -138,8 +138,10 @@ class _Parser:
             raise ParseError(f"expected {what}, found {shown!r}", span=tok.span)
         return self.next()
 
-    def at_end(self) -> bool:
-        return self.peek().kind == "EOF"
+    def finish(self) -> None:
+        tok = self.peek()
+        if tok.kind != "EOF":
+            raise ParseError(f"trailing input {tok.text!r}", span=tok.span)
 
     # term := binder | app ('->' term)?
     def term(self, bound: list[str]) -> Term:
@@ -234,9 +236,7 @@ class _Parser:
 def parse_term(text: str, var_names: frozenset[str] | set[str] = frozenset()) -> Term:
     parser = _Parser(tokenize(text), frozenset(var_names))
     t = parser.term([])
-    if not parser.at_end():
-        tok = parser.peek()
-        raise ParseError(f"trailing input {tok.text!r}", span=tok.span)
+    parser.finish()
     return t
 
 
@@ -262,9 +262,7 @@ def parse_judgement(text: str, line: int = 1) -> Judgement:
     if parser.peek().kind == "COLON":
         parser.next()
         expected = parser.term([])
-    if not parser.at_end():
-        tok = parser.peek()
-        raise ParseError(f"trailing input {tok.text!r}", span=tok.span)
+    parser.finish()
     return Judgement(ctx, t, expected, line, source=text.strip())
 
 
@@ -337,9 +335,7 @@ def _parse_decl_line(text: str, line: int) -> tuple[str, Term]:
         raise ParseError(f"{name_tok.text!r} is reserved", span=name_tok.span)
     parser.expect("COLON", "':'")
     ty = parser.term([])
-    if not parser.at_end():
-        tok = parser.peek()
-        raise ParseError(f"trailing input {tok.text!r}", span=tok.span)
+    parser.finish()
     return name_tok.text, ty
 
 
@@ -353,9 +349,7 @@ def _parse_rule_line(text: str, line: int, label: str) -> RewriteRule:
     rhs = parser.term([])
     parser.expect("COLON", "':'")
     rtype = parser.term([])
-    if not parser.at_end():
-        tok = parser.peek()
-        raise ParseError(f"trailing input {tok.text!r}", span=tok.span)
+    parser.finish()
     return RewriteRule(ctx, lhs, rhs, rtype, label=label)
 
 

@@ -217,42 +217,29 @@ def substitute_many(t: Term, subst: dict[str, Term]) -> Term:
 
 
 def free_vars(t: Term) -> set[str]:
-    out: set[str] = set()
-
-    def go(term: Term) -> None:
-        match term:
-            case FVar(n):
-                out.add(n)
-            case Pi(_, a, b) | Lam(_, a, b):
-                go(a)
-                go(b)
-            case App(f, a):
-                go(f)
-                go(a)
-            case _:
-                pass
-
-    go(t)
-    return out
+    return _leaf_names(t, FVar)
 
 
 def const_names(t: Term) -> set[str]:
+    return _leaf_names(t, Const)
+
+
+def _leaf_names(t: Term, leaf: type) -> set[str]:
+    """Names on the `leaf` nodes (FVar or Const) of t, walked on an explicit
+    stack, dispatching on the exact type as `loose_bound` does."""
     out: set[str] = set()
-
-    def go(term: Term) -> None:
-        match term:
-            case Const(n):
-                out.add(n)
-            case Pi(_, a, b) | Lam(_, a, b):
-                go(a)
-                go(b)
-            case App(f, a):
-                go(f)
-                go(a)
-            case _:
-                pass
-
-    go(t)
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is leaf:
+            out.add(node.name)
+        elif cls is App:
+            stack += (node.fn, node.arg)
+        elif cls is Pi:
+            stack += (node.domain, node.codomain)
+        elif cls is Lam:
+            stack += (node.annotation, node.body)
     return out
 
 

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+import time
+
 import pytest
 
 from pimodulo.reduction import (
@@ -25,6 +29,7 @@ STT = builtin_theory("stt").theory
 CC = builtin_theory("cc").theory
 # a definition: a rule whose lhs is a bare constant
 DEFINITION = parse_theory("c : Type\nd : Type\n[] c --> d : Type\n").theory
+LOOP_THEORY = "P : Type\nQ : Type\n[] P --> P -> Q : Type\n"
 
 OMEGA_HALF = Lam("x", TYPE, App(Var(0), Var(0)))
 OMEGA = App(OMEGA_HALF, OMEGA_HALF)
@@ -173,21 +178,38 @@ def test_normalize_returns_fuel_exhausted_on_divergence() -> None:
     assert out.last == OMEGA
 
 
+def test_normalize_steps_into_a_growing_binder_nest_in_constant_time() -> None:
+    # P --> P -> Q unfolds one binder deeper at every step; a step that
+    # re-checked every ancestor would make 50,000 steps take minutes
+    code = (
+        "from pimodulo.reduction import Fuel, FuelExhausted, normalize\n"
+        "from pimodulo.syntax import parse_theory\n"
+        "from pimodulo.terms import Const\n"
+        f"theory = parse_theory({LOOP_THEORY!r}).theory\n"
+        "assert isinstance(normalize(Const('P'), theory, fuel=Fuel(50_000)), FuelExhausted)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=5)
+    assert run.returncode == 0, run.stderr
+
+
 def test_fuel_exhausted_has_no_truth_value() -> None:
     out = normalize(OMEGA, Theory(), mode=BETA, fuel=Fuel(3))
     with pytest.raises(TypeError):
         bool(out)
 
 
-@pytest.mark.parametrize("n", [1600, 3200])
+@pytest.mark.parametrize("n", [1600, 3200, 12800])
 def test_normalize_reaches_deep_eps_chains(n) -> None:
     # built as terms, since the parser recurses; past about 1,000 levels a
-    # recursive walk over the chain overflows the stack
+    # recursive walk over the chain overflows the stack, and a step that
+    # re-checked every ancestor would make the chain quadratic
     p = FVar("p")
     chain = p
     for _ in range(n):
         chain = App(App(Const("imp"), p), chain)
+    start = time.perf_counter()
     out = normalize(App(Const("eps"), chain), STT, mode=BETA_R, fuel=Fuel(10 * n))
+    assert time.perf_counter() - start < 3.0
     eps_p = App(Const("eps"), p)
     depth = 0
     while isinstance(out, Pi):

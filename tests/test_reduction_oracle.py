@@ -9,7 +9,7 @@ import pytest
 
 from pimodulo.generate import sample_well_typed
 from pimodulo.reduction import BETA, BETA_R
-from pimodulo.syntax import parse_term
+from pimodulo.syntax import parse_term, parse_theory
 from pimodulo.theories import builtin_theory
 from reference_reduction import assert_agrees
 
@@ -65,3 +65,14 @@ def test_roadmap_chains_reduce_as_the_reference_does(n):
         for mode in (BETA, BETA_R):
             assert_agrees(t, stt, mode, FUEL)
             assert_agrees(t, stt, mode, n)
+
+
+@pytest.mark.parametrize("text", ("P", "\\x : P. x", "(\\x : P. x) (\\y : P. y)"))
+def test_binder_nests_reduce_as_the_reference_does(text):
+    # P --> P -> Q nests binders as deep as the fuel allows, deeper than
+    # any corpus term, so steps fall under long runs of binders
+    loop = parse_theory("P : Type\nQ : Type\n[] P --> P -> Q : Type\n").theory
+    t = parse_term(text)
+    for mode in (BETA, BETA_R):
+        for fuel in (0, 1, 5, 50):
+            assert_agrees(t, loop, mode, fuel)

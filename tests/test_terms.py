@@ -175,6 +175,14 @@ def test_const_names_collects_all_constants() -> None:
     assert const_names(t) == {"eps", "imp"}
 
 
+def test_name_queries_walk_chains_past_the_recursion_limit() -> None:
+    t = FVar("x")
+    for _ in range(5_000):
+        t = App(Const("f"), t)
+    assert free_vars(t) == {"x"}
+    assert const_names(t) == {"f"}
+
+
 def test_uses_bound_tracks_depth() -> None:
     assert uses_bound(Var(0))
     assert not uses_bound(Lam("x", TYPE, Var(0)))
