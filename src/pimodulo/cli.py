@@ -109,7 +109,7 @@ def cmd_check(args, rep: Reporter) -> None:
     for spec in args.files:
         try:
             text = _read_source(spec)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             rep.emit(spec, "file", "io-error", str(exc))
             continue
         try:
@@ -136,7 +136,7 @@ def cmd_check(args, rep: Reporter) -> None:
 def cmd_normalize(args, rep: Reporter) -> None:
     tf = load_theory(args.theory)
     try:
-        text = _read_source(args.file) if args.file else args.term
+        text = args.term if args.file is None else _read_source(args.file)
         t = parse_term(text)
     except PiModuloError as exc:
         rep.emit("input", "term", _error_status(exc), str(exc))
@@ -374,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_check)
 
     p = sub.add_parser("normalize", help="print the normal form of a term")
-    p.add_argument("term", nargs="?", help="term text")
-    p.add_argument("--file", help="read the term from a file instead")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("term", nargs="?", help="term text")
+    given.add_argument("--file", help="read the term from a file instead")
     p.add_argument("--mode", choices=(BETA, BETA_R), default=BETA_R)
     p.add_argument("--trace", action="store_true", help="print each step")
     common(p)
@@ -383,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("model-check",
                        help="sweep the finite models over rules, pairs, and substitutions")
-    p.add_argument("--algebra-size", type=int, default=2)
+    p.add_argument("--algebra-size", type=_positive, default=2)
     p.add_argument("--count", type=int, default=0,
                    help="algebras to sample; 0 means all when the size allows")
     p.add_argument("--pairs", type=int, default=24)
@@ -428,7 +429,7 @@ def main(argv=None) -> int:
             rep.emit("fatal", "error", _error_status(exc), str(exc))
         except BrokenPipeError:
             raise
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             rep.emit("fatal", "error", "io-error", str(exc))
         except Exception as exc:  # noqa: BLE001 - any other failure is pimodulo's own
             rep.emit("fatal", "error", "internal-error", f"{type(exc).__name__}: {exc}")

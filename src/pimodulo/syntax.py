@@ -43,6 +43,7 @@ from .terms import (
     const_names,
     free_vars,
     instantiate,
+    spine,
     uses_bound,
 )
 
@@ -143,21 +144,26 @@ class _Parser:
         if tok.kind != "EOF":
             raise ParseError(f"trailing input {tok.text!r}", span=tok.span)
 
-    # term := binder | app ('->' term)?
+    # term := binder | app ('->' term)?, an arrow chain read in one loop
     def term(self, bound: list[str]) -> Term:
-        tok = self.peek()
-        if tok.kind == "LAMBDA":
-            return self.binder(bound, Lam)
-        if tok.kind == "NAME" and tok.text == "Pi":
-            return self.binder(bound, Pi)
-        left = self.app(bound)
-        if self.peek().kind == "ARROW":
-            arrow_tok = self.next()
+        arrows: list[tuple[Term, Token]] = []
+        while True:
+            tok = self.peek()
+            if tok.kind == "LAMBDA":
+                t = self.binder(bound, Lam)
+                break
+            if tok.kind == "NAME" and tok.text == "Pi":
+                t = self.binder(bound, Pi)
+                break
+            t = self.app(bound)
+            if self.peek().kind != "ARROW":
+                break
+            arrows.append((t, self.next()))
             bound.append("!arrow")
-            right = self.term(bound)
+        for left, arrow_tok in reversed(arrows):
             bound.pop()
-            return Pi("_", left, right, span=arrow_tok.span)
-        return left
+            t = Pi("_", left, t, span=arrow_tok.span)
+        return t
 
     def binder(self, bound: list[str], node: type) -> Term:
         head = self.next()
@@ -487,17 +493,21 @@ def _print(t: Term, stack: list[str], level: int, avoid: set[str]) -> str:
             return f"#{i}"
         case FVar(name) | Const(name):
             return name
-        case App(fn, arg):
-            text = (
-                f"{_print(fn, stack, _ARG_OF_ARROW, avoid)} "
-                f"{_print(arg, stack, _ARG_OF_APP, avoid)}"
-            )
+        case App():
+            head, args = spine(t)
+            text = " ".join([_print(head, stack, _ARG_OF_ARROW, avoid)]
+                            + [_print(arg, stack, _ARG_OF_APP, avoid) for arg in args])
             return f"({text})" if level > _ARG_OF_ARROW else text
-        case Pi(_, dom, cod) if not uses_bound(cod):
-            stack.append("!")
-            right = _print(cod, stack, _TERM_LEVEL, avoid)
-            stack.pop()
-            text = f"{_print(dom, stack, _ARG_OF_ARROW, avoid)} -> {right}"
+        case Pi(_, _, cod) if not uses_bound(cod):
+            # a chain of arrows, one domain per non-dependent product
+            parts, depth = [], len(stack)
+            while isinstance(t, Pi) and not uses_bound(t.codomain):
+                parts.append(_print(t.domain, stack, _ARG_OF_ARROW, avoid))
+                stack.append("!")
+                t = t.codomain
+            parts.append(_print(t, stack, _TERM_LEVEL, avoid))
+            del stack[depth:]
+            text = " -> ".join(parts)
             return f"({text})" if level > _TERM_LEVEL else text
         case Pi(hint, dom, cod):
             return _print_binder("Pi", hint, dom, cod, stack, level, avoid)

@@ -4,16 +4,19 @@ Bound variables are nameless de Bruijn indices; free variables and signature
 constants are referenced by name.  Binders keep a display hint that is ignored
 by equality and hashing, so ``==`` on terms is exactly alpha-equivalence.
 
-Each node caches `loose_bound`, how many enclosing binders its loose indices
-need, so `shift` and `instantiate` hand back unchanged, rather than copy, a
-subterm none of whose indices they can reach.
+Every traversal walks an explicit stack, so term depth costs no recursion:
+the queries fold over one preorder walk, `_walk`, and the substitutions run
+on one rebuild, `_rebind`.  Each node caches `loose_bound`, how many
+enclosing binders its loose indices need, so `shift` and `instantiate` hand
+back unchanged, rather than copy, a subterm none of whose indices they can
+reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Union
+from typing import Any, Callable, Union
 
 Term = Union["Var", "FVar", "Const", "SortType", "SortKind", "Pi", "Lam", "App"]
 Position = tuple[int, ...]
@@ -88,14 +91,24 @@ TYPE = SortType()
 KIND = SortKind()
 
 
+def _walk(t: Term):
+    """Every node of t in preorder, with the number of binders above it."""
+    stack = [(t, 0)]
+    while stack:
+        entry = stack.pop()
+        yield entry
+        node, d = entry
+        cls = type(node)
+        if cls is App:
+            stack += ((node.arg, d), (node.fn, d))
+        elif cls is Pi:
+            stack += ((node.codomain, d + 1), (node.domain, d))
+        elif cls is Lam:
+            stack += ((node.body, d + 1), (node.annotation, d))
+
+
 def term_size(t: Term) -> int:
-    match t:
-        case Pi(_, a, b) | Lam(_, a, b):
-            return 1 + term_size(a) + term_size(b)
-        case App(f, a):
-            return 1 + term_size(f) + term_size(a)
-        case _:
-            return 1
+    return sum(1 for _ in _walk(t))
 
 
 def loose_bound(t: Term) -> int:
@@ -130,38 +143,42 @@ def loose_bound(t: Term) -> int:
     return bound
 
 
+def _rebind(t: Term, depth: int, leaf: Callable[[Term, int], Term], reach: bool) -> Term:
+    """Rebuild t with each leaf replaced by `leaf(node, d)`, d counting the
+    binders above it from `depth`.  Every binder and application visited is
+    rebuilt, keeping its hint and dropping its span; with `reach`, a subterm
+    with `loose_bound(node) <= d` is returned as it is, unvisited."""
+    done: list[Term] = []
+    todo: list[tuple[Term, int | None]] = [(t, depth)]
+    while todo:
+        node, d = todo.pop()
+        cls = type(node)
+        if d is None:  # both children are done: rebuild the node
+            b = done.pop()
+            done[-1] = App(done[-1], b) if cls is App else cls(node.hint, done[-1], b)
+        elif reach and loose_bound(node) <= d:
+            done.append(node)
+        elif cls is App:
+            todo += ((node, None), (node.arg, d), (node.fn, d))
+        elif cls is Pi:
+            todo += ((node, None), (node.codomain, d + 1), (node.domain, d))
+        elif cls is Lam:
+            todo += ((node, None), (node.body, d + 1), (node.annotation, d))
+        else:
+            done.append(leaf(node, d))
+    return done[0]
+
+
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add `by` to every bound index >= cutoff (indices escaping the term)."""
     if by == 0 or loose_bound(t) <= cutoff:
         return t
-    match t:
-        case Var(i):
-            return Var(i + by)
-        case Pi(h, a, b):
-            return Pi(h, shift(a, by, cutoff), shift(b, by, cutoff + 1))
-        case Lam(h, a, b):
-            return Lam(h, shift(a, by, cutoff), shift(b, by, cutoff + 1))
-        case App(f, a):
-            return App(shift(f, by, cutoff), shift(a, by, cutoff))
+    return _rebind(t, cutoff, lambda v, d: Var(v.index + by), True)
 
 
 def instantiate(body: Term, u: Term) -> Term:
     """Replace the binder variable of an opened body (index 0) by u."""
-
-    def go(t: Term, depth: int) -> Term:
-        if loose_bound(t) <= depth:
-            return t
-        match t:
-            case Var(i):
-                return shift(u, depth) if i == depth else Var(i - 1)
-            case Pi(h, a, b):
-                return Pi(h, go(a, depth), go(b, depth + 1))
-            case Lam(h, a, b):
-                return Lam(h, go(a, depth), go(b, depth + 1))
-            case App(f, a):
-                return App(go(f, depth), go(a, depth))
-
-    return go(body, 0)
+    return _rebind(body, 0, lambda v, d: shift(u, d) if v.index == d else Var(v.index - 1), True)
 
 
 def open_binder(body: Term, name: str) -> Term:
@@ -172,22 +189,15 @@ def open_binder(body: Term, name: str) -> Term:
 def close_binder(t: Term, name: str) -> Term:
     """Abstract the free variable `name` back into binder index 0."""
 
-    def go(u: Term, depth: int) -> Term:
-        match u:
-            case FVar(n):
-                return Var(depth) if n == name else u
-            case Var(i):
-                return Var(i + 1) if i >= depth else u
-            case Pi(h, a, b):
-                return Pi(h, go(a, depth), go(b, depth + 1))
-            case Lam(h, a, b):
-                return Lam(h, go(a, depth), go(b, depth + 1))
-            case App(f, a):
-                return App(go(f, depth), go(a, depth))
-            case _:
-                return u
+    def leaf(u: Term, d: int) -> Term:
+        cls = type(u)
+        if cls is FVar and u.name == name:
+            return Var(d)
+        if cls is Var and u.index >= d:
+            return Var(u.index + 1)
+        return u
 
-    return go(t, 0)
+    return _rebind(t, 0, leaf, False)
 
 
 def substitute(t: Term, x: str, u: Term) -> Term:
@@ -198,62 +208,25 @@ def substitute(t: Term, x: str, u: Term) -> Term:
 def substitute_many(t: Term, subst: dict[str, Term]) -> Term:
     """Simultaneous capture-avoiding substitution of free variables."""
 
-    def go(term: Term, depth: int) -> Term:
-        match term:
-            case FVar(n):
-                if n in subst:
-                    return shift(subst[n], depth)
-                return term
-            case Pi(h, a, b):
-                return Pi(h, go(a, depth), go(b, depth + 1))
-            case Lam(h, a, b):
-                return Lam(h, go(a, depth), go(b, depth + 1))
-            case App(f, a):
-                return App(go(f, depth), go(a, depth))
-            case _:
-                return term
+    def leaf(u: Term, d: int) -> Term:
+        return shift(subst[u.name], d) if type(u) is FVar and u.name in subst else u
 
-    return go(t, 0)
+    return _rebind(t, 0, leaf, False)
 
 
 def free_vars(t: Term) -> set[str]:
-    return _leaf_names(t, FVar)
+    return {node.name for node, _ in _walk(t) if type(node) is FVar}
 
 
 def const_names(t: Term) -> set[str]:
-    return _leaf_names(t, Const)
-
-
-def _leaf_names(t: Term, leaf: type) -> set[str]:
-    """Names on the `leaf` nodes (FVar or Const) of t, walked on an explicit
-    stack, dispatching on the exact type as `loose_bound` does."""
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        cls = type(node)
-        if cls is leaf:
-            out.add(node.name)
-        elif cls is App:
-            stack += (node.fn, node.arg)
-        elif cls is Pi:
-            stack += (node.domain, node.codomain)
-        elif cls is Lam:
-            stack += (node.annotation, node.body)
-    return out
+    return {node.name for node, _ in _walk(t) if type(node) is Const}
 
 
 def uses_bound(t: Term, index: int = 0) -> bool:
     """Does t mention the bound variable with the given outward index?"""
-    match t:
-        case Var(i):
-            return i == index
-        case Pi(_, a, b) | Lam(_, a, b):
-            return uses_bound(a, index) or uses_bound(b, index + 1)
-        case App(f, a):
-            return uses_bound(f, index) or uses_bound(a, index)
-        case _:
-            return False
+    if loose_bound(t) <= index:
+        return False
+    return any(type(node) is Var and node.index == index + d for node, d in _walk(t))
 
 
 def children(t: Term) -> tuple[Term, ...]:

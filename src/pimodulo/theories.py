@@ -29,11 +29,8 @@ def load_theory(spec: str) -> TheoryFile:
     """Resolve a --theory argument: a builtin name or a file path."""
     if spec in BUILTIN_THEORIES:
         return builtin_theory(spec)
-    try:
-        with open(spec, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise PiModuloError(f"cannot read theory file {spec}: {exc}") from None
+    with open(spec, encoding="utf-8") as fh:
+        text = fh.read()
     return parse_theory(text, path=spec)
 
 

@@ -65,6 +65,25 @@ def test_check_reports_missing_files(capsys, tmp_path):
     assert "io-error" in out
 
 
+def test_check_reports_a_judgement_file_that_is_not_utf8(capsys, tmp_path):
+    bad = tmp_path / "latin1.tm"
+    bad.write_bytes(b"|- o : Type\n; caf\xe9\n")
+    code, out = run_cli(capsys, "check", "--theory", "stt", str(bad))
+    assert code == 4
+    assert out.splitlines()[-1].startswith(f"io-error\t{bad}\t")
+
+
+@pytest.mark.parametrize("theory", ("absent", "directory", "latin1"))
+def test_an_unreadable_theory_is_an_io_error(capsys, tmp_path, theory):
+    (tmp_path / "latin1.th").write_bytes(b"o : Type\n; caf\xe9\n")
+    path = {"absent": tmp_path / "absent.th", "directory": tmp_path,
+            "latin1": tmp_path / "latin1.th"}[theory]
+    code, out = run_cli(capsys, "normalize", "--theory", str(path), "o")
+    assert code == 4
+    assert out.startswith("io-error\tfatal\t")
+    assert len(out.splitlines()) == 1
+
+
 def test_check_rejects_ill_formed_contexts(capsys, tmp_path):
     bad = tmp_path / "contexts.tm"
     bad.write_text("x : imp |- x : imp\ny : Kind |- y : Kind\nx : imp |- x\n")
@@ -184,6 +203,32 @@ def test_normalize_reports_exhausted_budgets(capsys):
     assert "fuel-exhausted" in out
 
 
+def test_normalize_reports_a_term_file_that_is_not_utf8(capsys, tmp_path):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"eps (imp p q) ; caf\xe9\n")
+    code, out = run_cli(capsys, "normalize", "--file", str(bad))
+    assert code == 4
+    assert out.startswith("io-error\tfatal\t")
+
+
+@pytest.mark.parametrize("argv", ((), ("o", "--file", "term.txt")), ids=("neither", "both"))
+def test_normalize_takes_exactly_one_of_a_term_and_a_file(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--file" in captured.err
+
+
+@pytest.mark.parametrize("text", (" -> ".join(["o"] * 1_501), "eps" + " o" * 3_001),
+                         ids=("arrow-chain", "long-spine"))
+def test_normalize_prints_terms_past_the_recursion_limit(capsys, text):
+    code, out = run_cli(capsys, "normalize", "--theory", "stt", text)
+    assert code == 0
+    assert out == f"ok\tresult\t{text}\n"
+
+
 # --- model-check ---
 
 
@@ -193,6 +238,14 @@ def test_model_check_sweeps_cleanly(capsys):
     assert code == 0
     assert "rule r1" in out
     assert "convertible pairs" in out
+
+
+@pytest.mark.parametrize("size", ("0", "-1"))
+def test_model_check_algebra_size_below_one_is_a_usage_error(capsys, size):
+    with pytest.raises(SystemExit) as exc:
+        main(["model-check", "--algebra-size", size])
+    assert exc.value.code == 2
+    assert "--algebra-size" in capsys.readouterr().err
 
 
 def test_model_check_finds_the_swapped_rule(capsys, tmp_path):

@@ -20,7 +20,9 @@ from pimodulo.reduction import (  # noqa: E402
     normalize,
     one_step_reducts,
 )
-from pimodulo.syntax import parse_theory  # noqa: E402
+from pimodulo import terms  # noqa: E402
+from pimodulo.syntax import parse_term, parse_theory, print_term  # noqa: E402
+from pimodulo.terms import Lam, Pi, subterm_positions  # noqa: E402
 from pimodulo.values import (  # noqa: E402
     CARRIER,
     E_POINT,
@@ -34,6 +36,7 @@ from pimodulo.values import (  # noqa: E402
     fun_space,
 )
 from reference_reduction import assert_agrees  # noqa: E402
+import reference_terms  # noqa: E402
 
 # Rules over the constants `gen_raw_term` draws: a pattern-variable first
 # argument between constant ones, a rule the earlier one shadows, and a
@@ -113,3 +116,47 @@ def test_set_values_list_each_element_once(s, alg):
         for f in listed:
             for a in dom:
                 assert apply_elem(f, a) in cod
+
+
+# The traversals against their recursive originals in `reference_terms`.
+# Terms are reparsed from their printed form, so every node carries a
+# span and a rebuilt node (span None) is told apart from a shared one: equal
+# reprs (hints included) and equal (path, span) skeletons mean the same
+# output with the same nodes shared and rebuilt.
+RAW_NAMES = ("x", "y'", "f")
+
+
+def _spanned_terms(rng: random.Random, size: int) -> list:
+    """A parsed raw term with every binder body in it, bodies being open."""
+    t = parse_term(print_term(gen_raw_term(rng, size, RAW_NAMES)), var_names=frozenset(RAW_NAMES))
+    bodies = [s.codomain if isinstance(s, Pi) else s.body
+              for _, s in subterm_positions(t) if isinstance(s, (Pi, Lam))]
+    return [t] + bodies
+
+
+def _same(got, want) -> None:
+    assert repr(got) == repr(want)
+    if not isinstance(want, (bool, int)):
+        assert [(p, s.span) for p, s in subterm_positions(got)] == \
+            [(p, s.span) for p, s in subterm_positions(want)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 20),
+       by=st.integers(0, 3), cutoff=st.integers(0, 3), index=st.integers(0, 3))
+def test_traversals_match_the_recursive_reference(seed, size, by, cutoff, index):
+    rng = random.Random(seed)
+    images = _spanned_terms(rng, rng.randint(1, 8))
+    for t in _spanned_terms(rng, size):
+        u = rng.choice(images)
+        subst = {n: rng.choice(images) for n in RAW_NAMES if rng.random() < 0.5}
+        name = rng.choice(RAW_NAMES)
+        for fn, args in (
+            ("term_size", ()),
+            ("shift", (by, cutoff)),
+            ("instantiate", (u,)),
+            ("close_binder", (name,)),
+            ("substitute_many", (subst,)),
+            ("uses_bound", (index,)),
+        ):
+            _same(getattr(terms, fn)(t, *args), getattr(reference_terms, fn)(t, *args))

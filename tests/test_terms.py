@@ -1,3 +1,5 @@
+import pytest
+
 from pimodulo.terms import (
     App,
     Const,
@@ -187,6 +189,59 @@ def test_uses_bound_tracks_depth() -> None:
     assert uses_bound(Var(0))
     assert not uses_bound(Lam("x", TYPE, Var(0)))
     assert uses_bound(Lam("x", TYPE, Var(1)))
+
+
+# ------------- terms past the recursion limit -------------
+#
+# `==` and `repr` recurse on terms this deep, so results are read through
+# their size, the body inside a Lam nest and the spine of an App chain.
+
+DEEP = 5_000
+
+
+def _innermost(t):
+    while isinstance(t, Lam):
+        t = t.body
+    return t
+
+
+def _lam_nest():
+    # the innermost x c #5000 reaches one binder past the nest
+    t = App(App(FVar("x"), Const("c")), Var(DEEP))
+    for _ in range(DEEP):
+        t = Lam("y", TYPE, t)
+    return t
+
+
+def _app_chain():
+    t = FVar("x")
+    for _ in range(DEEP):
+        t = App(t, Var(0))
+    return t
+
+
+@pytest.mark.parametrize("shape", ("lam", "app"))
+def test_every_traversal_runs_past_the_recursion_limit(shape) -> None:
+    t = _lam_nest() if shape == "lam" else _app_chain()
+    size = 2 * DEEP + 5 if shape == "lam" else 2 * DEEP + 1
+    assert term_size(t) == size
+    assert free_vars(t) == {"x"}
+    assert const_names(t) == ({"c"} if shape == "lam" else set())
+    assert uses_bound(t, 0) and not uses_bound(t, 1)
+    for result in (shift(t, 2), instantiate(t, Const("u")), close_binder(t, "x"),
+                   substitute_many(t, {"x": Var(0)})):
+        assert term_size(result) == size
+    if shape == "lam":
+        assert _innermost(shift(t, 2)).arg == Var(DEEP + 2)
+        assert _innermost(instantiate(t, Const("u"))).arg == Const("u")
+        assert _innermost(close_binder(t, "x")).fn.fn == Var(DEEP)
+        assert _innermost(substitute_many(t, {"x": Var(0)})).fn.fn == Var(DEEP)
+    else:
+        assert set(spine(shift(t, 2))[1]) == {Var(2)}
+        assert set(spine(instantiate(t, Const("u")))[1]) == {Const("u")}
+        head, args = spine(close_binder(t, "x"))
+        assert (head, set(args)) == (Var(0), {Var(1)})
+        assert spine(substitute_many(t, {"x": Const("c")}))[0] == Const("c")
 
 
 # ------------- spines -------------
