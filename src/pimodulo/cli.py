@@ -90,8 +90,12 @@ def _error_status(exc: PiModuloError) -> str:
 def _read_source(spec: str) -> str:
     if spec.startswith("builtin:"):
         return builtin_example(spec[len("builtin:"):])
-    with open(spec, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(spec, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        # name the file, as the OSError of a file that cannot be opened does
+        raise OSError(f"{spec}: {exc}") from exc
 
 
 # --- check ---------------------------------------------------------------------
@@ -109,7 +113,7 @@ def cmd_check(args, rep: Reporter) -> None:
     for spec in args.files:
         try:
             text = _read_source(spec)
-        except (OSError, UnicodeDecodeError) as exc:
+        except OSError as exc:
             rep.emit(spec, "file", "io-error", str(exc))
             continue
         try:
@@ -279,8 +283,13 @@ def _report_items(rep: Reporter, results, item: str, kind: str, summary: str, de
 def _run_items(specs, jobs: int):
     if jobs <= 1:
         return [_check_on_algebra(s) for s in specs]
+    # specs come in runs of one rule or pair over many algebras: contiguous
+    # chunks keep those runs on one worker, where the terms arrive as one
+    # object each and their staged forms are reused, while four chunks a
+    # worker still even out uneven items
+    chunksize = max(1, len(specs) // (4 * jobs))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_check_on_algebra, specs))
+        return list(pool.map(_check_on_algebra, specs, chunksize=chunksize))
 
 
 # --- consistency-scan -------------------------------------------------------------
@@ -429,7 +438,7 @@ def main(argv=None) -> int:
             rep.emit("fatal", "error", _error_status(exc), str(exc))
         except BrokenPipeError:
             raise
-        except (OSError, UnicodeDecodeError) as exc:
+        except OSError as exc:
             rep.emit("fatal", "error", "io-error", str(exc))
         except Exception as exc:  # noqa: BLE001 - any other failure is pimodulo's own
             rep.emit("fatal", "error", "internal-error", f"{type(exc).__name__}: {exc}")

@@ -18,19 +18,24 @@ domains are compared on a fixed finite probe menu, which can certify
 difference but takes agreement on the menu as equality.  The collapse
 conventions (a function space into {e} is {e}; a function whose outputs
 are all e is e) are applied by the constructors of `values`.
+
+Evaluation is staged: each term is turned once into closures for its three
+layers, which then run on every algebra and valuation (see below).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import prod
+from operator import itemgetter
 
+from ._staging import by_size, per_term, stage
 from .algebra import FiniteAlgebra
 from .errors import PiModuloError, SizeLimitExceeded, UnenumerableUnion
 from .terms import (
     App,
-    Const,
     Context,
     FVar,
     Lam,
@@ -238,7 +243,7 @@ def apply_u(f: UniverseElem, a: UniverseElem, alg: FiniteAlgebra, cap: int = DEF
         case MConstFun(_, value):
             return value
         case MClosure(body, env, psi, _):
-            return m_value(body, dict(psi), alg, cap, env=list(env) + [a])
+            return _staged(body)[1](dict(psi), alg, cap, list(env) + [a])
         case IPiDot1(c):
             if not isinstance(a, FiniteFun):
                 raise PiModuloError(
@@ -253,26 +258,215 @@ def apply_u(f: UniverseElem, a: UniverseElem, alg: FiniteAlgebra, cap: int = DEF
     raise PiModuloError(f"applied a non-function value {f!r}")
 
 
-# --- the N family ------------------------------------------------------------
+# --- staged evaluation ---------------------------------------------------------
+#
+# A term is staged once into three things: its N-set, a closure m(psi, alg,
+# cap, env) for its middle-layer value and a closure ev(phi, psi, alg, cap,
+# phi_env, psi_env) for its interpretation.  Everything fixed by the term
+# alone is settled at stage time: which node kind runs, each binder's
+# N-set, whether that set can be listed (only E makes it unlistable, so
+# this does not depend on the algebra) and whether a product's codomain
+# uses its variable.  Everything that depends on the algebra, the cap or a
+# valuation happens when a closure runs, in the order the model defines,
+# so a failing evaluation raises the same error it would raise on a walk of
+# the term.
 
-def domain_n(t: Term) -> SetValue:
-    match t:
-        case SortKind() | SortType() | Const("U_Kind"):
-            return E_UNIVERSE
-        case Pi(_, dom, cod):
-            return fun_space(domain_n(dom), domain_n(cod))
-        case Const(_) | FVar(_) | Var(_):
-            return SINGLETON_E
-        case Lam(_, _, body):
-            return domain_n(body)
-        case App(fn, _):
-            return domain_n(fn)
-    raise PiModuloError(f"no outer domain for {t!r}")
-
-
-# --- the M family ------------------------------------------------------------
+# Staged terms kept at once.  A sweep evaluates each rule side and pair
+# under every valuation and algebra, so its working set is a few dozen
+# terms; a long run cannot hold every term it ever staged.
+STAGE_CACHE_SIZE = 64
+# Constants kept at once, by carrier size.
+CONSTANT_CACHE_SIZE = 64
 
 _M_UNIVERSE_CONSTS = frozenset({"U_Kind", "U_Type", "dot_Type"})
+_M_CONSTS = {
+    **{name: SetElem(CARRIER) for name in _M_UNIVERSE_CONSTS},
+    "eps_Kind": M_IDENT,
+    "eps_Type": FiniteFun(frozenset({(E_POINT, SetElem(SINGLETON_E))})),
+    "pi_TTT": E_POINT,
+    "pi_KTT": E_POINT,
+    "pi_TKK": FiniteFun(frozenset({(E_POINT, MPiTKK1())})),
+    "pi_KKK": MPiKKK(),
+}
+_DECODERS = frozenset({"eps_Type", "eps_Kind"})
+_PI_CODES = frozenset({"pi_TTT", "pi_TKK", "pi_KTT", "pi_KKK"})
+
+
+def _stage_leaf(node: Term) -> tuple:
+    cls = type(node)
+    if cls is SortKind or cls is SortType:
+        return E_UNIVERSE, _m_constant(SetElem(CARRIER)), _ev_top
+    if cls is Var:
+        i = -1 - node.index
+
+        def m_var(psi, alg, cap, env):
+            return env[i]
+
+        def ev_var(phi, psi, alg, cap, phi_env, psi_env):
+            return phi_env[i]
+
+        return SINGLETON_E, m_var, ev_var
+    if cls is FVar:
+        x = node.name
+
+        def m_free(psi, alg, cap, env):
+            if x not in psi:
+                raise PiModuloError(f"outer valuation has no value for {x}")
+            return psi[x]
+
+        def ev_free(phi, psi, alg, cap, phi_env, psi_env):
+            if x not in phi:
+                raise PiModuloError(f"valuation has no value for {x}")
+            return phi[x]
+
+        return SINGLETON_E, m_free, ev_free
+    name = node.name
+    if name in _M_CONSTS:
+        m = _m_constant(_M_CONSTS[name])
+    else:
+        def m(psi, alg, cap, env):
+            raise PiModuloError(f"constant {name} has no middle-layer value here")
+    if name in _M_UNIVERSE_CONSTS:
+        ev = _ev_top
+    elif name in _DECODERS:
+        def ev(phi, psi, alg, cap, phi_env, psi_env):
+            return _ident_b(alg.n)
+    elif name in _PI_CODES:
+        def ev(phi, psi, alg, cap, phi_env, psi_env):
+            return _pi_code(alg.n)
+    else:
+        def ev(phi, psi, alg, cap, phi_env, psi_env):
+            raise PiModuloError(f"constant {name} has no interpretation here")
+    return (E_UNIVERSE if name == "U_Kind" else SINGLETON_E), m, ev
+
+
+def _m_constant(value: UniverseElem):
+    def m(psi, alg, cap, env):
+        return value
+    return m
+
+
+def _ev_top(phi, psi, alg, cap, phi_env, psi_env):
+    return AlgElem(alg.top)
+
+
+def _stage_app(node: App, fn: tuple, arg: tuple) -> tuple:
+    n_fn, m_fn, ev_fn = fn
+    _, m_arg, ev_arg = arg
+
+    def m(psi, alg, cap, env):
+        f_val = m_fn(psi, alg, cap, env)
+        if type(f_val) is EPoint:
+            return E_POINT
+        return apply_u(f_val, m_arg(psi, alg, cap, env), alg, cap)
+
+    def ev(phi, psi, alg, cap, phi_env, psi_env):
+        f_val = ev_fn(phi, psi, alg, cap, phi_env, psi_env)
+        if type(f_val) is EPoint:
+            return E_POINT
+        return apply_u(f_val, ev_arg(phi, psi, alg, cap, phi_env, psi_env), alg, cap)
+
+    return n_fn, m, ev
+
+
+def _stage_lam(node: Lam, ann: tuple, body: tuple) -> tuple:
+    n_ann, m_ann, _ = ann
+    n_body, m_body, ev_body = body
+    filler = by_size(lambda alg, cap: default_n_value(n_ann, alg))
+    if _listable(n_ann):
+        members = by_size(lambda alg, cap: enumerate_set(n_ann, alg, cap))
+
+        def m(psi, alg, cap, env):
+            return finite_fun([(c, m_body(psi, alg, cap, env + [c])) for c in members(alg, cap)])
+    else:
+        def m(psi, alg, cap, env):
+            return MClosure(node.body, tuple(env), tuple(sorted(psi.items(), key=itemgetter(0))), n_ann)
+
+    listing = by_size(_listing)
+
+    def ev(phi, psi, alg, cap, phi_env, psi_env):
+        m_dom = as_set(m_ann(psi, alg, cap, psi_env), "binder domain")
+        inner = psi_env + [filler(alg, cap)]
+        return finite_fun([
+            (c, ev_body(phi, psi, alg, cap, phi_env + [c], inner))
+            for c in listing(alg, cap, m_dom)
+        ])
+
+    return n_body, m, ev
+
+
+def _stage_pi(node: Pi, ann: tuple, cod: tuple) -> tuple:
+    n_ann, m_ann, ev_ann = ann
+    n_cod, m_cod, ev_cod = cod
+    dependent = uses_bound(node.codomain)
+    filler = by_size(lambda alg, cap: default_n_value(n_ann, alg))
+    listable = _listable(n_ann)
+    members = by_size(lambda alg, cap: enumerate_set(n_ann, alg, cap))
+    listing = by_size(_listing)
+
+    def m(psi, alg, cap, env):
+        dom_set = as_set(m_ann(psi, alg, cap, env), "product domain")
+        if not dependent:
+            union = as_set(m_cod(psi, alg, cap, env + [E_POINT]), "product codomain")
+        elif listable:
+            parts = [
+                as_set(m_cod(psi, alg, cap, env + [c]), "product codomain")
+                for c in members(alg, cap)
+            ]
+            union = _union_sets(parts, alg, cap)
+        else:
+            raise UnenumerableUnion("product codomain union runs over an unenumerable set")
+        if equal_sets(union, SINGLETON_E, alg, cap):
+            return SetElem(SINGLETON_E)
+        return SetElem(fun_space(dom_set, union))
+
+    def ev(phi, psi, alg, cap, phi_env, psi_env):
+        w_dom = as_carrier(ev_ann(phi, psi, alg, cap, phi_env, psi_env), "product domain")
+        m_dom = as_set(m_ann(psi, alg, cap, psi_env), "binder domain")
+        inner = psi_env + [filler(alg, cap)]
+        outs = {
+            as_carrier(ev_cod(phi, psi, alg, cap, phi_env + [c], inner), "product codomain")
+            for c in listing(alg, cap, m_dom)
+        }
+        return AlgElem(alg.pi(w_dom, alg.mask_of(outs)))
+
+    return fun_space(n_ann, n_cod), m, ev
+
+
+def _stage(t: Term) -> tuple:
+    return stage(t, _stage_leaf, {App: _stage_app, Pi: _stage_pi, Lam: _stage_lam})
+
+
+# The (N-set, m, ev) of a term, kept by term object: `MClosure` keeps its
+# body term and prints its binder hints, which term equality ignores, so a
+# stage shared by two terms equal up to hints would print the first one's.
+_staged = per_term(_stage, STAGE_CACHE_SIZE)
+
+
+def _listing(alg: FiniteAlgebra, cap: int, s: SetValue) -> list:
+    return enumerate_set(s, alg, cap)
+
+
+def _listable(s: SetValue) -> bool:
+    """Can an N-set be listed?  Only E makes one unlistable, whatever the
+    carrier's size."""
+    return cardinality(s, 1) is not None
+
+
+@lru_cache(maxsize=CONSTANT_CACHE_SIZE)
+def _ident_b(n: int) -> FiniteFun:
+    return FiniteFun(frozenset((AlgElem(w), AlgElem(w)) for w in range(n)))
+
+
+@lru_cache(maxsize=CONSTANT_CACHE_SIZE)
+def _pi_code(n: int) -> FiniteFun:
+    return FiniteFun(frozenset((AlgElem(w), IPiDot1(w)) for w in range(n)))
+
+
+# --- the three layers ----------------------------------------------------------
+
+def domain_n(t: Term) -> SetValue:
+    return _staged(t)[0]
 
 
 def m_value(
@@ -282,69 +476,7 @@ def m_value(
     cap: int = DEFAULT_CAP,
     env: list[UniverseElem] | None = None,
 ) -> UniverseElem:
-    env = env or []
-
-    def m(t: Term, env: list[UniverseElem]) -> UniverseElem:
-        match t:
-            case SortKind() | SortType():
-                return SetElem(CARRIER)
-            case Const(name) if name in _M_UNIVERSE_CONSTS:
-                return SetElem(CARRIER)
-            case Const("eps_Kind"):
-                return M_IDENT
-            case Const("eps_Type"):
-                return FiniteFun(frozenset({(E_POINT, SetElem(SINGLETON_E))}))
-            case Const("pi_TTT") | Const("pi_KTT"):
-                return E_POINT
-            case Const("pi_TKK"):
-                return FiniteFun(frozenset({(E_POINT, MPiTKK1())}))
-            case Const("pi_KKK"):
-                return MPiKKK()
-            case Const(name):
-                raise PiModuloError(f"constant {name} has no middle-layer value here")
-            case FVar(x):
-                if x not in psi:
-                    raise PiModuloError(f"outer valuation has no value for {x}")
-                return psi[x]
-            case Var(i):
-                return env[-1 - i]
-            case Lam(_, ann, body):
-                n_ann = domain_n(ann)
-                if enumerable(n_ann, alg):
-                    pairs = [
-                        (c, m(body, env + [c]))
-                        for c in enumerate_set(n_ann, alg, cap)
-                    ]
-                    return finite_fun(pairs)
-                return MClosure(
-                    body, tuple(env), tuple(sorted(psi.items(), key=lambda kv: kv[0])), n_ann
-                )
-            case App(fn, arg):
-                f_val = m(fn, env)
-                if f_val == E_POINT:
-                    return E_POINT
-                return apply_u(f_val, m(arg, env), alg, cap)
-            case Pi(_, ann, cod):
-                dom_set = as_set(m(ann, env), "product domain")
-                n_ann = domain_n(ann)
-                if not uses_bound(cod):
-                    union = as_set(m(cod, env + [E_POINT]), "product codomain")
-                elif enumerable(n_ann, alg):
-                    parts = [
-                        as_set(m(cod, env + [c]), "product codomain")
-                        for c in enumerate_set(n_ann, alg, cap)
-                    ]
-                    union = _union_sets(parts, alg, cap)
-                else:
-                    raise UnenumerableUnion(
-                        "product codomain union runs over an unenumerable set"
-                    )
-                if equal_sets(union, SINGLETON_E, alg, cap):
-                    return SetElem(SINGLETON_E)
-                return SetElem(fun_space(dom_set, union))
-        raise PiModuloError(f"no middle-layer value for {t!r}")
-
-    return m(t, env)
+    return _staged(t)[1](psi, alg, cap, env or [])
 
 
 def _union_sets(parts: list[SetValue], alg: FiniteAlgebra, cap: int) -> SetValue:
@@ -361,8 +493,6 @@ def _union_sets(parts: list[SetValue], alg: FiniteAlgebra, cap: int) -> SetValue
 def domain_m(t: Term, psi: dict[str, UniverseElem], alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SetValue:
     return as_set(m_value(t, psi, alg, cap), "middle-layer domain")
 
-
-# --- the interpretation --------------------------------------------------------
 
 def default_n_value(s: SetValue, alg: FiniteAlgebra) -> UniverseElem:
     """A canonical inhabitant of an N-layer set, used to extend psi when the
@@ -387,56 +517,7 @@ def interp_cc(
     alg: FiniteAlgebra,
     cap: int = DEFAULT_CAP,
 ) -> UniverseElem:
-    top = AlgElem(alg.top)
-    ident_b = FiniteFun(frozenset((AlgElem(w), AlgElem(w)) for w in range(alg.n)))
-    pi_code = FiniteFun(frozenset((AlgElem(w), IPiDot1(w)) for w in range(alg.n)))
-
-    def ev(t: Term, phi_env: list, psi_env: list) -> UniverseElem:
-        match t:
-            case SortKind() | SortType():
-                return top
-            case Const(name) if name in _M_UNIVERSE_CONSTS:
-                return top
-            case Const("eps_Type") | Const("eps_Kind"):
-                return ident_b
-            case Const("pi_TTT") | Const("pi_TKK") | Const("pi_KTT") | Const("pi_KKK"):
-                return pi_code
-            case Const(name):
-                raise PiModuloError(f"constant {name} has no interpretation here")
-            case FVar(x):
-                if x not in phi:
-                    raise PiModuloError(f"valuation has no value for {x}")
-                return phi[x]
-            case Var(i):
-                return phi_env[-1 - i]
-            case Lam(_, ann, body):
-                m_ann = as_set(m_value(ann, psi, alg, cap, env=psi_env), "binder domain")
-                filler = default_n_value(domain_n(ann), alg)
-                pairs = [
-                    (c, ev(body, phi_env + [c], psi_env + [filler]))
-                    for c in enumerate_set(m_ann, alg, cap)
-                ]
-                return finite_fun(pairs)
-            case App(fn, arg):
-                f_val = ev(fn, phi_env, psi_env)
-                if f_val == E_POINT:
-                    return E_POINT
-                return apply_u(f_val, ev(arg, phi_env, psi_env), alg, cap)
-            case Pi(_, ann, cod):
-                w_dom = as_carrier(ev(ann, phi_env, psi_env), "product domain")
-                m_ann = as_set(m_value(ann, psi, alg, cap, env=psi_env), "binder domain")
-                filler = default_n_value(domain_n(ann), alg)
-                outs = {
-                    as_carrier(
-                        ev(cod, phi_env + [c], psi_env + [filler]),
-                        "product codomain",
-                    )
-                    for c in enumerate_set(m_ann, alg, cap)
-                }
-                return AlgElem(alg.pi(w_dom, alg.mask_of(outs)))
-        raise PiModuloError(f"cannot interpret {t!r}")
-
-    return ev(t, [], [])
+    return _staged(t)[2](phi, psi, alg, cap, [], [])
 
 
 # --- valuations and lemma checks -------------------------------------------------
@@ -490,12 +571,14 @@ def check_conversion_cc(
     cap: int = DEFAULT_CAP,
 ) -> bool:
     """All three layers must agree on convertible terms."""
-    if not equal_sets(domain_n(t), domain_n(u), alg, cap):
+    n_t, m_t, ev_t = _staged(t)
+    n_u, m_u, ev_u = _staged(u)
+    if not equal_sets(n_t, n_u, alg, cap):
         return False
-    if not equal_values(m_value(t, psi, alg, cap), m_value(u, psi, alg, cap), alg, cap):
+    if not equal_values(m_t(psi, alg, cap, []), m_u(psi, alg, cap, []), alg, cap):
         return False
     return equal_values(
-        interp_cc(t, phi, psi, alg, cap), interp_cc(u, phi, psi, alg, cap), alg, cap
+        ev_t(phi, psi, alg, cap, [], []), ev_u(phi, psi, alg, cap, [], []), alg, cap
     )
 
 
@@ -508,15 +591,17 @@ def check_substitution_cc(
     alg: FiniteAlgebra,
     cap: int = DEFAULT_CAP,
 ) -> bool:
-    subbed = substitute(t, x, u)
-    m_u = m_value(u, psi, alg, cap)
-    psi_ext = {**psi, x: m_u}
-    if not equal_values(m_value(subbed, psi, alg, cap), m_value(t, psi_ext, alg, cap), alg, cap):
+    # the substituted term is new on every call: staged, but not cached
+    _, m_subbed, ev_subbed = _stage(substitute(t, x, u))
+    _, m_t, ev_t = _staged(t)
+    _, m_u, ev_u = _staged(u)
+    psi_ext = {**psi, x: m_u(psi, alg, cap, [])}
+    if not equal_values(m_subbed(psi, alg, cap, []), m_t(psi_ext, alg, cap, []), alg, cap):
         return False
-    phi_ext = {**phi, x: interp_cc(u, phi, psi, alg, cap)}
+    phi_ext = {**phi, x: ev_u(phi, psi, alg, cap, [], [])}
     return equal_values(
-        interp_cc(subbed, phi, psi, alg, cap),
-        interp_cc(t, phi_ext, psi_ext, alg, cap),
+        ev_subbed(phi, psi, alg, cap, [], []),
+        ev_t(phi_ext, psi_ext, alg, cap, [], []),
         alg,
         cap,
     )

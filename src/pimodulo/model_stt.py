@@ -4,19 +4,23 @@ The one-layer case of the model: every term gets a domain (a set) and,
 once a valuation supplies values for its free variables, an
 interpretation (an element).  Domains are the algebra's carrier B, the
 one-point set {e}, or function spaces over them; the values, their
-collapse convention and their enumeration live in `values`.
+collapse convention and their enumeration live in `values`.  Evaluation is
+staged: each term is turned once into a closure, which then runs on every
+algebra and valuation (see below).
 """
 
 from __future__ import annotations
 
+import random
+from functools import lru_cache
 from itertools import product
 
+from ._staging import by_size, per_term, stage
 from .algebra import FiniteAlgebra
 from .errors import PiModuloError
 from .syntax import parse_term
 from .terms import (
     App,
-    Const,
     Context,
     FVar,
     Lam,
@@ -34,6 +38,7 @@ from .values import (
     SINGLETON_E,
     AlgElem,
     ElemValue,
+    EPoint,
     SetValue,
     apply_elem,
     as_carrier,
@@ -43,32 +48,158 @@ from .values import (
 )
 
 
-# --- domains ---------------------------------------------------------------
+# --- staged evaluation -----------------------------------------------------
+#
+# A term is staged once into its domain and a closure ev(phi, alg, cap, env)
+# for its interpretation: which node kind runs and each binder's domain are
+# settled at stage time, and everything that depends on the algebra, the
+# cap or the valuation happens when the closure runs, in the order the
+# model defines, so a failing evaluation raises the same error a walk of
+# the term would.
+
+# Staged terms kept at once: a sweep's working set is a few dozen terms.
+STAGE_CACHE_SIZE = 64
+# Constants kept at once, by carrier size, algebra or quantifier name.  An
+# algebra's constants are reused by every valuation of an item on it, and
+# seldom after: the sweeps visit 513 algebras.
+CONSTANT_CACHE_SIZE = 64
+
+
+def _stage_leaf(node: Term) -> tuple:
+    cls = type(node)
+    if cls is SortKind or cls is SortType:
+        return CARRIER, _ev_top
+    if cls is Var:
+        i = -1 - node.index
+
+        def ev_var(phi, alg, cap, env):
+            return env[i]
+
+        return SINGLETON_E, ev_var
+    if cls is FVar:
+        x = node.name
+
+        def ev_free(phi, alg, cap, env):
+            if x not in phi:
+                raise PiModuloError(f"valuation has no value for {x}")
+            return phi[x]
+
+        return SINGLETON_E, ev_free
+    name = node.name
+    if name == "o" or name == "iota":
+        ev = _ev_top
+    elif name == "eps":
+        def ev(phi, alg, cap, env):
+            return _eps(alg.n)
+    elif name == "imp":
+        def ev(phi, alg, cap, env):
+            return _imp(alg)
+    elif name.startswith("all["):
+        def ev(phi, alg, cap, env):
+            return _all_table(name, alg, cap)
+    else:
+        def ev(phi, alg, cap, env):
+            raise PiModuloError(f"constant {name} has no interpretation here")
+    return (CARRIER if name == "o" else SINGLETON_E), ev
+
+
+def _ev_top(phi, alg, cap, env):
+    return AlgElem(alg.top)
+
+
+def _stage_app(node: App, fn: tuple, arg: tuple) -> tuple:
+    domain, ev_fn = fn
+    _, ev_arg = arg
+
+    def ev(phi, alg, cap, env):
+        f_val = ev_fn(phi, alg, cap, env)
+        if type(f_val) is EPoint:
+            return E_POINT
+        return apply_elem(f_val, ev_arg(phi, alg, cap, env))
+
+    return domain, ev
+
+
+def _stage_lam(node: Lam, ann: tuple, body: tuple) -> tuple:
+    dom_set = ann[0]
+    domain, ev_body = body
+    members = by_size(lambda alg, cap: enumerate_set(dom_set, alg, cap))
+
+    def ev(phi, alg, cap, env):
+        return finite_fun([(c, ev_body(phi, alg, cap, env + [c])) for c in members(alg, cap)])
+
+    return domain, ev
+
+
+def _stage_pi(node: Pi, dom: tuple, cod: tuple) -> tuple:
+    dom_set, ev_dom = dom
+    cod_set, ev_cod = cod
+    members = by_size(lambda alg, cap: enumerate_set(dom_set, alg, cap))
+
+    def ev(phi, alg, cap, env):
+        w_dom = as_carrier(ev_dom(phi, alg, cap, env), "product domain")
+        outs = {
+            as_carrier(ev_cod(phi, alg, cap, env + [c]), "product codomain")
+            for c in members(alg, cap)
+        }
+        return AlgElem(alg.pi(w_dom, alg.mask_of(outs)))
+
+    return fun_space(dom_set, cod_set), ev
+
+
+def _stage(t: Term) -> tuple:
+    return stage(t, _stage_leaf, {App: _stage_app, Pi: _stage_pi, Lam: _stage_lam})
+
+
+# The (domain, ev) of a term, kept by term object: a term's identity hashes
+# in constant time, its structure node by node.
+_staged = per_term(_stage, STAGE_CACHE_SIZE)
+
+
+@lru_cache(maxsize=CONSTANT_CACHE_SIZE)
+def _eps(n: int) -> ElemValue:
+    return finite_fun((AlgElem(w), AlgElem(w)) for w in range(n))
+
+
+@lru_cache(maxsize=CONSTANT_CACHE_SIZE)
+def _imp(alg: FiniteAlgebra) -> ElemValue:
+    return finite_fun(
+        (
+            AlgElem(w),
+            finite_fun((AlgElem(w2), AlgElem(alg.arrow(w, w2))) for w2 in range(alg.n)),
+        )
+        for w in range(alg.n)
+    )
+
+
+@lru_cache(maxsize=CONSTANT_CACHE_SIZE)
+def _quantifier(name: str) -> tuple:
+    """The staged quantifier domain of `all[A]`, parsed once per name.  A
+    parse error is not cached, so it is raised by every evaluation."""
+    return _stage(parse_term(name[len("all["):-1]))
+
+
+@lru_cache(maxsize=CONSTANT_CACHE_SIZE)
+def _all_table(name: str, alg: FiniteAlgebra, cap: int) -> ElemValue:
+    """The value of `all[A]`: each predicate on A to the product over its
+    image.  A has no free variable, so the valuation plays no part."""
+    dom_set, ev_dom = _quantifier(name)
+    w_c = as_carrier(ev_dom({}, alg, cap, []), "quantifier domain")
+    members = enumerate_set(dom_set, alg, cap)
+    pairs = []
+    for f in enumerate_set(fun_space(dom_set, CARRIER), alg, cap):
+        outs = {as_carrier(apply_elem(f, c), "proposition body") for c in members}
+        pairs.append((f, AlgElem(alg.pi(w_c, alg.mask_of(outs)))))
+    return finite_fun(pairs)
+
+
+# --- domains and interpretation ---------------------------------------------
 
 def domain_stt(t: Term, alg: FiniteAlgebra | None = None) -> SetValue:
     """The domain of a term.  The algebra argument is accepted for call-shape
     symmetry with the interpreter but the answer never depends on it: the
     carrier stays symbolic inside SetValue."""
-    match t:
-        case SortKind() | SortType():
-            return CARRIER
-        case Const("o"):
-            return CARRIER
-        case Const(_) | FVar(_) | Var(_):
-            return SINGLETON_E
-        case Lam(_, _, body):
-            return domain_stt(body)
-        case App(fn, _):
-            return domain_stt(fn)
-        case Pi(_, dom, cod):
-            return fun_space(domain_stt(dom), domain_stt(cod))
-    raise PiModuloError(f"no domain for {t!r}")
-
-
-# --- interpretation --------------------------------------------------------
-
-def _all_quantifier_domain(name: str) -> Term:
-    return parse_term(name[len("all["):-1])
+    return _staged(t)[0]
 
 
 def interp_stt(
@@ -78,67 +209,7 @@ def interp_stt(
     cap: int = DEFAULT_CAP,
 ) -> ElemValue:
     """Interpretation under a valuation; phi maps free variables to values."""
-    top = AlgElem(alg.top)
-
-    def ev(t: Term, env: list[ElemValue]) -> ElemValue:
-        match t:
-            case SortKind() | SortType() | Const("iota") | Const("o"):
-                return top
-            case Const("eps"):
-                return finite_fun((AlgElem(w), AlgElem(w)) for w in range(alg.n))
-            case Const("imp"):
-                return finite_fun(
-                    (
-                        AlgElem(w),
-                        finite_fun(
-                            (AlgElem(w2), AlgElem(alg.arrow(w, w2)))
-                            for w2 in range(alg.n)
-                        ),
-                    )
-                    for w in range(alg.n)
-                )
-            case Const(name) if name.startswith("all["):
-                quant_dom = _all_quantifier_domain(name)
-                dom_set = domain_stt(quant_dom)
-                w_c = as_carrier(ev(quant_dom, []), "quantifier domain")
-                members = enumerate_set(dom_set, alg, cap)
-                pairs = []
-                for f in enumerate_set(fun_space(dom_set, CARRIER), alg, cap):
-                    outs = {
-                        as_carrier(apply_elem(f, c), "proposition body")
-                        for c in members
-                    }
-                    pairs.append((f, AlgElem(alg.pi(w_c, alg.mask_of(outs)))))
-                return finite_fun(pairs)
-            case Const(name):
-                raise PiModuloError(f"constant {name} has no interpretation here")
-            case FVar(x):
-                if x not in phi:
-                    raise PiModuloError(f"valuation has no value for {x}")
-                return phi[x]
-            case Var(i):
-                return env[-1 - i]
-            case Lam(_, ann, body):
-                pairs = [
-                    (c, ev(body, env + [c]))
-                    for c in enumerate_set(domain_stt(ann), alg, cap)
-                ]
-                return finite_fun(pairs)
-            case App(fn, arg):
-                f_val = ev(fn, env)
-                if f_val == E_POINT:
-                    return E_POINT
-                return apply_elem(f_val, ev(arg, env))
-            case Pi(_, dom, cod):
-                w_dom = as_carrier(ev(dom, env), "product domain")
-                outs = {
-                    as_carrier(ev(cod, env + [c]), "product codomain")
-                    for c in enumerate_set(domain_stt(dom), alg, cap)
-                }
-                return AlgElem(alg.pi(w_dom, alg.mask_of(outs)))
-        raise PiModuloError(f"cannot interpret {t!r}")
-
-    return ev(t, [])
+    return _staged(t)[1](phi, alg, cap, [])
 
 
 # --- the lemma checks ------------------------------------------------------
@@ -152,7 +223,8 @@ def check_substitution_stt(
     t: Term, x: str, u: Term,
     phi: dict[str, ElemValue], alg: FiniteAlgebra, cap: int = DEFAULT_CAP,
 ) -> bool:
-    direct = interp_stt(substitute(t, x, u), phi, alg, cap)
+    # the substituted term is new on every call: staged, but not cached
+    direct = _stage(substitute(t, x, u))[1](phi, alg, cap, [])
     shifted = interp_stt(t, {**phi, x: interp_stt(u, phi, alg, cap)}, alg, cap)
     return direct == shifted
 
@@ -161,9 +233,11 @@ def check_conversion_stt(
     t: Term, u: Term,
     phi: dict[str, ElemValue], alg: FiniteAlgebra, cap: int = DEFAULT_CAP,
 ) -> bool:
-    if domain_stt(t) != domain_stt(u):
+    dom_t, ev_t = _staged(t)
+    dom_u, ev_u = _staged(u)
+    if dom_t != dom_u:
         return False
-    return interp_stt(t, phi, alg, cap) == interp_stt(u, phi, alg, cap)
+    return ev_t(phi, alg, cap, []) == ev_u(phi, alg, cap, [])
 
 
 def enumerate_valuations(
@@ -179,8 +253,6 @@ def enumerate_valuations(
         total *= len(pool)
     if total <= cap:
         return [dict(zip(names, combo)) for combo in product(*pools)]
-    import random
-
     rng = random.Random(seed)
     return [
         {name: rng.choice(pool) for name, pool in zip(names, pools)}

@@ -40,8 +40,7 @@ from .terms import (
     Term,
     Theory,
     Var,
-    const_names,
-    free_vars,
+    _walk,
     instantiate,
     spine,
     uses_bound,
@@ -477,8 +476,10 @@ _ARG_OF_APP = 2       # only atoms go bare
 
 
 def print_term(t: Term) -> str:
-    avoid = free_vars(t) | const_names(t) | set(RESERVED)
-    return _print(t, [], _TERM_LEVEL, avoid)
+    # fresh binder names avoid every free variable and constant of t,
+    # collected in one walk
+    avoid = {node.name for node, _ in _walk(t) if type(node) is FVar or type(node) is Const}
+    return _print(t, [], _TERM_LEVEL, avoid | RESERVED)
 
 
 def _print(t: Term, stack: list[str], level: int, avoid: set[str]) -> str:

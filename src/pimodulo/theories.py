@@ -29,8 +29,11 @@ def load_theory(spec: str) -> TheoryFile:
     """Resolve a --theory argument: a builtin name or a file path."""
     if spec in BUILTIN_THEORIES:
         return builtin_theory(spec)
-    with open(spec, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(spec, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{spec}: {exc}") from exc
     return parse_theory(text, path=spec)
 
 

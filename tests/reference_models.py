@@ -1,0 +1,424 @@
+"""The tree-walking finite models, kept as an oracle for the staged ones.
+
+`pimodulo.model_cc` and `pimodulo.model_stt` turn each term into closures
+once and run those; the functions here are the walkers they replaced,
+which dispatch every node through a `match` on every evaluation.  They
+are copied unchanged, except that `apply_u` is copied beside them, so an
+`MClosure` applied here runs this module's `m_value` and the oracle never
+calls staged code.  The value helpers they share with the models
+(canonical forms, enumeration, defaults) are imported, not copied.
+
+`assert_stt_agrees` and `assert_cc_agrees` hold the models to the oracle:
+every layer of every evaluation must come out the same, a value with the
+same `repr` or an exception of the same class with the same message, which
+also pins the order of evaluation that decides which error comes first.
+"""
+
+from __future__ import annotations
+
+from pimodulo import model_cc, model_stt
+from pimodulo.algebra import FiniteAlgebra
+from pimodulo.errors import PiModuloError, UnenumerableUnion
+from pimodulo.model_cc import (
+    E_UNIVERSE,
+    IPiDot1,
+    M_IDENT,
+    MClosure,
+    MConstFun,
+    MIdent,
+    MPiKKK,
+    MPiKKK1,
+    MPiTKK1,
+    SetElem,
+    UniverseElem,
+    as_set,
+    canon_elem,
+    default_n_value,
+    enumerable,
+    equal_sets,
+)
+from pimodulo.syntax import parse_term
+from pimodulo.terms import (
+    App,
+    Const,
+    Context,
+    FVar,
+    Lam,
+    Pi,
+    SortKind,
+    SortType,
+    Term,
+    Var,
+    uses_bound,
+)
+from pimodulo.values import (
+    CARRIER,
+    DEFAULT_CAP,
+    E_POINT,
+    SINGLETON_E,
+    AlgElem,
+    ElemValue,
+    EPoint,
+    FiniteFun,
+    SetValue,
+    apply_elem,
+    as_carrier,
+    enumerate_set,
+    explicit_set,
+    finite_fun,
+    fun_space,
+)
+
+
+# --- the constructions model ---------------------------------------------------
+
+def apply_u(f: UniverseElem, a: UniverseElem, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> UniverseElem:
+    match f:
+        case EPoint() | FiniteFun():
+            try:
+                return apply_elem(f, a)
+            except PiModuloError:
+                ca = canon_elem(a, alg, cap)
+                for k, v in f.graph:
+                    if canon_elem(k, alg, cap) == ca:
+                        return v
+                raise
+        case MIdent():
+            return a
+        case MPiKKK():
+            return MPiKKK1(a)
+        case MPiTKK1():
+            he = apply_u(a, E_POINT, alg, cap)
+            return SetElem(fun_space(SINGLETON_E, as_set(he, "pi code output")))
+        case MPiKKK1(aset):
+            he = apply_u(a, E_POINT, alg, cap)
+            return SetElem(fun_space(as_set(aset, "pi code argument"), as_set(he, "pi code output")))
+        case MConstFun(_, value):
+            return value
+        case MClosure(body, env, psi, _):
+            return m_value(body, dict(psi), alg, cap, env=list(env) + [a])
+        case IPiDot1(c):
+            if not isinstance(a, FiniteFun):
+                raise PiModuloError(
+                    f"a pi code needs a finite function argument, got {a!r}"
+                )
+            outs = set()
+            for _, out in a.graph:
+                if not isinstance(out, AlgElem):
+                    raise PiModuloError(f"pi code body output off the carrier: {out!r}")
+                outs.add(out.value)
+            return AlgElem(alg.pi(c, alg.mask_of(outs)))
+    raise PiModuloError(f"applied a non-function value {f!r}")
+
+
+def domain_n(t: Term) -> SetValue:
+    match t:
+        case SortKind() | SortType() | Const("U_Kind"):
+            return E_UNIVERSE
+        case Pi(_, dom, cod):
+            return fun_space(domain_n(dom), domain_n(cod))
+        case Const(_) | FVar(_) | Var(_):
+            return SINGLETON_E
+        case Lam(_, _, body):
+            return domain_n(body)
+        case App(fn, _):
+            return domain_n(fn)
+    raise PiModuloError(f"no outer domain for {t!r}")
+
+
+_M_UNIVERSE_CONSTS = frozenset({"U_Kind", "U_Type", "dot_Type"})
+
+
+def m_value(
+    t: Term,
+    psi: dict[str, UniverseElem],
+    alg: FiniteAlgebra,
+    cap: int = DEFAULT_CAP,
+    env: list[UniverseElem] | None = None,
+) -> UniverseElem:
+    env = env or []
+
+    def m(t: Term, env: list[UniverseElem]) -> UniverseElem:
+        match t:
+            case SortKind() | SortType():
+                return SetElem(CARRIER)
+            case Const(name) if name in _M_UNIVERSE_CONSTS:
+                return SetElem(CARRIER)
+            case Const("eps_Kind"):
+                return M_IDENT
+            case Const("eps_Type"):
+                return FiniteFun(frozenset({(E_POINT, SetElem(SINGLETON_E))}))
+            case Const("pi_TTT") | Const("pi_KTT"):
+                return E_POINT
+            case Const("pi_TKK"):
+                return FiniteFun(frozenset({(E_POINT, MPiTKK1())}))
+            case Const("pi_KKK"):
+                return MPiKKK()
+            case Const(name):
+                raise PiModuloError(f"constant {name} has no middle-layer value here")
+            case FVar(x):
+                if x not in psi:
+                    raise PiModuloError(f"outer valuation has no value for {x}")
+                return psi[x]
+            case Var(i):
+                return env[-1 - i]
+            case Lam(_, ann, body):
+                n_ann = domain_n(ann)
+                if enumerable(n_ann, alg):
+                    pairs = [
+                        (c, m(body, env + [c]))
+                        for c in enumerate_set(n_ann, alg, cap)
+                    ]
+                    return finite_fun(pairs)
+                return MClosure(
+                    body, tuple(env), tuple(sorted(psi.items(), key=lambda kv: kv[0])), n_ann
+                )
+            case App(fn, arg):
+                f_val = m(fn, env)
+                if f_val == E_POINT:
+                    return E_POINT
+                return apply_u(f_val, m(arg, env), alg, cap)
+            case Pi(_, ann, cod):
+                dom_set = as_set(m(ann, env), "product domain")
+                n_ann = domain_n(ann)
+                if not uses_bound(cod):
+                    union = as_set(m(cod, env + [E_POINT]), "product codomain")
+                elif enumerable(n_ann, alg):
+                    parts = [
+                        as_set(m(cod, env + [c]), "product codomain")
+                        for c in enumerate_set(n_ann, alg, cap)
+                    ]
+                    union = _union_sets(parts, alg, cap)
+                else:
+                    raise UnenumerableUnion(
+                        "product codomain union runs over an unenumerable set"
+                    )
+                if equal_sets(union, SINGLETON_E, alg, cap):
+                    return SetElem(SINGLETON_E)
+                return SetElem(fun_space(dom_set, union))
+        raise PiModuloError(f"no middle-layer value for {t!r}")
+
+    return m(t, env)
+
+
+def _union_sets(parts: list[SetValue], alg: FiniteAlgebra, cap: int) -> SetValue:
+    first = parts[0]
+    if all(equal_sets(p, first, alg, cap) for p in parts[1:]):
+        return first
+    members: dict = {}
+    for p in parts:
+        for x in enumerate_set(p, alg, cap):
+            members.setdefault(canon_elem(x, alg, cap), x)
+    return explicit_set(members.values())
+
+
+def interp_cc(
+    t: Term,
+    phi: dict[str, UniverseElem],
+    psi: dict[str, UniverseElem],
+    alg: FiniteAlgebra,
+    cap: int = DEFAULT_CAP,
+) -> UniverseElem:
+    top = AlgElem(alg.top)
+    ident_b = FiniteFun(frozenset((AlgElem(w), AlgElem(w)) for w in range(alg.n)))
+    pi_code = FiniteFun(frozenset((AlgElem(w), IPiDot1(w)) for w in range(alg.n)))
+
+    def ev(t: Term, phi_env: list, psi_env: list) -> UniverseElem:
+        match t:
+            case SortKind() | SortType():
+                return top
+            case Const(name) if name in _M_UNIVERSE_CONSTS:
+                return top
+            case Const("eps_Type") | Const("eps_Kind"):
+                return ident_b
+            case Const("pi_TTT") | Const("pi_TKK") | Const("pi_KTT") | Const("pi_KKK"):
+                return pi_code
+            case Const(name):
+                raise PiModuloError(f"constant {name} has no interpretation here")
+            case FVar(x):
+                if x not in phi:
+                    raise PiModuloError(f"valuation has no value for {x}")
+                return phi[x]
+            case Var(i):
+                return phi_env[-1 - i]
+            case Lam(_, ann, body):
+                m_ann = as_set(m_value(ann, psi, alg, cap, env=psi_env), "binder domain")
+                filler = default_n_value(domain_n(ann), alg)
+                pairs = [
+                    (c, ev(body, phi_env + [c], psi_env + [filler]))
+                    for c in enumerate_set(m_ann, alg, cap)
+                ]
+                return finite_fun(pairs)
+            case App(fn, arg):
+                f_val = ev(fn, phi_env, psi_env)
+                if f_val == E_POINT:
+                    return E_POINT
+                return apply_u(f_val, ev(arg, phi_env, psi_env), alg, cap)
+            case Pi(_, ann, cod):
+                w_dom = as_carrier(ev(ann, phi_env, psi_env), "product domain")
+                m_ann = as_set(m_value(ann, psi, alg, cap, env=psi_env), "binder domain")
+                filler = default_n_value(domain_n(ann), alg)
+                outs = {
+                    as_carrier(
+                        ev(cod, phi_env + [c], psi_env + [filler]),
+                        "product codomain",
+                    )
+                    for c in enumerate_set(m_ann, alg, cap)
+                }
+                return AlgElem(alg.pi(w_dom, alg.mask_of(outs)))
+        raise PiModuloError(f"cannot interpret {t!r}")
+
+    return ev(t, [], [])
+
+
+# --- the simple-type model -------------------------------------------------------
+
+def domain_stt(t: Term, alg: FiniteAlgebra | None = None) -> SetValue:
+    """The domain of a term.  The algebra argument is accepted for call-shape
+    symmetry with the interpreter but the answer never depends on it: the
+    carrier stays symbolic inside SetValue."""
+    match t:
+        case SortKind() | SortType():
+            return CARRIER
+        case Const("o"):
+            return CARRIER
+        case Const(_) | FVar(_) | Var(_):
+            return SINGLETON_E
+        case Lam(_, _, body):
+            return domain_stt(body)
+        case App(fn, _):
+            return domain_stt(fn)
+        case Pi(_, dom, cod):
+            return fun_space(domain_stt(dom), domain_stt(cod))
+    raise PiModuloError(f"no domain for {t!r}")
+
+
+def _all_quantifier_domain(name: str) -> Term:
+    return parse_term(name[len("all["):-1])
+
+
+def interp_stt(
+    t: Term,
+    phi: dict[str, ElemValue],
+    alg: FiniteAlgebra,
+    cap: int = DEFAULT_CAP,
+) -> ElemValue:
+    """Interpretation under a valuation; phi maps free variables to values."""
+    top = AlgElem(alg.top)
+
+    def ev(t: Term, env: list[ElemValue]) -> ElemValue:
+        match t:
+            case SortKind() | SortType() | Const("iota") | Const("o"):
+                return top
+            case Const("eps"):
+                return finite_fun((AlgElem(w), AlgElem(w)) for w in range(alg.n))
+            case Const("imp"):
+                return finite_fun(
+                    (
+                        AlgElem(w),
+                        finite_fun(
+                            (AlgElem(w2), AlgElem(alg.arrow(w, w2)))
+                            for w2 in range(alg.n)
+                        ),
+                    )
+                    for w in range(alg.n)
+                )
+            case Const(name) if name.startswith("all["):
+                quant_dom = _all_quantifier_domain(name)
+                dom_set = domain_stt(quant_dom)
+                w_c = as_carrier(ev(quant_dom, []), "quantifier domain")
+                members = enumerate_set(dom_set, alg, cap)
+                pairs = []
+                for f in enumerate_set(fun_space(dom_set, CARRIER), alg, cap):
+                    outs = {
+                        as_carrier(apply_elem(f, c), "proposition body")
+                        for c in members
+                    }
+                    pairs.append((f, AlgElem(alg.pi(w_c, alg.mask_of(outs)))))
+                return finite_fun(pairs)
+            case Const(name):
+                raise PiModuloError(f"constant {name} has no interpretation here")
+            case FVar(x):
+                if x not in phi:
+                    raise PiModuloError(f"valuation has no value for {x}")
+                return phi[x]
+            case Var(i):
+                return env[-1 - i]
+            case Lam(_, ann, body):
+                pairs = [
+                    (c, ev(body, env + [c]))
+                    for c in enumerate_set(domain_stt(ann), alg, cap)
+                ]
+                return finite_fun(pairs)
+            case App(fn, arg):
+                f_val = ev(fn, env)
+                if f_val == E_POINT:
+                    return E_POINT
+                return apply_elem(f_val, ev(arg, env))
+            case Pi(_, dom, cod):
+                w_dom = as_carrier(ev(dom, env), "product domain")
+                outs = {
+                    as_carrier(ev(cod, env + [c]), "product codomain")
+                    for c in enumerate_set(domain_stt(dom), alg, cap)
+                }
+                return AlgElem(alg.pi(w_dom, alg.mask_of(outs)))
+        raise PiModuloError(f"cannot interpret {t!r}")
+
+    return ev(t, [])
+
+
+# --- comparing the models with the oracle ---------------------------------------
+
+def outcome(fn, *args) -> tuple:
+    try:
+        return "value", repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the class and message are compared
+        return "raised", type(exc).__name__, str(exc)
+
+
+def _stt_layers(model, terms, phi, alg, cap) -> list:
+    domain, interp = model
+    return [(outcome(domain, t), outcome(interp, t, phi, alg, cap)) for t in terms]
+
+
+def _cc_layers(model, terms, phi, psi, alg, cap) -> list:
+    domain, m, interp = model
+    return [
+        (outcome(domain, t), outcome(m, t, psi, alg, cap), outcome(interp, t, phi, psi, alg, cap))
+        for t in terms
+    ]
+
+
+STAGED_STT = (model_stt.domain_stt, model_stt.interp_stt)
+ORACLE_STT = (domain_stt, interp_stt)
+STAGED_CC = (model_cc.domain_n, model_cc.m_value, model_cc.interp_cc)
+ORACLE_CC = (domain_n, m_value, interp_cc)
+
+
+def assert_stt_agrees(terms, ctx: Context, alg: FiniteAlgebra, cap: int) -> None:
+    """`model_stt` evaluates every term as the oracle does under every
+    valuation of ctx."""
+    for phi in model_stt.enumerate_valuations(ctx, alg, cap):
+        expected = _stt_layers(ORACLE_STT, terms, phi, alg, cap)
+        assert _stt_layers(STAGED_STT, terms, phi, alg, cap) == expected, (terms, phi, alg)
+
+
+def assert_cc_agrees(terms, ctx: Context, alg: FiniteAlgebra, cap: int) -> list:
+    """`model_cc` evaluates every layer of every term as the oracle does
+    under every valuation of ctx, and the outcomes are returned.  The inner
+    valuations range over the context types' middle-layer values, so those
+    types are compared too."""
+    types = [ty for _, ty in ctx]
+    outcomes = []
+    for psi in model_cc.enumerate_psis(ctx, alg, cap):
+        expected = _cc_layers(ORACLE_CC, types, {}, psi, alg, cap)
+        assert _cc_layers(STAGED_CC, types, {}, psi, alg, cap) == expected, (types, psi, alg)
+        try:
+            phis = model_cc.enumerate_m_valuations(ctx, psi, alg, cap)
+        except PiModuloError:
+            continue
+        for phi in phis:
+            expected = _cc_layers(ORACLE_CC, terms, phi, psi, alg, cap)
+            assert _cc_layers(STAGED_CC, terms, phi, psi, alg, cap) == expected, (terms, phi, psi, alg)
+            outcomes += expected
+    return outcomes

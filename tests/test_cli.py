@@ -84,6 +84,18 @@ def test_an_unreadable_theory_is_an_io_error(capsys, tmp_path, theory):
     assert len(out.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", (("normalize", "--theory", "{}", "o"),
+                                  ("normalize", "--file", "{}"),
+                                  ("check", "{}")),
+                         ids=("theory", "term-file", "judgement-file"))
+def test_a_file_that_is_not_utf8_is_named_in_its_error(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"o ; \xff\n")
+    code, out = run_cli(capsys, *(a.format(bad) for a in argv))
+    assert code == 4
+    assert f"\t{bad}: 'utf-8' codec can't decode byte 0xff" in out.splitlines()[-1]
+
+
 def test_check_rejects_ill_formed_contexts(capsys, tmp_path):
     bad = tmp_path / "contexts.tm"
     bad.write_text("x : imp |- x : imp\ny : Kind |- y : Kind\nx : imp |- x\n")
@@ -309,12 +321,14 @@ def test_model_check_worker_pool_output_matches_serial():
 
 
 def test_model_check_worker_pool_output_matches_serial_on_cc():
-    # cc items still hit ROADMAP defect 4b and end the run early, so only
-    # agreement is asserted, not a clean exit
-    serial, pooled = _serial_and_pooled("cc", "--count", "4", "--pairs", "6", "--subst", "3")
-    assert serial.returncode == pooled.returncode
+    # cc items still hit ROADMAP defect 4b and end the run early with a
+    # model error, which the pool must raise at the same item as the serial
+    # run; the sizes give each worker several chunks
+    serial, pooled = _serial_and_pooled("cc", "--count", "16", "--pairs", "6", "--subst", "3")
+    assert serial.returncode == pooled.returncode == 1
     assert serial.stdout == pooled.stdout
     assert serial.stdout.count("\n") > 1
+    assert '"id":"fatal"' in serial.stdout
 
 
 # --- consistency-scan ---

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from pimodulo import values  # noqa: E402
 from pimodulo.algebra import enumerate_full_algebras  # noqa: E402
-from pimodulo.errors import SizeLimitExceeded  # noqa: E402
+from pimodulo.errors import PiModuloError, SizeLimitExceeded  # noqa: E402
 from pimodulo.generate import gen_raw_term  # noqa: E402
 from pimodulo.reduction import (  # noqa: E402
     BETA,
@@ -22,7 +22,17 @@ from pimodulo.reduction import (  # noqa: E402
 )
 from pimodulo import terms  # noqa: E402
 from pimodulo.syntax import parse_term, parse_theory, print_term  # noqa: E402
-from pimodulo.terms import Lam, Pi, subterm_positions  # noqa: E402
+from pimodulo.terms import (  # noqa: E402
+    App,
+    Const,
+    Lam,
+    Pi,
+    SortKind,
+    loose_bound,
+    subterm_positions,
+)
+from pimodulo.theories import builtin_theory  # noqa: E402
+from pimodulo.typecheck import infer  # noqa: E402
 from pimodulo.values import (  # noqa: E402
     CARRIER,
     E_POINT,
@@ -35,6 +45,7 @@ from pimodulo.values import (  # noqa: E402
     explicit_set,
     fun_space,
 )
+from reference_models import assert_cc_agrees, assert_stt_agrees  # noqa: E402
 from reference_reduction import assert_agrees  # noqa: E402
 import reference_terms  # noqa: E402
 
@@ -160,3 +171,53 @@ def test_traversals_match_the_recursive_reference(seed, size, by, cutoff, index)
             ("uses_bound", (index,)),
         ):
             _same(getattr(terms, fn)(t, *args), getattr(reference_terms, fn)(t, *args))
+
+
+# The staged models against the tree-walking oracle in `reference_models`,
+# on raw terms moved into a theory's vocabulary: the constants and `Kind`
+# that `gen_raw_term` draws become constants of the theory, and its free
+# variables are the context's.  The whole term is compared whether it is
+# typed or not, since a model fails on an ill-typed term and must fail the
+# same way; so is every closed subterm that type-checks.
+MODEL_VOCABULARY = {
+    "stt": (("o", "iota", "eps", "imp", "all[o]", "all[iota]"),
+            (("p", Const("o")), ("q", Const("o")))),
+    "cc": (("U_Type", "U_Kind", "dot_Type", "eps_Type", "eps_Kind",
+            "pi_TTT", "pi_KTT", "pi_TKK", "pi_KKK"),
+           (("p", Const("U_Type")),)),
+}
+MODEL_CAP = 1024
+
+
+def _into_vocabulary(t, leaves: dict):
+    match t:
+        case Const(name):
+            return leaves[name]
+        case SortKind():
+            return leaves["Kind"]
+        case App(fn, arg):
+            return App(_into_vocabulary(fn, leaves), _into_vocabulary(arg, leaves))
+        case Pi(hint, dom, cod):
+            return Pi(hint, _into_vocabulary(dom, leaves), _into_vocabulary(cod, leaves))
+        case Lam(hint, ann, body):
+            return Lam(hint, _into_vocabulary(ann, leaves), _into_vocabulary(body, leaves))
+    return t
+
+
+@settings(max_examples=200, deadline=None)
+@given(theory=st.sampled_from(sorted(MODEL_VOCABULARY)), seed=st.integers(0, 2**32 - 1),
+       size=st.integers(1, 14), alg=st.sampled_from(ALGEBRAS), data=st.data())
+def test_staged_models_evaluate_raw_terms_as_the_oracle_does(theory, seed, size, alg, data):
+    consts, ctx = MODEL_VOCABULARY[theory]
+    leaves = {k: Const(data.draw(st.sampled_from(consts), label=k)) for k in ("c", "d'", "Kind")}
+    t = _into_vocabulary(gen_raw_term(random.Random(seed), size, tuple(x for x, _ in ctx)), leaves)
+    typed = []
+    for _, s in subterm_positions(t):
+        if loose_bound(s) == 0:
+            try:
+                infer(builtin_theory(theory).theory, ctx, s)
+            except PiModuloError:
+                continue
+            typed.append(s)
+    agree = assert_stt_agrees if theory == "stt" else assert_cc_agrees
+    agree([t, *typed], ctx, alg, MODEL_CAP)
