@@ -1,9 +1,7 @@
-"""What the staged finite models share.
+"""The stage cache the finite models share.
 
 `model_stt` and `model_cc` turn a term once into closures, one per node
-(`stage`), keep what they made for each term object (`per_term`), and
-let a closure remember a value it needs once per carrier size
-(`by_size`).
+(`terms.fold`), and keep what they made for each term object (`per_term`).
 """
 
 from __future__ import annotations
@@ -11,31 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Any, Callable
 
-from .terms import App, Lam, Pi, Term
-
-
-def stage(t: Term, leaf: Callable, build: dict) -> Any:
-    """`leaf(node)` for each leaf of t and `build[type(node)](node, first,
-    second)` for each application or binder, given what its two children
-    made, children before parents, on an explicit stack so term depth costs
-    no recursion."""
-    done: list = []
-    todo: list[tuple[Term, bool]] = [(t, False)]
-    while todo:
-        node, ready = todo.pop()
-        cls = type(node)
-        if ready:
-            second = done.pop()
-            done[-1] = build[cls](node, done[-1], second)
-        elif cls is App:
-            todo += ((node, True), (node.arg, False), (node.fn, False))
-        elif cls is Pi:
-            todo += ((node, True), (node.codomain, False), (node.domain, False))
-        elif cls is Lam:
-            todo += ((node, True), (node.body, False), (node.annotation, False))
-        else:
-            done.append(leaf(node))
-    return done[0]
+from .terms import Term
 
 
 class _Same:
@@ -61,23 +35,3 @@ def per_term(fn: Callable[[Term], Any], maxsize: int) -> Callable[[Term], Any]:
     """fn(t), kept for the last `maxsize` term objects it ran on."""
     cached = lru_cache(maxsize=maxsize)(lambda key: fn(key.term))
     return lambda t: cached(_Same(t))
-
-
-def by_size(compute: Callable[..., Any]) -> Callable[..., Any]:
-    """compute(alg, cap, *args), remembered for the last carrier size, cap
-    and arguments it ran on; for a value that reads nothing of the algebra
-    but its size, as the listing of a set does.  A sweep runs one cap over
-    algebras of one or two sizes, so one entry is enough.  An error is not
-    remembered."""
-    last_key = None
-    last = None
-
-    def get(alg, cap: int, *args):
-        nonlocal last_key, last
-        key = (alg.n, cap, *args)
-        if key != last_key:
-            last = compute(alg, cap, *args)
-            last_key = key
-        return last
-
-    return get

@@ -39,7 +39,7 @@ from .syntax import (
     print_judgement,
     print_term,
 )
-from .theories import builtin_example, load_theory
+from .theories import builtin_example, load_theory, read_text
 from .typecheck import check, check_frame, check_theory, infer
 
 EXIT_OK = 0
@@ -90,12 +90,7 @@ def _error_status(exc: PiModuloError) -> str:
 def _read_source(spec: str) -> str:
     if spec.startswith("builtin:"):
         return builtin_example(spec[len("builtin:"):])
-    try:
-        with open(spec, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        # name the file, as the OSError of a file that cannot be opened does
-        raise OSError(f"{spec}: {exc}") from exc
+    return read_text(spec)
 
 
 # --- check ---------------------------------------------------------------------
@@ -284,9 +279,9 @@ def _run_items(specs, jobs: int):
     if jobs <= 1:
         return [_check_on_algebra(s) for s in specs]
     # specs come in runs of one rule or pair over many algebras: contiguous
-    # chunks keep those runs on one worker, where the terms arrive as one
-    # object each and their staged forms are reused, while four chunks a
-    # worker still even out uneven items
+    # chunks keep those runs on one worker, where a chunk's terms arrive
+    # unpickled as one object each and their staged forms are reused; four
+    # chunks a worker leave room to even out uneven items
     chunksize = max(1, len(specs) // (4 * jobs))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_check_on_algebra, specs, chunksize=chunksize))

@@ -31,7 +31,7 @@ from itertools import product
 from math import prod
 from operator import itemgetter
 
-from ._staging import by_size, per_term, stage
+from ._staging import per_term
 from .algebra import FiniteAlgebra
 from .errors import PiModuloError, SizeLimitExceeded, UnenumerableUnion
 from .terms import (
@@ -44,6 +44,7 @@ from .terms import (
     SortType,
     Term,
     Var,
+    fold,
     substitute,
     uses_bound,
 )
@@ -275,7 +276,7 @@ def apply_u(f: UniverseElem, a: UniverseElem, alg: FiniteAlgebra, cap: int = DEF
 # under every valuation and algebra, so its working set is a few dozen
 # terms; a long run cannot hold every term it ever staged.
 STAGE_CACHE_SIZE = 64
-# Constants kept at once, by carrier size.
+# Constants kept at once, by carrier size, and default inhabitants.
 CONSTANT_CACHE_SIZE = 64
 
 _M_UNIVERSE_CONSTS = frozenset({"U_Kind", "U_Type", "dot_Type"})
@@ -372,24 +373,21 @@ def _stage_app(node: App, fn: tuple, arg: tuple) -> tuple:
 def _stage_lam(node: Lam, ann: tuple, body: tuple) -> tuple:
     n_ann, m_ann, _ = ann
     n_body, m_body, ev_body = body
-    filler = by_size(lambda alg, cap: default_n_value(n_ann, alg))
     if _listable(n_ann):
-        members = by_size(lambda alg, cap: enumerate_set(n_ann, alg, cap))
-
         def m(psi, alg, cap, env):
-            return finite_fun([(c, m_body(psi, alg, cap, env + [c])) for c in members(alg, cap)])
+            return finite_fun([
+                (c, m_body(psi, alg, cap, env + [c])) for c in enumerate_set(n_ann, alg, cap)
+            ])
     else:
         def m(psi, alg, cap, env):
             return MClosure(node.body, tuple(env), tuple(sorted(psi.items(), key=itemgetter(0))), n_ann)
 
-    listing = by_size(_listing)
-
     def ev(phi, psi, alg, cap, phi_env, psi_env):
         m_dom = as_set(m_ann(psi, alg, cap, psi_env), "binder domain")
-        inner = psi_env + [filler(alg, cap)]
+        inner = psi_env + [default_n_value(n_ann, alg)]
         return finite_fun([
             (c, ev_body(phi, psi, alg, cap, phi_env + [c], inner))
-            for c in listing(alg, cap, m_dom)
+            for c in enumerate_set(m_dom, alg, cap)
         ])
 
     return n_body, m, ev
@@ -399,10 +397,7 @@ def _stage_pi(node: Pi, ann: tuple, cod: tuple) -> tuple:
     n_ann, m_ann, ev_ann = ann
     n_cod, m_cod, ev_cod = cod
     dependent = uses_bound(node.codomain)
-    filler = by_size(lambda alg, cap: default_n_value(n_ann, alg))
     listable = _listable(n_ann)
-    members = by_size(lambda alg, cap: enumerate_set(n_ann, alg, cap))
-    listing = by_size(_listing)
 
     def m(psi, alg, cap, env):
         dom_set = as_set(m_ann(psi, alg, cap, env), "product domain")
@@ -411,7 +406,7 @@ def _stage_pi(node: Pi, ann: tuple, cod: tuple) -> tuple:
         elif listable:
             parts = [
                 as_set(m_cod(psi, alg, cap, env + [c]), "product codomain")
-                for c in members(alg, cap)
+                for c in enumerate_set(n_ann, alg, cap)
             ]
             union = _union_sets(parts, alg, cap)
         else:
@@ -423,10 +418,10 @@ def _stage_pi(node: Pi, ann: tuple, cod: tuple) -> tuple:
     def ev(phi, psi, alg, cap, phi_env, psi_env):
         w_dom = as_carrier(ev_ann(phi, psi, alg, cap, phi_env, psi_env), "product domain")
         m_dom = as_set(m_ann(psi, alg, cap, psi_env), "binder domain")
-        inner = psi_env + [filler(alg, cap)]
+        inner = psi_env + [default_n_value(n_ann, alg)]
         outs = {
             as_carrier(ev_cod(phi, psi, alg, cap, phi_env + [c], inner), "product codomain")
-            for c in listing(alg, cap, m_dom)
+            for c in enumerate_set(m_dom, alg, cap)
         }
         return AlgElem(alg.pi(w_dom, alg.mask_of(outs)))
 
@@ -434,17 +429,13 @@ def _stage_pi(node: Pi, ann: tuple, cod: tuple) -> tuple:
 
 
 def _stage(t: Term) -> tuple:
-    return stage(t, _stage_leaf, {App: _stage_app, Pi: _stage_pi, Lam: _stage_lam})
+    return fold(t, _stage_leaf, {App: _stage_app, Pi: _stage_pi, Lam: _stage_lam})
 
 
 # The (N-set, m, ev) of a term, kept by term object: `MClosure` keeps its
 # body term and prints its binder hints, which term equality ignores, so a
 # stage shared by two terms equal up to hints would print the first one's.
 _staged = per_term(_stage, STAGE_CACHE_SIZE)
-
-
-def _listing(alg: FiniteAlgebra, cap: int, s: SetValue) -> list:
-    return enumerate_set(s, alg, cap)
 
 
 def _listable(s: SetValue) -> bool:
@@ -494,9 +485,25 @@ def domain_m(t: Term, psi: dict[str, UniverseElem], alg: FiniteAlgebra, cap: int
     return as_set(m_value(t, psi, alg, cap), "middle-layer domain")
 
 
+# Default inhabitants by (N-set, carrier size), the only things they read;
+# emptied when full.
+_defaults: dict = {}
+
+
 def default_n_value(s: SetValue, alg: FiniteAlgebra) -> UniverseElem:
     """A canonical inhabitant of an N-layer set, used to extend psi when the
     interpreter walks under a binder."""
+    key = (s, alg.n)
+    value = _defaults.get(key)
+    if value is None:
+        value = _default_n(s, alg)
+        if len(_defaults) >= CONSTANT_CACHE_SIZE:
+            _defaults.clear()
+        _defaults[key] = value
+    return value
+
+
+def _default_n(s: SetValue, alg: FiniteAlgebra) -> UniverseElem:
     match s:
         case SingletonE():
             return E_POINT

@@ -15,7 +15,7 @@ import random
 from functools import lru_cache
 from itertools import product
 
-from ._staging import by_size, per_term, stage
+from ._staging import per_term
 from .algebra import FiniteAlgebra
 from .errors import PiModuloError
 from .syntax import parse_term
@@ -29,6 +29,7 @@ from .terms import (
     SortType,
     Term,
     Var,
+    fold,
     substitute,
 )
 from .values import (
@@ -123,10 +124,11 @@ def _stage_app(node: App, fn: tuple, arg: tuple) -> tuple:
 def _stage_lam(node: Lam, ann: tuple, body: tuple) -> tuple:
     dom_set = ann[0]
     domain, ev_body = body
-    members = by_size(lambda alg, cap: enumerate_set(dom_set, alg, cap))
 
     def ev(phi, alg, cap, env):
-        return finite_fun([(c, ev_body(phi, alg, cap, env + [c])) for c in members(alg, cap)])
+        return finite_fun([
+            (c, ev_body(phi, alg, cap, env + [c])) for c in enumerate_set(dom_set, alg, cap)
+        ])
 
     return domain, ev
 
@@ -134,13 +136,12 @@ def _stage_lam(node: Lam, ann: tuple, body: tuple) -> tuple:
 def _stage_pi(node: Pi, dom: tuple, cod: tuple) -> tuple:
     dom_set, ev_dom = dom
     cod_set, ev_cod = cod
-    members = by_size(lambda alg, cap: enumerate_set(dom_set, alg, cap))
 
     def ev(phi, alg, cap, env):
         w_dom = as_carrier(ev_dom(phi, alg, cap, env), "product domain")
         outs = {
             as_carrier(ev_cod(phi, alg, cap, env + [c]), "product codomain")
-            for c in members(alg, cap)
+            for c in enumerate_set(dom_set, alg, cap)
         }
         return AlgElem(alg.pi(w_dom, alg.mask_of(outs)))
 
@@ -148,7 +149,7 @@ def _stage_pi(node: Pi, dom: tuple, cod: tuple) -> tuple:
 
 
 def _stage(t: Term) -> tuple:
-    return stage(t, _stage_leaf, {App: _stage_app, Pi: _stage_pi, Lam: _stage_lam})
+    return fold(t, _stage_leaf, {App: _stage_app, Pi: _stage_pi, Lam: _stage_lam})
 
 
 # The (domain, ev) of a term, kept by term object: a term's identity hashes

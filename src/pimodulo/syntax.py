@@ -40,8 +40,8 @@ from .terms import (
     Term,
     Theory,
     Var,
-    _walk,
     instantiate,
+    names_in,
     spine,
     uses_bound,
 )
@@ -476,10 +476,8 @@ _ARG_OF_APP = 2       # only atoms go bare
 
 
 def print_term(t: Term) -> str:
-    # fresh binder names avoid every free variable and constant of t,
-    # collected in one walk
-    avoid = {node.name for node, _ in _walk(t) if type(node) is FVar or type(node) is Const}
-    return _print(t, [], _TERM_LEVEL, avoid | RESERVED)
+    # fresh binder names avoid every free variable and constant of t
+    return _print(t, [], _TERM_LEVEL, names_in(t) | RESERVED)
 
 
 def _print(t: Term, stack: list[str], level: int, avoid: set[str]) -> str:

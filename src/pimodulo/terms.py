@@ -5,8 +5,8 @@ constants are referenced by name.  Binders keep a display hint that is ignored
 by equality and hashing, so ``==`` on terms is exactly alpha-equivalence.
 
 Every traversal walks an explicit stack, so term depth costs no recursion:
-the queries fold over one preorder walk, `_walk`, and the substitutions run
-on one rebuild, `_rebind`.  Each node caches `loose_bound`, how many
+the queries fold over one preorder walk, `_walk`, the substitutions run
+on one rebuild, `_rebind`, and `fold` builds a value bottom-up.  Each node caches `loose_bound`, how many
 enclosing binders its loose indices need, so `shift` and `instantiate` hand
 back unchanged, rather than copy, a subterm none of whose indices they can
 reach.
@@ -169,6 +169,29 @@ def _rebind(t: Term, depth: int, leaf: Callable[[Term, int], Term], reach: bool)
     return done[0]
 
 
+def fold(t: Term, leaf: Callable[[Term], Any], build: dict) -> Any:
+    """`leaf(node)` for each leaf of t and `build[type(node)](node, first,
+    second)` for each application or binder, given what its two children
+    made, children before parents."""
+    done: list = []
+    todo: list[tuple[Term, bool]] = [(t, False)]
+    while todo:
+        node, ready = todo.pop()
+        cls = type(node)
+        if ready:
+            second = done.pop()
+            done[-1] = build[cls](node, done[-1], second)
+        elif cls is App:
+            todo += ((node, True), (node.arg, False), (node.fn, False))
+        elif cls is Pi:
+            todo += ((node, True), (node.codomain, False), (node.domain, False))
+        elif cls is Lam:
+            todo += ((node, True), (node.body, False), (node.annotation, False))
+        else:
+            done.append(leaf(node))
+    return done[0]
+
+
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add `by` to every bound index >= cutoff (indices escaping the term)."""
     if by == 0 or loose_bound(t) <= cutoff:
@@ -220,6 +243,11 @@ def free_vars(t: Term) -> set[str]:
 
 def const_names(t: Term) -> set[str]:
     return {node.name for node, _ in _walk(t) if type(node) is Const}
+
+
+def names_in(t: Term) -> set[str]:
+    """The name of every free variable and constant of t, in one walk."""
+    return {node.name for node, _ in _walk(t) if type(node) is FVar or type(node) is Const}
 
 
 def uses_bound(t: Term, index: int = 0) -> bool:

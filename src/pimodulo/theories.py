@@ -29,12 +29,17 @@ def load_theory(spec: str) -> TheoryFile:
     """Resolve a --theory argument: a builtin name or a file path."""
     if spec in BUILTIN_THEORIES:
         return builtin_theory(spec)
+    return parse_theory(read_text(spec), path=spec)
+
+
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file.  A file that is not UTF-8 raises an
+    OSError that names it, as a file that cannot be opened does."""
     try:
-        with open(spec, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
-        raise OSError(f"{spec}: {exc}") from exc
-    return parse_theory(text, path=spec)
+        raise OSError(f"{path}: {exc}") from exc
 
 
 def builtin_example(name: str) -> str:
