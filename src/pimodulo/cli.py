@@ -328,7 +328,8 @@ def cmd_sn_scan(args, rep: Reporter) -> None:
     ctx = _default_context(family) if family else ()
     counts = {"yes": 0, "unknown": 0}
     for i, (t, _) in enumerate(
-        sample_well_typed(tf.theory, args.count, args.seed, ctx, max_size=args.max_size)
+        sample_well_typed(tf.theory, args.count, args.seed, ctx, max_size=args.max_size,
+                          fuel=args.fuel)
     ):
         result = sn_check(t, args.fuel, tf.theory, args.mode)
         match result:

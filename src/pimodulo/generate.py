@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
+from typing import NamedTuple
 
 from .errors import FuelError, PiModuloError
 from .reduction import BETA_R, DEFAULT_FUEL, Fuel, FuelExhausted, is_normal, normalize
@@ -33,7 +34,7 @@ from .terms import (
     instantiate,
     term_size,
 )
-from .typecheck import infer
+from .typecheck import applied_type, check_codomain, head_product, infer
 
 
 def enumerate_raw_terms(max_size: int, atoms: tuple[Term, ...] = (TYPE,)):
@@ -60,6 +61,24 @@ def enumerate_raw_terms(max_size: int, atoms: tuple[Term, ...] = (TYPE,)):
         yield from exact(size, 0)
 
 
+def _normal(t: Term, theory: Theory, mode: str, fuel: Fuel, during: str) -> Term:
+    """The normal form of t, or FuelError if the fuel runs out first."""
+    out = normalize(t, theory, mode, fuel)
+    if isinstance(out, FuelExhausted):
+        raise FuelError(f"normalization budget exhausted during {during}")
+    return out
+
+
+class _Entry(NamedTuple):
+    """A sampled term with its normal type, its size and the context names
+    free in it."""
+
+    term: Term
+    ty: Term
+    size: int
+    free: frozenset
+
+
 def sample_well_typed(
     theory: Theory,
     count: int,
@@ -67,6 +86,7 @@ def sample_well_typed(
     ctx: Context = (),
     max_size: int = 30,
     mode: str = BETA_R,
+    fuel: int = DEFAULT_FUEL,
 ):
     """Randomly grown well-typed terms, deterministic in the seed.
 
@@ -74,31 +94,61 @@ def sample_well_typed(
     candidates that fail the checker are dropped, so the yield is always
     checker-approved.  Heads are biased toward the signature to reach the
     rewrite rules often.
+
+    A pool entry keeps its term with the term's normal type, its node
+    count and the context names free in it.  A candidate is sized from
+    its parts and, mostly, typed from their stored types by the kernel's
+    own rules:
+
+    - an application by `head_product` and `applied_type`, its type then
+      normalized;
+    - a binder whose body closes over no context variable: the body has
+      the same type under the binder as outside it, so a product takes
+      the body's sort, and an abstraction the normalized product of its
+      annotation and the body's type, once `check_codomain` (memoized
+      per type) accepts that type;
+    - an atom keeps the type it was first admitted with.
+
+    `infer` types the atoms at the start and the binders that close over
+    a context variable.  Each candidate gets its own `fuel` steps; one
+    that runs out is dropped like an ill-typed one.
     """
     rng = random.Random(seed)
+    names = frozenset(n for n, _ in ctx)
     atoms: list[Term] = [TYPE]
     atoms.extend(Const(name) for name, _ in theory.signature)
     atoms.extend(FVar(name) for name, _ in ctx)
-    pool: list[tuple[Term, Term]] = []
+    typed_atoms: dict[Term, _Entry] = {}
+    pool: list[_Entry] = []
     # Indexes into the pool, kept in insertion order so the draws below
     # see exactly the lists a scan over the pool would build.
-    fns: list[tuple[Term, Term]] = []
-    anns: list[Term] = []
-    by_type: dict[Term, list[Term]] = {}
+    fns: list[_Entry] = []
+    anns: list[_Entry] = []
+    by_type: dict[Term, list[_Entry]] = {}
 
-    def admit(t: Term, ty: Term) -> None:
-        pool.append((t, ty))
-        if isinstance(ty, Pi):
-            fns.append((t, ty))
-        if ty == TYPE:
-            anns.append(t)
-        by_type.setdefault(ty, []).append(t)
+    def admit(entry: _Entry) -> None:
+        pool.append(entry)
+        if isinstance(entry.ty, Pi):
+            fns.append(entry)
+        if entry.ty == TYPE:
+            anns.append(entry)
+        by_type.setdefault(entry.ty, []).append(entry)
 
-    for a in atoms:
+    @cache
+    def has_sort(body_ty: Term) -> bool:
         try:
-            admit(a, infer(theory, ctx, a, mode=mode))
+            check_codomain(theory, ctx, body_ty, Fuel(fuel), mode)
+        except PiModuloError:
+            return False
+        return True
+
+    for t in atoms:
+        try:
+            ty = infer(theory, ctx, t, Fuel(fuel), mode)
         except PiModuloError:
             continue
+        typed_atoms[t] = _Entry(t, ty, 1, names.intersection(free_vars(t)))
+        admit(typed_atoms[t])
     produced = 0
     attempts = 0
     limit = max(500, count * 400)
@@ -109,30 +159,54 @@ def sample_well_typed(
         if r < 0.55:
             if not fns:
                 continue
-            f, fty = rng.choice(fns)
-            fitting = by_type.get(fty.domain, ())
-            if fitting and rng.random() < 0.8:
-                t = App(f, rng.choice(fitting))
-            else:
-                t = App(f, rng.choice(pool)[0])
+            f = rng.choice(fns)
+            fitting = by_type.get(f.ty.domain, ())
+            a = rng.choice(fitting) if fitting and rng.random() < 0.8 else rng.choice(pool)
+            t = App(f.term, a.term)
+            size, free = 1 + f.size + a.size, f.free | a.free
         elif r < 0.8:
             if not anns:
                 continue
             ann = rng.choice(anns)
-            body, _ = rng.choice(pool)
-            bindable = sorted(free_vars(body) & {n for n, _ in ctx})
-            if bindable and rng.random() < 0.5:
-                body = close_binder(body, rng.choice(bindable))
-            t = (Lam if rng.random() < 0.7 else Pi)("x", ann, body)
+            body = rng.choice(pool)
+            closes = None
+            if body.free and rng.random() < 0.5:
+                closes = rng.choice(sorted(body.free))
+            binder = Lam if rng.random() < 0.7 else Pi
+            size, free = 1 + ann.size + body.size, ann.free | (body.free - {closes})
+            if size > max_size:
+                continue
+            inner = body.term if closes is None else close_binder(body.term, closes)
+            t = binder("x", ann.term, inner)
         else:
-            t = rng.choice(atoms)
-        if term_size(t) > max_size or t in seen:
+            atom = typed_atoms.get(rng.choice(atoms))
+            if atom is None:
+                continue
+            t, _, size, free = atom
+        if size > max_size or t in seen:
             continue
+        budget = Fuel(fuel)
         try:
-            ty = infer(theory, ctx, t, mode=mode)
+            if type(t) is App:
+                pi = head_product(theory, f.term, f.ty, budget, mode)
+                ty = _normal(applied_type(theory, pi, a.term, a.ty, budget, mode),
+                             theory, mode, budget, "sampling")
+            elif type(t) not in (Lam, Pi):
+                ty = atom.ty
+            elif closes is not None:
+                ty = infer(theory, ctx, t, budget, mode)
+            elif type(t) is Pi:
+                # the body's type under the binder is its type outside it
+                ty = body.ty if body.ty in (TYPE, KIND) else None
+            elif has_sort(body.ty):
+                ty = _normal(Pi("x", ann.term, body.ty), theory, mode, budget, "sampling")
+            else:
+                ty = None
         except PiModuloError:
             continue
-        admit(t, ty)
+        if ty is None:
+            continue
+        admit(_Entry(t, ty, size, free))
         seen.add(t)
         produced += 1
         yield t, ty
@@ -205,10 +279,7 @@ def enumerate_normal_inhabitants(
     """
 
     def norm(t: Term) -> Term:
-        out = normalize(t, theory, mode, Fuel(fuel))
-        if isinstance(out, FuelExhausted):
-            raise FuelError("normalization budget exhausted during enumeration")
-        return out
+        return _normal(t, theory, mode, Fuel(fuel), "enumeration")
 
     heads = [(FVar(n), norm(ty)) for n, ty in ctx]
     heads.extend((Const(n), norm(ty)) for n, ty in theory.signature)

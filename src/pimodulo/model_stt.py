@@ -46,6 +46,7 @@ from .values import (
     enumerate_set,
     finite_fun,
     fun_space,
+    listing,
 )
 
 
@@ -97,7 +98,8 @@ def _stage_leaf(node: Term) -> tuple:
             return _imp(alg)
     elif name.startswith("all["):
         def ev(phi, alg, cap, env):
-            return _all_table(name, alg, cap)
+            w_c = as_carrier(_quantifier(name)[1]({}, alg, cap, []), "quantifier domain")
+            return _all_table(name, alg.n, cap, w_c, alg.pi_table[w_c])
     else:
         def ev(phi, alg, cap, env):
             raise PiModuloError(f"constant {name} has no interpretation here")
@@ -181,16 +183,20 @@ def _quantifier(name: str) -> tuple:
 
 
 @lru_cache(maxsize=CONSTANT_CACHE_SIZE)
-def _all_table(name: str, alg: FiniteAlgebra, cap: int) -> ElemValue:
-    """The value of `all[A]`: each predicate on A to the product over its
-    image.  A has no free variable, so the valuation plays no part."""
-    dom_set, ev_dom = _quantifier(name)
-    w_c = as_carrier(ev_dom({}, alg, cap, []), "quantifier domain")
-    members = enumerate_set(dom_set, alg, cap)
+def _all_table(name: str, n: int, cap: int, w_c: int, pi_row: tuple[int, ...]) -> ElemValue:
+    """The value of `all[A]` over a carrier of n elements, where A has the
+    value w_c and pi_row is the pi table's row of w_c: each predicate on A
+    to pi(w_c, its image).  A has no free variable, so the valuation plays
+    no part, and the algebra none beyond n and that row: algebras that
+    share them share the table."""
+    dom_set = _quantifier(name)[0]
+    members = listing(dom_set, n, cap)
     pairs = []
-    for f in enumerate_set(fun_space(dom_set, CARRIER), alg, cap):
-        outs = {as_carrier(apply_elem(f, c), "proposition body") for c in members}
-        pairs.append((f, AlgElem(alg.pi(w_c, alg.mask_of(outs)))))
+    for f in listing(fun_space(dom_set, CARRIER), n, cap):
+        mask = 0
+        for c in members:
+            mask |= 1 << as_carrier(apply_elem(f, c), "proposition body")
+        pairs.append((f, AlgElem(pi_row[mask])))
     return finite_fun(pairs)
 
 

@@ -117,35 +117,15 @@ def _infer(theory: Theory, ctx: Context, t: Term, fuel: Fuel, mode: str) -> Term
         case Var(i):
             raise PiModuloError(f"loose bound variable #{i} (internal invariant broken)")
         case App(f, a):
-            pi = _whnf_type(theory, ctx, f, fuel, mode)
-            if not isinstance(pi, Pi):
-                raise NotAFunction(
-                    "application head is not a function",
-                    span=t.span,
-                    term=print_term(f),
-                    actual=_shown(pi, theory, mode, fuel),
-                )
-            aty = _infer(theory, ctx, a, fuel, mode)
-            if not _fueled(convertible(aty, pi.domain, theory, fuel, mode), "comparing types"):
-                raise DomainMismatch(
-                    "argument type does not match the function domain",
-                    span=t.span,
-                    term=print_term(a),
-                    expected=_shown(pi.domain, theory, mode, fuel),
-                    actual=_shown(aty, theory, mode, fuel),
-                )
-            return instantiate(pi.codomain, a)
+            pi = head_product(theory, f, _infer(theory, ctx, f, fuel, mode), fuel, mode, t.span)
+            return applied_type(theory, pi, a, _infer(theory, ctx, a, fuel, mode), fuel, mode, t.span)
         case Lam(hint, ann, body):
             _check_is_type(theory, ctx, ann, fuel, mode)
             # '!' cannot occur in surface names, and the context grows one
             # binder at a time, so the depth tells apart the names in scope
             x = f"{hint or 'x'}!{len(ctx)}"
             body_ty = _infer(theory, (*ctx, (x, ann)), open_binder(body, x), fuel, mode)
-            if body_ty == KIND:
-                raise IllegalSort("abstraction body is a sort", span=t.span)
-            # the abstraction rule also demands the product itself is sorted
-            if _whnf_type(theory, (*ctx, (x, ann)), body_ty, fuel, mode) not in (TYPE, KIND):
-                raise IllegalSort("abstraction codomain has no sort", span=t.span)
+            check_codomain(theory, (*ctx, (x, ann)), body_ty, fuel, mode, t.span)
             return Pi(hint, ann, close_binder(body_ty, x))
         case Pi(hint, dom, cod):
             _check_is_type(theory, ctx, dom, fuel, mode)
@@ -155,6 +135,48 @@ def _infer(theory: Theory, ctx: Context, t: Term, fuel: Fuel, mode: str) -> Term
                 raise IllegalSort("product codomain is not a type or a kind", span=t.span)
             return s
     raise PiModuloError(f"unhandled term {t!r}")
+
+
+# The application and abstraction rules' premises on types, apart from
+# the inference of the subterms: `_infer` feeds them inferred types, and
+# the sampler in `generate` the stored types of terms it typed before.
+
+
+def head_product(theory: Theory, f: Term, fty: Term, fuel: Fuel, mode: str, span=None) -> Pi:
+    """The product that fty, the type of an application head f, reduces to
+    in weak-head form; NotAFunction if it is not one."""
+    pi = _fueled(whnf(fty, theory, mode, fuel), "reducing a type")
+    if not isinstance(pi, Pi):
+        raise NotAFunction(
+            "application head is not a function",
+            span=span,
+            term=print_term(f),
+            actual=_shown(pi, theory, mode, fuel),
+        )
+    return pi
+
+
+def applied_type(theory: Theory, pi: Pi, a: Term, aty: Term, fuel: Fuel, mode: str, span=None) -> Term:
+    """The type of a head of product type pi applied to a, of type aty:
+    the codomain at a; DomainMismatch if aty does not convert to the domain."""
+    if not _fueled(convertible(aty, pi.domain, theory, fuel, mode), "comparing types"):
+        raise DomainMismatch(
+            "argument type does not match the function domain",
+            span=span,
+            term=print_term(a),
+            expected=_shown(pi.domain, theory, mode, fuel),
+            actual=_shown(aty, theory, mode, fuel),
+        )
+    return instantiate(pi.codomain, a)
+
+
+def check_codomain(theory: Theory, ctx: Context, body_ty: Term, fuel: Fuel, mode: str, span=None) -> None:
+    """IllegalSort unless body_ty, the type of an abstraction's body in
+    ctx, is a type or a kind, as the abstraction's product must be."""
+    if body_ty == KIND:
+        raise IllegalSort("abstraction body is a sort", span=span)
+    if _whnf_type(theory, ctx, body_ty, fuel, mode) not in (TYPE, KIND):
+        raise IllegalSort("abstraction codomain has no sort", span=span)
 
 
 def _whnf_type(theory: Theory, ctx: Context, t: Term, fuel: Fuel, mode: str) -> Term:

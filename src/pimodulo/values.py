@@ -153,10 +153,12 @@ def cardinality(s: SetValue, n: int) -> int | None:
 
 def enumerate_set(s: SetValue, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> list:
     """Complete, duplicate-free listing of a set's elements, in a fixed order."""
-    return _listing(s, alg.n, cap)
+    return listing(s, alg.n, cap)
 
 
-def _listing(s: SetValue, n: int, cap: int) -> list:
+def listing(s: SetValue, n: int, cap: int) -> list:
+    """`enumerate_set` over a carrier of n elements, for callers that
+    know the carrier's size but not the algebra."""
     size = cardinality(s, n)
     if size is None:
         raise UnenumerableUnion(f"cannot list the elements of {s!r}")
@@ -175,7 +177,7 @@ def _enumerate(s: SetValue, n: int, cap: int) -> list:
         case ExplicitSet(members):
             return sorted(members, key=repr)
         case FunSpace(dom, cod):
-            keys = _listing(dom, n, cap)
-            vals = _listing(cod, n, cap)
+            keys = listing(dom, n, cap)
+            vals = listing(cod, n, cap)
             return [finite_fun(zip(keys, choice)) for choice in product(vals, repeat=len(keys))]
     raise PiModuloError(f"unknown set {s!r}")

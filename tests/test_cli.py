@@ -376,6 +376,18 @@ def test_consistency_scan_honours_the_fuel_budget(tmp_path):
     assert run.stdout.startswith("fuel-exhausted\t")
 
 
+def test_sn_scan_honours_the_fuel_budget_while_sampling(tmp_path):
+    # the sampler types terms whose types normalize forever; each candidate
+    # must stop at the budget given, not run to the default
+    (tmp_path / "loop.th").write_text(LOOP_THEORY)
+    run = subprocess.run([sys.executable, "-m", "pimodulo.cli", "sn-scan", "--theory",
+                          str(tmp_path / "loop.th"), "--count", "5", "--max-size", "8",
+                          "--fuel", "1000"],
+                         capture_output=True, text=True, timeout=5)
+    assert run.returncode == 0
+    assert run.stdout.splitlines()[-1].startswith("ok\t")
+
+
 @pytest.mark.parametrize("limit", ("0", "-3"))
 def test_consistency_scan_limit_below_one_is_a_usage_error(capsys, limit):
     with pytest.raises(SystemExit) as exc:

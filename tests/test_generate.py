@@ -9,6 +9,7 @@ non-inhabitation for a confluent terminating theory.
 import random
 import time
 
+from pimodulo import generate
 from pimodulo.generate import (
     convertible_pairs,
     enumerate_normal_inhabitants,
@@ -18,7 +19,7 @@ from pimodulo.generate import (
 )
 from pimodulo.reduction import convertible, is_normal
 from pimodulo.syntax import parse_term, print_term
-from pimodulo.terms import App, Const, FVar, Lam, TYPE, Var, term_size
+from pimodulo.terms import App, Const, FVar, Lam, Pi, TYPE, Var, term_size, uses_bound
 from pimodulo.theories import builtin_theory
 from pimodulo.typecheck import infer
 
@@ -67,6 +68,43 @@ def test_samples_typecheck_and_respect_the_size_bound():
     for t, ty in sample_well_typed(STT, 60, seed=3, ctx=ctx, max_size=12):
         assert term_size(t) <= 12
         assert infer(STT, ctx, t) == ty
+
+
+SAMPLE_CTX = {
+    "stt": (STT, (("p", Const("o")), ("q", Const("o")))),
+    "cc": (CC, (("p", Const("U_Type")),)),
+}
+
+
+def test_samples_carry_the_type_infer_gives():
+    # the sampler types most candidates from the stored types of their
+    # parts; the kernel typing each from scratch must agree, binder hints
+    # included, on binders that close over a context variable too
+    closing = 0
+    for theory, ctx in SAMPLE_CTX.values():
+        for seed in (0, 1, 2, 7919):
+            for t, ty in sample_well_typed(theory, 150, seed=seed, ctx=ctx, max_size=16):
+                want = infer(theory, ctx, t)
+                assert ty == want
+                assert repr(ty) == repr(want)
+                assert term_size(t) <= 16
+                closing += isinstance(t, (Lam, Pi)) and uses_bound(t.codomain if isinstance(t, Pi) else t.body)
+    assert closing > 0
+
+
+def test_sampling_reuses_the_stored_types(monkeypatch):
+    # re-inferring every candidate makes about two calls a term
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return infer(*args, **kwargs)
+
+    monkeypatch.setattr(generate, "infer", counted)
+    theory, ctx = SAMPLE_CTX["stt"]
+    assert len(list(sample_well_typed(theory, 250, seed=0, ctx=ctx, max_size=24))) == 250
+    assert calls < 250
 
 
 def test_samples_are_distinct():

@@ -134,6 +134,17 @@ def test_universal_quantifier_collects_the_body_image() -> None:
         assert got == AlgElem(alg.pi(alg.top, alg.mask_of(range(alg.n))))
 
 
+def test_quantifier_tables_are_shared_by_algebras_that_agree_on_the_row() -> None:
+    # all[o] depends on the algebra only through its size and the pi row
+    # of the value of o, the top, so these two share one table
+    a = FiniteAlgebra(2, 0, ((0, 1, 1, 0), (0, 0, 0, 0)))
+    b = FiniteAlgebra(2, 0, ((0, 1, 1, 0), (1, 1, 1, 1)))
+    c = FiniteAlgebra(2, 1, ((0, 1, 1, 0), (0, 0, 0, 0)))
+    q = stt("all[o]")
+    assert interp_stt(q, {}, a) is interp_stt(q, {}, b)
+    assert interp_stt(q, {}, a) != interp_stt(q, {}, c)
+
+
 def test_unknown_constants_are_rejected() -> None:
     with pytest.raises(PiModuloError):
         interp_stt(stt("mystery"), {}, ALGS[0])
