@@ -21,7 +21,7 @@ from .terms import (
     Theory,
     Var,
 )
-from .reduction import BETA, BETA_R, Fuel, FuelExhausted, convertible, normalize
+from .reduction import Fuel, FuelExhausted, convertible, normalize
 from .syntax import parse_judgement, parse_term, parse_theory, print_term
 from .theories import builtin_theory, load_theory
 from .typecheck import check, check_rule, check_theory, infer
@@ -29,7 +29,7 @@ from .typecheck import check, check_rule, check_theory, infer
 __version__ = "0.1.0"
 
 __all__ = [
-    "App", "BETA", "BETA_R", "Const", "Context", "FVar", "Fuel",
+    "App", "Const", "Context", "FVar", "Fuel",
     "FuelExhausted", "KIND", "Lam", "Pi", "RewriteRule", "TYPE", "Term",
     "Theory", "Var", "builtin_theory", "check", "check_rule", "check_theory",
     "convertible", "infer", "load_theory", "normalize", "parse_judgement",

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .reduction import BETA, DEFAULT_FUEL, Fuel, FuelExhausted, match_pattern, one_step_reducts
+from .reduction import DEFAULT_FUEL, Fuel, FuelExhausted, match_pattern, one_step_reducts
 from .terms import (
     App,
     Const,
@@ -66,7 +66,7 @@ def _as_fuel(fuel: Fuel | int | None) -> Fuel:
 
 
 def _explore(
-    t: Term, theory: Theory, mode: str, budget: Fuel
+    t: Term, theory: Theory, budget: Fuel
 ) -> tuple[dict[Term, int] | None, Term | None]:
     """Depth-first walk of the full reduction tree out of t.
 
@@ -95,7 +95,7 @@ def _explore(
             if term in onpath or not budget.spend():
                 return None, term
             onpath.add(term)
-            frame[1] = one_step_reducts(term, theory, mode)
+            frame[1] = one_step_reducts(term, theory)
             continue
         if idx < len(reducts):
             frame[2] += 1
@@ -112,11 +112,11 @@ def sn_check(
     t: Term,
     fuel: Fuel | int | None = None,
     theory: Theory | None = None,
-    mode: str = BETA,
 ) -> SnVerdict:
-    """Bounded strong-normalization oracle, beta-only by default."""
+    """Bounded strong-normalization oracle under the theory's rules,
+    beta-only without a theory."""
     theory = theory if theory is not None else _EMPTY_THEORY
-    memo, offender = _explore(t, theory, mode, _as_fuel(fuel))
+    memo, offender = _explore(t, theory, _as_fuel(fuel))
     if memo is None:
         return FuelExhausted(offender)
     return StronglyNormalizing(memo[t])
@@ -183,7 +183,7 @@ def in_candidate(
 
 
 def _membership(t: Term, cand: Candidate, budget: Fuel, probes: tuple[Term, ...]) -> str:
-    reachable, _ = _explore(t, _EMPTY_THEORY, BETA, budget)
+    reachable, _ = _explore(t, _EMPTY_THEORY, budget)
     if reachable is None:
         return "unknown"
     match cand:
@@ -257,7 +257,7 @@ def check_closure_lemma(
         return "unknown"
     return _join(
         in_candidate(u, cand, fuel, probes)
-        for u in one_step_reducts(t, _EMPTY_THEORY, BETA)
+        for u in one_step_reducts(t, _EMPTY_THEORY)
     )
 
 

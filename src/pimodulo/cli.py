@@ -31,7 +31,7 @@ from .generate import (
     enumerate_normal_inhabitants,
     sample_well_typed,
 )
-from .reduction import BETA, BETA_R, Fuel, FuelExhausted, normalize
+from .reduction import Fuel, FuelExhausted, normalize
 from .syntax import (
     parse_judgement,
     parse_judgements,
@@ -41,6 +41,10 @@ from .syntax import (
 )
 from .theories import builtin_example, load_theory, read_text
 from .typecheck import check, check_frame, check_theory, infer
+
+# --mode spellings: beta and the theory's rules, or beta alone
+BETA = "beta"
+BETA_R = "beta-R"
 
 EXIT_OK = 0
 EXIT_TYPE = 1
@@ -132,6 +136,12 @@ def cmd_check(args, rep: Reporter) -> None:
 
 # --- normalize -----------------------------------------------------------------
 
+def _reducing(theory, mode: str):
+    """The theory that reduces under --mode: beta alone is reduction
+    under the signature without the rules."""
+    return theory if mode == BETA_R else theory.without_rules()
+
+
 def cmd_normalize(args, rep: Reporter) -> None:
     tf = load_theory(args.theory)
     try:
@@ -141,7 +151,7 @@ def cmd_normalize(args, rep: Reporter) -> None:
         rep.emit("input", "term", _error_status(exc), str(exc))
         return
     trace: list = []
-    result = normalize(t, tf.theory, args.mode, Fuel(args.fuel), trace=trace)
+    result = normalize(t, _reducing(tf.theory, args.mode), fuel=Fuel(args.fuel), trace=trace)
     if args.trace:
         for i, (pos, label, step) in enumerate(trace, start=1):
             where = ".".join(str(p) for p in pos) or "root"
@@ -293,7 +303,7 @@ def cmd_consistency_scan(args, rep: Reporter) -> None:
     tf = load_theory(args.theory)
     if args.target:
         target_text = args.target
-    elif args.theory == "cc":
+    elif _model_family(tf.theory.signature) == "cc":
         target_text = "x : U_Type |- eps_Type x"
     else:
         target_text = "x : o |- eps x"
@@ -326,12 +336,13 @@ def cmd_sn_scan(args, rep: Reporter) -> None:
     tf = load_theory(args.theory)
     family = _model_family(tf.theory.signature)
     ctx = _default_context(family) if family else ()
+    reducing = _reducing(tf.theory, args.mode)
     counts = {"yes": 0, "unknown": 0}
     for i, (t, _) in enumerate(
         sample_well_typed(tf.theory, args.count, args.seed, ctx, max_size=args.max_size,
                           fuel=args.fuel)
     ):
-        result = sn_check(t, args.fuel, tf.theory, args.mode)
+        result = sn_check(t, args.fuel, reducing)
         match result:
             case StronglyNormalizing(_):
                 counts["yes"] += 1

@@ -15,8 +15,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .errors import FuelError, PiModuloError
-from .reduction import BETA_R, DEFAULT_FUEL, Fuel, FuelExhausted, is_normal, normalize
-from .reduction import one_step_reducts
+from .reduction import DEFAULT_FUEL, Fuel, FuelExhausted, is_normal, normalize, one_step_reducts
 from .terms import (
     App,
     Const,
@@ -61,9 +60,9 @@ def enumerate_raw_terms(max_size: int, atoms: tuple[Term, ...] = (TYPE,)):
         yield from exact(size, 0)
 
 
-def _normal(t: Term, theory: Theory, mode: str, fuel: Fuel, during: str) -> Term:
+def _normal(t: Term, theory: Theory, fuel: Fuel, during: str) -> Term:
     """The normal form of t, or FuelError if the fuel runs out first."""
-    out = normalize(t, theory, mode, fuel)
+    out = normalize(t, theory, fuel=fuel)
     if isinstance(out, FuelExhausted):
         raise FuelError(f"normalization budget exhausted during {during}")
     return out
@@ -85,7 +84,6 @@ def sample_well_typed(
     seed: int = 0,
     ctx: Context = (),
     max_size: int = 30,
-    mode: str = BETA_R,
     fuel: int = DEFAULT_FUEL,
 ):
     """Randomly grown well-typed terms, deterministic in the seed.
@@ -137,14 +135,14 @@ def sample_well_typed(
     @cache
     def has_sort(body_ty: Term) -> bool:
         try:
-            check_codomain(theory, ctx, body_ty, Fuel(fuel), mode)
+            check_codomain(theory, ctx, body_ty, Fuel(fuel))
         except PiModuloError:
             return False
         return True
 
     for t in atoms:
         try:
-            ty = infer(theory, ctx, t, Fuel(fuel), mode)
+            ty = infer(theory, ctx, t, Fuel(fuel))
         except PiModuloError:
             continue
         typed_atoms[t] = _Entry(t, ty, 1, names.intersection(free_vars(t)))
@@ -188,18 +186,18 @@ def sample_well_typed(
         budget = Fuel(fuel)
         try:
             if type(t) is App:
-                pi = head_product(theory, f.term, f.ty, budget, mode)
-                ty = _normal(applied_type(theory, pi, a.term, a.ty, budget, mode),
-                             theory, mode, budget, "sampling")
+                pi = head_product(theory, f.term, f.ty, budget)
+                ty = _normal(applied_type(theory, pi, a.term, a.ty, budget),
+                             theory, budget, "sampling")
             elif type(t) not in (Lam, Pi):
                 ty = atom.ty
             elif closes is not None:
-                ty = infer(theory, ctx, t, budget, mode)
+                ty = infer(theory, ctx, t, budget)
             elif type(t) is Pi:
                 # the body's type under the binder is its type outside it
                 ty = body.ty if body.ty in (TYPE, KIND) else None
             elif has_sort(body.ty):
-                ty = _normal(Pi("x", ann.term, body.ty), theory, mode, budget, "sampling")
+                ty = _normal(Pi("x", ann.term, body.ty), theory, budget, "sampling")
             else:
                 ty = None
         except PiModuloError:
@@ -216,7 +214,6 @@ def convertible_pairs(
     theory: Theory,
     seeds,
     max_size: int = 8,
-    mode: str = BETA_R,
     ctx: Context = (),
 ):
     """Pairs of convertible terms: each seed against every prefix of its
@@ -226,7 +223,7 @@ def convertible_pairs(
     seen: set[tuple[Term, Term]] = set()
     for seed in seeds:
         trace: list = []
-        result = normalize(seed, theory, mode, trace=trace)
+        result = normalize(seed, theory, trace=trace)
         if isinstance(result, FuelExhausted):
             continue
         chain = [seed] + [step for _, _, step in trace]
@@ -236,15 +233,15 @@ def convertible_pairs(
                     if (a, b) not in seen:
                         seen.add((a, b))
                         yield a, b
-        for r in one_step_reducts(seed, theory, mode):
+        for r in one_step_reducts(seed, theory):
             if term_size(seed) <= max_size and term_size(r) <= max_size:
                 if (seed, r) not in seen:
                     seen.add((seed, r))
                     yield seed, r
         try:
-            seed_ty = infer(theory, ctx, seed, mode=mode)
+            seed_ty = infer(theory, ctx, seed)
             expanded = App(Lam("x", seed_ty, Var(0)), seed)
-            infer(theory, ctx, expanded, mode=mode)
+            infer(theory, ctx, expanded)
         except PiModuloError:
             continue
         if term_size(expanded) <= max_size and (expanded, seed) not in seen:
@@ -257,7 +254,6 @@ def enumerate_normal_inhabitants(
     target: Term,
     max_size: int,
     ctx: Context = (),
-    mode: str = BETA_R,
     fuel: int = DEFAULT_FUEL,
 ):
     """Every normal term of size up to max_size whose type converts to the
@@ -279,7 +275,7 @@ def enumerate_normal_inhabitants(
     """
 
     def norm(t: Term) -> Term:
-        return _normal(t, theory, mode, Fuel(fuel), "enumeration")
+        return _normal(t, theory, Fuel(fuel), "enumeration")
 
     heads = [(FVar(n), norm(ty)) for n, ty in ctx]
     heads.extend((Const(n), norm(ty)) for n, ty in theory.signature)
@@ -322,10 +318,10 @@ def enumerate_normal_inhabitants(
             yield from spine(head, hty, 1)
 
     for t, _ in walk(norm(target), max_size, ()):
-        if not is_normal(t, theory, mode):
+        if not is_normal(t, theory):
             continue
         try:
-            infer(theory, ctx, t, Fuel(fuel), mode)
+            infer(theory, ctx, t, Fuel(fuel))
         except FuelError:
             raise
         except PiModuloError:

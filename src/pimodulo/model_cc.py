@@ -27,13 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from math import prod
 from operator import itemgetter
 
 from ._staging import per_term
 from .algebra import FiniteAlgebra
-from .errors import PiModuloError, SizeLimitExceeded, UnenumerableUnion
+from .errors import PiModuloError, UnenumerableUnion
 from .terms import (
     App,
     Context,
@@ -66,11 +64,13 @@ from .values import (
     SingletonE,
     apply_elem,
     as_carrier,
-    cardinality,
+    enumerable,
     enumerate_set,
     explicit_set,
     finite_fun,
     fun_space,
+    listing,
+    valuations,
 )
 
 
@@ -139,10 +139,6 @@ def as_set(v: UniverseElem, what: str = "value") -> SetValue:
     raise PiModuloError(f"{what} is not a set: {v!r}")
 
 
-def enumerable(s: SetValue, alg: FiniteAlgebra) -> bool:
-    return cardinality(s, alg.n) is not None
-
-
 # --- extensional equality ----------------------------------------------------
 
 def probe_menu(s: SetValue, alg: FiniteAlgebra) -> list:
@@ -154,8 +150,8 @@ def probe_menu(s: SetValue, alg: FiniteAlgebra) -> list:
                 SetElem(SINGLETON_E),
                 SetElem(fun_space(CARRIER, CARRIER)),
             ]
-        case FunSpace(dom, cod) if not enumerable(s, alg):
-            if enumerable(dom, alg):
+        case FunSpace(dom, cod) if not enumerable(s):
+            if enumerable(dom):
                 keys = enumerate_set(dom, alg)
                 return [finite_fun((k, m) for k in keys) for m in probe_menu(cod, alg)]
             return [MConstFun(dom, m) for m in probe_menu(cod, alg)]
@@ -164,7 +160,7 @@ def probe_menu(s: SetValue, alg: FiniteAlgebra) -> list:
 
 
 def canon_set(s: SetValue, alg: FiniteAlgebra, cap: int = DEFAULT_CAP):
-    if enumerable(s, alg):
+    if enumerable(s):
         return ("set", frozenset(canon_elem(x, alg, cap) for x in enumerate_set(s, alg, cap)))
     match s:
         case EUniverse():
@@ -373,7 +369,7 @@ def _stage_app(node: App, fn: tuple, arg: tuple) -> tuple:
 def _stage_lam(node: Lam, ann: tuple, body: tuple) -> tuple:
     n_ann, m_ann, _ = ann
     n_body, m_body, ev_body = body
-    if _listable(n_ann):
+    if enumerable(n_ann):
         def m(psi, alg, cap, env):
             return finite_fun([
                 (c, m_body(psi, alg, cap, env + [c])) for c in enumerate_set(n_ann, alg, cap)
@@ -397,7 +393,7 @@ def _stage_pi(node: Pi, ann: tuple, cod: tuple) -> tuple:
     n_ann, m_ann, ev_ann = ann
     n_cod, m_cod, ev_cod = cod
     dependent = uses_bound(node.codomain)
-    listable = _listable(n_ann)
+    listable = enumerable(n_ann)
 
     def m(psi, alg, cap, env):
         dom_set = as_set(m_ann(psi, alg, cap, env), "product domain")
@@ -436,12 +432,6 @@ def _stage(t: Term) -> tuple:
 # body term and prints its binder hints, which term equality ignores, so a
 # stage shared by two terms equal up to hints would print the first one's.
 _staged = per_term(_stage, STAGE_CACHE_SIZE)
-
-
-def _listable(s: SetValue) -> bool:
-    """Can an N-set be listed?  Only E makes one unlistable, whatever the
-    carrier's size."""
-    return cardinality(s, 1) is not None
 
 
 @lru_cache(maxsize=CONSTANT_CACHE_SIZE)
@@ -485,34 +475,24 @@ def domain_m(t: Term, psi: dict[str, UniverseElem], alg: FiniteAlgebra, cap: int
     return as_set(m_value(t, psi, alg, cap), "middle-layer domain")
 
 
-# Default inhabitants by (N-set, carrier size), the only things they read;
-# emptied when full.
-_defaults: dict = {}
-
-
 def default_n_value(s: SetValue, alg: FiniteAlgebra) -> UniverseElem:
     """A canonical inhabitant of an N-layer set, used to extend psi when the
     interpreter walks under a binder."""
-    key = (s, alg.n)
-    value = _defaults.get(key)
-    if value is None:
-        value = _default_n(s, alg)
-        if len(_defaults) >= CONSTANT_CACHE_SIZE:
-            _defaults.clear()
-        _defaults[key] = value
-    return value
+    return _default_n(s, alg.n)
 
 
-def _default_n(s: SetValue, alg: FiniteAlgebra) -> UniverseElem:
+# by N-set and carrier size, the only things a default inhabitant reads
+@lru_cache(maxsize=CONSTANT_CACHE_SIZE)
+def _default_n(s: SetValue, n: int) -> UniverseElem:
     match s:
         case SingletonE():
             return E_POINT
         case EUniverse():
             return SetElem(CARRIER)
         case FunSpace(dom, cod):
-            filler = default_n_value(cod, alg)
-            if enumerable(dom, alg):
-                return finite_fun((k, filler) for k in enumerate_set(dom, alg))
+            filler = _default_n(cod, n)
+            if enumerable(dom):
+                return finite_fun((k, filler) for k in listing(dom, n, DEFAULT_CAP))
             return MConstFun(dom, filler)
     raise PiModuloError(f"no default inhabitant for {s!r}")
 
@@ -541,11 +521,11 @@ def enumerate_psis(
     pools = []
     for _, ty in ctx:
         n_ty = domain_n(ty)
-        if enumerable(n_ty, alg):
+        if enumerable(n_ty):
             pools.append(enumerate_set(n_ty, alg, cap))
         else:
             pools.append(probe_menu(n_ty, alg))
-    return _valuations(ctx, pools, cap)
+    return valuations(ctx, pools, cap)
 
 
 def enumerate_m_valuations(
@@ -557,16 +537,7 @@ def enumerate_m_valuations(
     """All inner valuations: each variable ranges over the M-value of its
     declared type under psi."""
     pools = [enumerate_set(domain_m(ty, psi, alg, cap), alg, cap) for _, ty in ctx]
-    return _valuations(ctx, pools, cap)
-
-
-def _valuations(ctx: Context, pools: list, cap: int) -> list[dict[str, UniverseElem]]:
-    """Every choice of one element per pool, by context name, up to `cap`."""
-    total = prod(len(pool) for pool in pools)
-    if total > cap:
-        raise SizeLimitExceeded(f"{total} valuations is over the cap {cap}")
-    names = [name for name, _ in ctx]
-    return [dict(zip(names, combo)) for combo in product(*pools)]
+    return valuations(ctx, pools, cap)
 
 
 def check_conversion_cc(
@@ -645,7 +616,7 @@ def member_of_n(v: UniverseElem, s: SetValue, alg: FiniteAlgebra, cap: int = DEF
             if isinstance(v, MIdent):
                 return dom == E_UNIVERSE and cod == E_UNIVERSE
             if isinstance(v, FiniteFun):
-                if not enumerable(dom, alg):
+                if not enumerable(dom):
                     return False
                 keys = {canon_elem(k, alg, cap) for k, _ in v.graph}
                 expected = {

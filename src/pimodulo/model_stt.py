@@ -11,9 +11,7 @@ algebra and valuation (see below).
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
-from itertools import product
 
 from ._staging import per_term
 from .algebra import FiniteAlgebra
@@ -47,6 +45,7 @@ from .values import (
     finite_fun,
     fun_space,
     listing,
+    valuations,
 )
 
 
@@ -248,20 +247,8 @@ def check_conversion_stt(
 
 
 def enumerate_valuations(
-    ctx: Context, alg: FiniteAlgebra,
-    cap: int = DEFAULT_CAP, seed: int = 0,
+    ctx: Context, alg: FiniteAlgebra, cap: int = DEFAULT_CAP,
 ) -> list[dict[str, ElemValue]]:
-    """All valuations for a context, or a seeded sample when the full
-    product would pass the cap."""
-    names = [name for name, _ in ctx]
+    """All valuations for a context; SizeLimitExceeded past the cap."""
     pools = [enumerate_set(domain_stt(ty), alg, cap) for _, ty in ctx]
-    total = 1
-    for pool in pools:
-        total *= len(pool)
-    if total <= cap:
-        return [dict(zip(names, combo)) for combo in product(*pools)]
-    rng = random.Random(seed)
-    return [
-        {name: rng.choice(pool) for name, pool in zip(names, pools)}
-        for _ in range(cap)
-    ]
+    return valuations(ctx, pools, cap)

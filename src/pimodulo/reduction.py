@@ -1,5 +1,7 @@
 """Beta and rewrite steps, normalization, and beta-R convertibility.
 
+A theory's rules are the only rewrite rules there are: beta alone is
+reduction under a theory without rules (`Theory.without_rules`).
 Rewriting is fuel-bounded throughout: the rewrite relation of a user theory
 need not terminate, so exhaustion is a reported value, never a wrong answer.
 """
@@ -28,9 +30,6 @@ from .terms import (
     substitute_many,
     subterm_positions,
 )
-
-BETA = "beta"
-BETA_R = "beta-R"
 
 DEFAULT_FUEL = 1_000_000
 
@@ -103,23 +102,25 @@ def r_root(t: Term, theory: Theory) -> tuple[Term, str] | None:
     return None
 
 
-def root_steps(t: Term, theory: Theory, mode: str) -> list[tuple[Term, str]]:
+def root_steps(t: Term, theory: Theory) -> list[tuple[Term, str]]:
     out = []
     reduct = beta_root(t)
     if reduct is not None:
         out.append((reduct, "beta"))
-    if mode == BETA_R:
+    # a theory without rules skips its rule index, which a beta-only scan
+    # would otherwise probe at every position
+    if theory.rules:
         hit = r_root(t, theory)
         if hit is not None:
             out.append(hit)
     return out
 
 
-def one_step_reducts(t: Term, theory: Theory, mode: str = BETA_R) -> list[Term]:
+def one_step_reducts(t: Term, theory: Theory) -> list[Term]:
     """All one-step reducts at any position, deduplicated up to alpha."""
     out: list[Term] = []
     for pos, sub in subterm_positions(t):
-        for reduct, _ in root_steps(sub, theory, mode):
+        for reduct, _ in root_steps(sub, theory):
             out.append(replace_at(t, pos, reduct))
     return list(dict.fromkeys(out))
 
@@ -150,11 +151,11 @@ def one_step_reducts(t: Term, theory: Theory, mode: str = BETA_R) -> list[Term]:
 Ancestors = list[tuple[Term, int, Term]]
 
 
-def _first_step(t: Term, theory: Theory, mode: str) -> tuple[Term, str] | None:
+def _first_step(t: Term, theory: Theory) -> tuple[Term, str] | None:
     """The step leftmost-outermost takes at the root of t: beta before rules."""
     if isinstance(t, App) and isinstance(t.fn, Lam):
         return instantiate(t.fn.body, t.arg), "beta"
-    if mode == BETA_R:
+    if theory.rules:
         return r_root(t, theory)
     return None
 
@@ -171,13 +172,13 @@ def _rebuild(above: Ancestors, sub: Term, level: int = 0) -> Term:
     return sub
 
 
-def _search(t: Term, above: Ancestors, theory: Theory, mode: str, head: bool = False):
+def _search(t: Term, above: Ancestors, theory: Theory, head: bool = False):
     """First step at t or after it in preorder, every position before t
     being normal: (step, redex) with `above` left holding the redex's
     ancestors, or (None, root) with `above` emptied.  With `head`, a root
     that is neither an application nor a redex ends the search."""
     while True:
-        step = _first_step(t, theory, mode)
+        step = _first_step(t, theory)
         if step is not None:
             return step, t
         if head and not above and not isinstance(t, App):
@@ -203,7 +204,6 @@ def _search(t: Term, above: Ancestors, theory: Theory, mode: str, head: bool = F
 def _reduce(
     t: Term,
     theory: Theory,
-    mode: str,
     fuel: Fuel,
     trace: list[tuple[Position, str, Term]] | None,
     head: bool,
@@ -211,7 +211,7 @@ def _reduce(
     """Leftmost-outermost steps until normal, or with `head` until the root
     is neither an application nor a redex."""
     above: Ancestors = []
-    step, t = _search(t, above, theory, mode, head)
+    step, t = _search(t, above, theory, head)
     while step is not None:
         if not fuel.spend():
             return FuelExhausted(_rebuild(above, t))
@@ -223,28 +223,28 @@ def _reduce(
             fence -= 1
         _rebuild(above, t, fence)
         for k in range(fence, len(above)):
-            step = _first_step(above[k][0], theory, mode)
+            step = _first_step(above[k][0], theory)
             if step is not None:
                 t = above[k][0]
                 del above[k:]
                 break
         else:
-            step, t = _search(t, above, theory, mode, head)
+            step, t = _search(t, above, theory, head)
     return t
 
 
 def normalize(
     t: Term,
     theory: Theory,
-    mode: str = BETA_R,
+    *,
     fuel: Fuel | None = None,
     trace: list[tuple[Position, str, Term]] | None = None,
 ) -> Term | FuelExhausted:
     """Leftmost-outermost normalization; exhaustion returns the last term."""
-    return _reduce(t, theory, mode, Fuel() if fuel is None else fuel, trace, head=False)
+    return _reduce(t, theory, Fuel() if fuel is None else fuel, trace, head=False)
 
 
-def whnf(t: Term, theory: Theory, mode: str = BETA_R, fuel: Fuel | None = None) -> Term | FuelExhausted:
+def whnf(t: Term, theory: Theory, *, fuel: Fuel | None = None) -> Term | FuelExhausted:
     """Leftmost-outermost steps until the root is neither an application
     nor a redex: a binder, a sort or an atom no rule rewrites, subterms
     untouched.
@@ -253,7 +253,7 @@ def whnf(t: Term, theory: Theory, mode: str = BETA_R, fuel: Fuel | None = None) 
     application this keeps stepping below it; an application root is left
     only when the whole term is normal.
     """
-    return _reduce(t, theory, mode, Fuel() if fuel is None else fuel, None, head=True)
+    return _reduce(t, theory, Fuel() if fuel is None else fuel, None, head=True)
 
 
 def convertible(
@@ -261,7 +261,6 @@ def convertible(
     u: Term,
     theory: Theory,
     fuel: Fuel | None = None,
-    mode: str = BETA_R,
 ) -> bool | FuelExhausted:
     """Beta-R convertibility, decided on weak-head forms.  Two binders
     compare part by part; any other pair by alpha-equivalence, which is
@@ -272,24 +271,24 @@ def convertible(
     fuel = Fuel() if fuel is None else fuel
     if t == u:
         return True
-    wt = whnf(t, theory, mode, fuel)
+    wt = whnf(t, theory, fuel=fuel)
     if isinstance(wt, FuelExhausted):
         return wt
-    wu = whnf(u, theory, mode, fuel)
+    wu = whnf(u, theory, fuel=fuel)
     if isinstance(wu, FuelExhausted):
         return wu
     match (wt, wu):
         case (Pi(_, a1, b1), Pi(_, a2, b2)) | (Lam(_, a1, b1), Lam(_, a2, b2)):
-            sub = convertible(a1, a2, theory, fuel, mode)
+            sub = convertible(a1, a2, theory, fuel)
             if sub is not True:
                 return sub
-            return convertible(b1, b2, theory, fuel, mode)
+            return convertible(b1, b2, theory, fuel)
         case _:
             return wt == wu
 
 
-def is_normal(t: Term, theory: Theory, mode: str = BETA_R) -> bool:
-    return _search(t, [], theory, mode)[0] is None
+def is_normal(t: Term, theory: Theory) -> bool:
+    return _search(t, [], theory)[0] is None
 
 
 def pattern_variables(lhs: Term) -> list[str]:

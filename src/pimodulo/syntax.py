@@ -364,22 +364,18 @@ def parse_theory(text: str, path: str | None = None) -> TheoryFile:
     A ``#forall A`` directive makes the next line a schema: it is emitted
     once per instantiation, with ``A`` replaced by the type (parenthesised
     when standing alone, canonicalised inside bracket suffixes).  The
-    instantiation set comes from ``#simpletypes``; without that directive
-    it defaults to the atomic Type constants declared in the file plus
-    every type already mentioned in a bracket suffix.
+    instantiation set comes from ``#simpletypes``, which a file with a
+    schema must give.
     """
     lines = [(_strip_comment(raw).strip(), i) for i, raw in enumerate(text.splitlines(), 1)]
     lines = [(content, i) for content, i in lines if content]
 
-    simpletypes: list[str] | None = None
+    simpletypes: list[str] = []
     for content, lineno in lines:
         if content.split()[0] == "#simpletypes":
-            if simpletypes is not None:
+            if simpletypes:
                 raise ParseError("#simpletypes given twice", span=(lineno, 1))
             simpletypes = _parse_simpletypes(content, lineno)
-
-    if simpletypes is None:
-        simpletypes = _default_instantiations(lines)
 
     items: list[tuple[str, str, int]] = []  # (kind, text, line)
     pending_forall: str | None = None
@@ -439,33 +435,6 @@ def _parse_simpletypes(content: str, lineno: int) -> list[str]:
     for chunk in rest.split(","):
         out.append(type_text(parse_term(chunk.strip())))
     return out
-
-
-def _default_instantiations(lines: list[tuple[str, int]]) -> list[str]:
-    atomics: list[str] = []
-    mentions: list[str] = []
-    pending = False
-    for content, lineno in lines:
-        head = content.split()[0]
-        if head == "#forall":
-            pending = True
-            continue
-        if head.startswith("#"):
-            continue
-        if not pending and not content.startswith("["):
-            try:
-                name, ty = _parse_decl_line(content, lineno)
-            except ParseError:
-                continue
-            if ty == TYPE and "[" not in name and name not in atomics:
-                atomics.append(name)
-        if not pending:
-            for m in _BRACKET_NAME_RE.finditer(content):
-                text = type_text(parse_term(m.group(2)))
-                if text not in mentions:
-                    mentions.append(text)
-        pending = False
-    return atomics + [m for m in mentions if m not in atomics]
 
 
 # --- printer -------------------------------------------------------------

@@ -4,12 +4,14 @@ Bound variables are nameless de Bruijn indices; free variables and signature
 constants are referenced by name.  Binders keep a display hint that is ignored
 by equality and hashing, so ``==`` on terms is exactly alpha-equivalence.
 
-Every traversal walks an explicit stack, so term depth costs no recursion:
-the queries fold over one preorder walk, `_walk`, the substitutions run
-on one rebuild, `_rebind`, and `fold` builds a value bottom-up.  Each node caches `loose_bound`, how many
-enclosing binders its loose indices need, so `shift` and `instantiate` hand
-back unchanged, rather than copy, a subterm none of whose indices they can
-reach.
+The queries and substitutions walk an explicit stack, so term depth costs
+them no recursion: the queries fold over one preorder walk, `_walk`, the
+substitutions run on one rebuild, `_rebind`, and `fold` builds a value
+bottom-up.  `subterm_positions` and `replace_at` still recurse, and
+overflow on a chain some 3,000 applications deep.  Each node caches
+`loose_bound`, how many enclosing binders its loose indices need, so
+`shift` and `instantiate` hand back unchanged, rather than copy, a
+subterm none of whose indices they can reach.
 """
 
 from __future__ import annotations

@@ -26,8 +26,6 @@ from .errors import (
     UnboundVariable,
 )
 from .reduction import (
-    BETA,
-    BETA_R,
     Fuel,
     FuelExhausted,
     convertible,
@@ -85,18 +83,18 @@ def _fueled(result, doing: str):
     return result
 
 
-def _shown(t: Term, theory: Theory, mode: str, fuel: Fuel) -> str:
+def _shown(t: Term, theory: Theory, fuel: Fuel) -> str:
     """The normal form of t, printed for an error message."""
-    return print_term(_fueled(normalize(t, theory, mode, fuel), "normalizing"))
+    return print_term(_fueled(normalize(t, theory, fuel=fuel), "normalizing"))
 
 
-def infer(theory: Theory, ctx: Context, t: Term, fuel: Fuel | None = None, mode: str = BETA_R) -> Term:
+def infer(theory: Theory, ctx: Context, t: Term, fuel: Fuel | None = None) -> Term:
     """Infer the type of t; the result is returned in normal form."""
     fuel = Fuel() if fuel is None else fuel
-    return _fueled(normalize(_infer(theory, ctx, t, fuel, mode), theory, mode, fuel), "normalizing")
+    return _fueled(normalize(_infer(theory, ctx, t, fuel), theory, fuel=fuel), "normalizing")
 
 
-def _infer(theory: Theory, ctx: Context, t: Term, fuel: Fuel, mode: str) -> Term:
+def _infer(theory: Theory, ctx: Context, t: Term, fuel: Fuel) -> Term:
     match t:
         case SortType():
             return KIND
@@ -117,20 +115,20 @@ def _infer(theory: Theory, ctx: Context, t: Term, fuel: Fuel, mode: str) -> Term
         case Var(i):
             raise PiModuloError(f"loose bound variable #{i} (internal invariant broken)")
         case App(f, a):
-            pi = head_product(theory, f, _infer(theory, ctx, f, fuel, mode), fuel, mode, t.span)
-            return applied_type(theory, pi, a, _infer(theory, ctx, a, fuel, mode), fuel, mode, t.span)
+            pi = head_product(theory, f, _infer(theory, ctx, f, fuel), fuel, t.span)
+            return applied_type(theory, pi, a, _infer(theory, ctx, a, fuel), fuel, t.span)
         case Lam(hint, ann, body):
-            _check_is_type(theory, ctx, ann, fuel, mode)
+            _check_is_type(theory, ctx, ann, fuel)
             # '!' cannot occur in surface names, and the context grows one
             # binder at a time, so the depth tells apart the names in scope
             x = f"{hint or 'x'}!{len(ctx)}"
-            body_ty = _infer(theory, (*ctx, (x, ann)), open_binder(body, x), fuel, mode)
-            check_codomain(theory, (*ctx, (x, ann)), body_ty, fuel, mode, t.span)
+            body_ty = _infer(theory, (*ctx, (x, ann)), open_binder(body, x), fuel)
+            check_codomain(theory, (*ctx, (x, ann)), body_ty, fuel, t.span)
             return Pi(hint, ann, close_binder(body_ty, x))
         case Pi(hint, dom, cod):
-            _check_is_type(theory, ctx, dom, fuel, mode)
+            _check_is_type(theory, ctx, dom, fuel)
             x = f"{hint or 'x'}!{len(ctx)}"
-            s = _whnf_type(theory, (*ctx, (x, dom)), open_binder(cod, x), fuel, mode)
+            s = _whnf_type(theory, (*ctx, (x, dom)), open_binder(cod, x), fuel)
             if s not in (TYPE, KIND):
                 raise IllegalSort("product codomain is not a type or a kind", span=t.span)
             return s
@@ -142,56 +140,56 @@ def _infer(theory: Theory, ctx: Context, t: Term, fuel: Fuel, mode: str) -> Term
 # the sampler in `generate` the stored types of terms it typed before.
 
 
-def head_product(theory: Theory, f: Term, fty: Term, fuel: Fuel, mode: str, span=None) -> Pi:
+def head_product(theory: Theory, f: Term, fty: Term, fuel: Fuel, span=None) -> Pi:
     """The product that fty, the type of an application head f, reduces to
     in weak-head form; NotAFunction if it is not one."""
-    pi = _fueled(whnf(fty, theory, mode, fuel), "reducing a type")
+    pi = _fueled(whnf(fty, theory, fuel=fuel), "reducing a type")
     if not isinstance(pi, Pi):
         raise NotAFunction(
             "application head is not a function",
             span=span,
             term=print_term(f),
-            actual=_shown(pi, theory, mode, fuel),
+            actual=_shown(pi, theory, fuel),
         )
     return pi
 
 
-def applied_type(theory: Theory, pi: Pi, a: Term, aty: Term, fuel: Fuel, mode: str, span=None) -> Term:
+def applied_type(theory: Theory, pi: Pi, a: Term, aty: Term, fuel: Fuel, span=None) -> Term:
     """The type of a head of product type pi applied to a, of type aty:
     the codomain at a; DomainMismatch if aty does not convert to the domain."""
-    if not _fueled(convertible(aty, pi.domain, theory, fuel, mode), "comparing types"):
+    if not _fueled(convertible(aty, pi.domain, theory, fuel), "comparing types"):
         raise DomainMismatch(
             "argument type does not match the function domain",
             span=span,
             term=print_term(a),
-            expected=_shown(pi.domain, theory, mode, fuel),
-            actual=_shown(aty, theory, mode, fuel),
+            expected=_shown(pi.domain, theory, fuel),
+            actual=_shown(aty, theory, fuel),
         )
     return instantiate(pi.codomain, a)
 
 
-def check_codomain(theory: Theory, ctx: Context, body_ty: Term, fuel: Fuel, mode: str, span=None) -> None:
+def check_codomain(theory: Theory, ctx: Context, body_ty: Term, fuel: Fuel, span=None) -> None:
     """IllegalSort unless body_ty, the type of an abstraction's body in
     ctx, is a type or a kind, as the abstraction's product must be."""
     if body_ty == KIND:
         raise IllegalSort("abstraction body is a sort", span=span)
-    if _whnf_type(theory, ctx, body_ty, fuel, mode) not in (TYPE, KIND):
+    if _whnf_type(theory, ctx, body_ty, fuel) not in (TYPE, KIND):
         raise IllegalSort("abstraction codomain has no sort", span=span)
 
 
-def _whnf_type(theory: Theory, ctx: Context, t: Term, fuel: Fuel, mode: str) -> Term:
+def _whnf_type(theory: Theory, ctx: Context, t: Term, fuel: Fuel) -> Term:
     """The type of t in weak-head form, where a product or a sort is demanded."""
-    return _fueled(whnf(_infer(theory, ctx, t, fuel, mode), theory, mode, fuel), "reducing a type")
+    return _fueled(whnf(_infer(theory, ctx, t, fuel), theory, fuel=fuel), "reducing a type")
 
 
-def _check_is_type(theory: Theory, ctx: Context, a: Term, fuel: Fuel, mode: str) -> None:
-    s = _whnf_type(theory, ctx, a, fuel, mode)
+def _check_is_type(theory: Theory, ctx: Context, a: Term, fuel: Fuel) -> None:
+    s = _whnf_type(theory, ctx, a, fuel)
     if s != TYPE:
         raise IllegalSort(
             "binder domain must be a type",
             span=a.span,
             term=print_term(a),
-            actual=_shown(s, theory, mode, fuel),
+            actual=_shown(s, theory, fuel),
         )
 
 
@@ -201,22 +199,21 @@ def check(
     t: Term,
     expected: Term,
     fuel: Fuel | None = None,
-    mode: str = BETA_R,
 ) -> None:
     """Check t against an expected type; raises on mismatch."""
     fuel = Fuel() if fuel is None else fuel
-    actual = _infer(theory, ctx, t, fuel, mode)
-    if not _fueled(convertible(actual, expected, theory, fuel, mode), "comparing types"):
+    actual = _infer(theory, ctx, t, fuel)
+    if not _fueled(convertible(actual, expected, theory, fuel), "comparing types"):
         raise TypeMismatch(
             "term does not have the expected type",
             span=t.span,
             term=print_term(t),
-            expected=_shown(expected, theory, mode, fuel),
-            actual=_shown(actual, theory, mode, fuel),
+            expected=_shown(expected, theory, fuel),
+            actual=_shown(actual, theory, fuel),
         )
 
 
-def check_context(theory: Theory, ctx: Context, fuel: Fuel | None = None, mode: str = BETA_R) -> None:
+def check_context(theory: Theory, ctx: Context, fuel: Fuel | None = None) -> None:
     """Names fresh against the signature and each other; types sorted."""
     fuel = Fuel() if fuel is None else fuel
     seen: set[str] = set()
@@ -224,7 +221,7 @@ def check_context(theory: Theory, ctx: Context, fuel: Fuel | None = None, mode: 
         if name in seen or theory.const_type(name) is not None:
             raise DuplicateName(f"name {name} is already declared")
         seen.add(name)
-        if _whnf_type(theory, ctx[:i], ty, fuel, mode) not in (TYPE, KIND):
+        if _whnf_type(theory, ctx[:i], ty, fuel) not in (TYPE, KIND):
             raise IllegalSort(f"type of {name} has no sort", term=print_term(ty))
 
 
@@ -233,20 +230,19 @@ def check_frame(
     ctx: Context,
     ty: Term | None,
     fuel: Fuel | None = None,
-    mode: str = BETA_R,
 ) -> None:
     """ctx is well formed and ty, unless it is None or Kind, is a type in it."""
     fuel = Fuel() if fuel is None else fuel
-    check_context(theory, ctx, fuel, mode)
+    check_context(theory, ctx, fuel)
     if ty is None or ty == KIND:
         return
-    s = _whnf_type(theory, ctx, ty, fuel, mode)
+    s = _whnf_type(theory, ctx, ty, fuel)
     if s not in (TYPE, KIND):
         raise IllegalSort(
             "not a type: its type is not a sort",
             span=ty.span,
             term=print_term(ty),
-            actual=_shown(s, theory, mode, fuel),
+            actual=_shown(s, theory, fuel),
         )
 
 
@@ -254,9 +250,9 @@ def check_rule(theory: Theory, rule: RewriteRule, fuel: Fuel | None = None) -> N
     """Validate one rewrite rule against the bare signature (beta only)."""
     fuel = Fuel() if fuel is None else fuel
     plain = theory.without_rules()
-    check_context(plain, rule.ctx, fuel, BETA)
+    check_context(plain, rule.ctx, fuel)
     for part, name in ((rule.lhs, "lhs"), (rule.rhs, "rhs"), (rule.rtype, "rule type")):
-        if not is_normal(part, plain, BETA):
+        if not is_normal(part, plain):
             raise NotBetaNormal(f"{name} of rule {rule.label} is not beta-normal", term=print_term(part))
     try:
         lhs_vars = pattern_variables(rule.lhs)
@@ -269,10 +265,10 @@ def check_rule(theory: Theory, rule: RewriteRule, fuel: Fuel | None = None) -> N
     stray_rhs = sorted(free_vars(rule.rhs) - set(lhs_vars))
     if stray_rhs:
         raise UnboundVariable(f"rule {rule.label}: rhs variables {stray_rhs} do not occur in the lhs")
-    if _whnf_type(plain, rule.ctx, rule.rtype, fuel, BETA) not in (TYPE, KIND):
+    if _whnf_type(plain, rule.ctx, rule.rtype, fuel) not in (TYPE, KIND):
         raise IllegalSort(f"rule {rule.label}: rule type has no sort")
-    check(plain, rule.ctx, rule.lhs, rule.rtype, fuel, BETA)
-    check(plain, rule.ctx, rule.rhs, rule.rtype, fuel, BETA)
+    check(plain, rule.ctx, rule.lhs, rule.rtype, fuel)
+    check(plain, rule.ctx, rule.rhs, rule.rtype, fuel)
 
 
 @dataclass
@@ -300,7 +296,7 @@ def check_theory(theory: Theory, fuel: Fuel | None = None) -> TheoryReport:
                 raise DuplicateName(f"constant {name} declared twice")
             seen.add(name)
             prefix = Theory(signature=theory.signature[:i])
-            if _whnf_type(prefix, (), ty, fuel, BETA) not in (TYPE, KIND):
+            if _whnf_type(prefix, (), ty, fuel) not in (TYPE, KIND):
                 raise IllegalSort(f"type of constant {name} has no sort")
             report.items.append((label, "ok"))
         except PiModuloError as exc:

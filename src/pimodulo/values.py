@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 from .algebra import FiniteAlgebra
 from .errors import PiModuloError, SizeLimitExceeded, UnenumerableUnion
@@ -151,6 +152,12 @@ def cardinality(s: SetValue, n: int) -> int | None:
     raise PiModuloError(f"unknown set {s!r}")
 
 
+def enumerable(s: SetValue) -> bool:
+    """Can s be listed?  Only E makes a set unlistable, whatever the
+    carrier's size."""
+    return cardinality(s, 1) is not None
+
+
 def enumerate_set(s: SetValue, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> list:
     """Complete, duplicate-free listing of a set's elements, in a fixed order."""
     return listing(s, alg.n, cap)
@@ -181,3 +188,14 @@ def _enumerate(s: SetValue, n: int, cap: int) -> list:
             vals = listing(cod, n, cap)
             return [finite_fun(zip(keys, choice)) for choice in product(vals, repeat=len(keys))]
     raise PiModuloError(f"unknown set {s!r}")
+
+
+def valuations(ctx, pools: list, cap: int) -> list[dict]:
+    """Every choice of one element per pool, keyed by the names of the
+    context's variables in turn; SizeLimitExceeded when there are more
+    than `cap` choices."""
+    total = prod(len(pool) for pool in pools)
+    if total > cap:
+        raise SizeLimitExceeded(f"{total} valuations is over the cap {cap}")
+    names = [name for name, _ in ctx]
+    return [dict(zip(names, combo)) for combo in product(*pools)]

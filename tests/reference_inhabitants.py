@@ -5,13 +5,15 @@ It draws every spine argument and every product domain from all terms of
 size at most a budget, for each budget in turn, so it rebuilds each
 candidate many times and hides the repeats behind a `seen` set; slow,
 but the order in which it first meets each term is the order
-`pimodulo.generate` must keep, since `--limit` cuts the stream.
+`pimodulo.generate` must keep, since `--limit` cuts the stream.  The
+package takes no mode, so its calls into the package ask for beta alone
+as reduction under the theory without its rules.
 """
 
 from __future__ import annotations
 
 from pimodulo.errors import PiModuloError
-from pimodulo.reduction import BETA_R, FuelExhausted, is_normal, normalize
+from pimodulo.reduction import FuelExhausted, is_normal, normalize
 from pimodulo.terms import (
     App,
     Const,
@@ -28,6 +30,7 @@ from pimodulo.terms import (
     term_size,
 )
 from pimodulo.typecheck import infer
+from reference_reduction import BETA_R
 
 
 def enumerate_normal_inhabitants(
@@ -47,8 +50,10 @@ def enumerate_normal_inhabitants(
     domains see earlier arguments.
     """
 
+    reducing = theory if mode == BETA_R else theory.without_rules()
+
     def norm(t: Term) -> Term:
-        out = normalize(t, theory, mode)
+        out = normalize(t, reducing)
         if isinstance(out, FuelExhausted):
             raise PiModuloError("normalization budget exhausted during enumeration")
         return out
@@ -104,10 +109,10 @@ def enumerate_normal_inhabitants(
         if t in seen:
             continue
         seen.add(t)
-        if not is_normal(t, theory, mode):
+        if not is_normal(t, reducing):
             continue
         try:
-            infer(theory, ctx, t, mode=mode)
+            infer(reducing, ctx, t)
         except PiModuloError:
             continue
         yield t

@@ -6,7 +6,8 @@ which dispatch every node through a `match` on every evaluation.  They
 are copied unchanged, except that `apply_u` is copied beside them, so an
 `MClosure` applied here runs this module's `m_value` and the oracle never
 calls staged code.  The value helpers they share with the models
-(canonical forms, enumeration, defaults) are imported, not copied.
+(canonical forms, enumeration, listability, defaults) are imported, not
+copied.
 
 `assert_stt_agrees` and `assert_cc_agrees` hold the models to the oracle:
 every layer of every evaluation must come out the same, a value with the
@@ -34,7 +35,6 @@ from pimodulo.model_cc import (
     as_set,
     canon_elem,
     default_n_value,
-    enumerable,
     equal_sets,
 )
 from pimodulo.syntax import parse_term
@@ -63,6 +63,7 @@ from pimodulo.values import (
     SetValue,
     apply_elem,
     as_carrier,
+    enumerable,
     enumerate_set,
     explicit_set,
     finite_fun,
@@ -164,7 +165,7 @@ def m_value(
                 return env[-1 - i]
             case Lam(_, ann, body):
                 n_ann = domain_n(ann)
-                if enumerable(n_ann, alg):
+                if enumerable(n_ann):
                     pairs = [
                         (c, m(body, env + [c]))
                         for c in enumerate_set(n_ann, alg, cap)
@@ -183,7 +184,7 @@ def m_value(
                 n_ann = domain_n(ann)
                 if not uses_bound(cod):
                     union = as_set(m(cod, env + [E_POINT]), "product codomain")
-                elif enumerable(n_ann, alg):
+                elif enumerable(n_ann):
                     parts = [
                         as_set(m(cod, env + [c]), "product codomain")
                         for c in enumerate_set(n_ann, alg, cap)

@@ -36,7 +36,7 @@ from pimodulo.generate import (
     sample_well_typed,
 )
 from pimodulo import model_cc, model_stt
-from pimodulo.reduction import BETA_R, FuelExhausted, one_step_reducts, r_root
+from pimodulo.reduction import FuelExhausted, one_step_reducts, r_root
 from pimodulo.syntax import parse_term, print_term
 from pimodulo.terms import (
     App,
@@ -177,7 +177,7 @@ def test_criterion_3_cc_conversion_model():
     for text in CC_CLOSED_INSTANCES:
         t = parse_term(text)
         ok &= infer(CC, (), t) == TYPE
-        reducts = one_step_reducts(t, CC, BETA_R)
+        reducts = one_step_reducts(t, CC)
         ok &= bool(reducts)
         for alg in ALGS:
             for u in reducts:
@@ -264,7 +264,7 @@ def test_criterion_5_strong_normalization(stt_terms_9, cc_terms_9):
     exhausted = 0
     for theory, terms in ((STT, stt_terms_9), (CC, cc_terms_9)):
         for t in terms:
-            verdict = sn_check(t, 100_000, theory, BETA_R)
+            verdict = sn_check(t, 100_000, theory)
             if not isinstance(verdict, StronglyNormalizing):
                 exhausted += 1
     ok &= exhausted == 0
@@ -357,7 +357,7 @@ def test_criterion_8_syntax_and_substitution_laws():
         count = 0
         for t, ty in sample_well_typed(theory, 250, seed=13, ctx=ctx, max_size=10):
             count += 1
-            for r in one_step_reducts(t, theory, BETA_R):
+            for r in one_step_reducts(t, theory):
                 if infer(theory, ctx, r) != ty:
                     failures += 1
         ok &= count == 250

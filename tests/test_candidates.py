@@ -23,7 +23,7 @@ from pimodulo.candidates import (
     sn_check,
     stt_measure,
 )
-from pimodulo.reduction import BETA_R, Fuel, FuelExhausted, one_step_reducts
+from pimodulo.reduction import Fuel, FuelExhausted, one_step_reducts
 from pimodulo.syntax import parse_term
 from pimodulo.terms import App, Const, FVar, Lam, RewriteRule, TYPE, Theory, Var
 from pimodulo.theories import builtin_theory
@@ -66,7 +66,7 @@ def test_tiny_budgets_exhaust_on_harmless_terms():
 def test_rewrite_steps_count_with_a_theory():
     t = stt_term("eps (imp p q)", "p", "q")
     assert sn_check(t) == StronglyNormalizing(0)
-    assert sn_check(t, theory=STT, mode=BETA_R) == StronglyNormalizing(1)
+    assert sn_check(t, theory=STT) == StronglyNormalizing(1)
 
 
 def test_verdicts_match_cleanly():
@@ -177,7 +177,7 @@ def test_rewrite_steps_strictly_decrease_the_measure():
     ]
     for t in terms:
         before = stt_measure(t)
-        reducts = one_step_reducts(t, STT, BETA_R)
+        reducts = one_step_reducts(t, STT)
         assert reducts
         for u in reducts:
             assert stt_measure(u) < before, (t, u)

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -362,6 +363,17 @@ def test_consistency_scan_rejects_a_target_that_is_not_a_type(capsys):
                         "--target", "x : o |- x", "--max-size", "4")
     assert code == 1
     assert out.startswith("type-error\ttarget")
+
+
+def test_consistency_scan_picks_its_default_target_by_the_signature(capsys, tmp_path):
+    # a copy of cc.th is the cc vocabulary under another name, so it gets
+    # the cc target, not the stt one, whose `o` it does not declare
+    path = tmp_path / "my_cc.th"
+    path.write_text((resources.files("pimodulo") / "assets" / "theories" / "cc.th").read_text())
+    code, out = run_cli(capsys, "consistency-scan", "--theory", str(path), "--max-size", "4")
+    assert code == 0
+    assert out == ("ok\tscan\tno normal inhabitant of x : U_Type |- eps_Type x"
+                   " up to size 4\n")
 
 
 def test_consistency_scan_honours_the_fuel_budget(tmp_path):

@@ -1,7 +1,7 @@
 import pytest
 
 from pimodulo.algebra import FiniteAlgebra, enumerate_full_algebras
-from pimodulo.errors import PiModuloError
+from pimodulo.errors import PiModuloError, SizeLimitExceeded
 from pimodulo.model_stt import (
     check_conversion_stt,
     check_lemma1_stt,
@@ -10,7 +10,7 @@ from pimodulo.model_stt import (
     enumerate_valuations,
     interp_stt,
 )
-from pimodulo.reduction import BETA_R, one_step_reducts
+from pimodulo.reduction import one_step_reducts
 from pimodulo.syntax import parse_term
 from pimodulo.terms import FVar, KIND, Lam, TYPE, Var
 from pimodulo.theories import builtin_theory
@@ -179,7 +179,7 @@ def test_beta_steps_preserve_the_interpretation() -> None:
     ctx = (("P", stt("o")),)
     for alg in SOME_ALGS:
         for phi in enumerate_valuations(ctx, alg):
-            for u in one_step_reducts(t, STT, BETA_R):
+            for u in one_step_reducts(t, STT):
                 assert check_conversion_stt(t, u, phi, alg)
 
 
@@ -225,14 +225,12 @@ def test_valuations_cover_function_domains() -> None:
     assert all(isinstance(v["f"], FiniteFun) for v in vals)
 
 
-def test_valuations_fall_back_to_seeded_samples() -> None:
-    # each pool fits the cap but their product does not, so the
-    # enumeration degrades to a seeded sample of cap many valuations
+def test_valuations_past_the_cap_are_a_size_limit() -> None:
+    # each pool fits the cap but their product does not: checking a
+    # sample instead would let a sweep say "holds" on part of the product
     ctx = tuple((name, stt("o -> o")) for name in "fgh")
-    a = enumerate_valuations(ctx, ALGS[0], cap=5, seed=3)
-    b = enumerate_valuations(ctx, ALGS[0], cap=5, seed=3)
-    assert len(a) == 5
-    assert a == b
+    with pytest.raises(SizeLimitExceeded, match="64 valuations is over the cap 5"):
+        enumerate_valuations(ctx, ALGS[0], cap=5)
 
 
 def test_proof_variables_get_the_e_point() -> None:

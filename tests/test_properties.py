@@ -12,8 +12,6 @@ from pimodulo.algebra import enumerate_full_algebras  # noqa: E402
 from pimodulo.errors import PiModuloError, SizeLimitExceeded  # noqa: E402
 from pimodulo.generate import gen_raw_term  # noqa: E402
 from pimodulo.reduction import (  # noqa: E402
-    BETA,
-    BETA_R,
     Fuel,
     FuelExhausted,
     convertible,
@@ -46,7 +44,7 @@ from pimodulo.values import (  # noqa: E402
     fun_space,
 )
 from reference_models import assert_cc_agrees, assert_stt_agrees  # noqa: E402
-from reference_reduction import assert_agrees  # noqa: E402
+from reference_reduction import BETA, BETA_R, assert_agrees  # noqa: E402
 import reference_terms  # noqa: E402
 
 # Rules over the constants `gen_raw_term` draws: a pattern-variable first
@@ -82,17 +80,17 @@ def test_convertible_agrees_with_equal_normal_forms(seed, size, steps):
     # they must still agree.  u ranges over t's one-step reducts and the
     # terms of a short leftmost-outermost prefix.
     t = gen_raw_term(random.Random(seed), size)
-    for mode in (BETA, BETA_R):
-        nt = normalize(t, RAW_THEORY, mode, Fuel(NF_FUEL))
+    for theory in (RAW_THEORY.without_rules(), RAW_THEORY):
+        nt = normalize(t, theory, fuel=Fuel(NF_FUEL))
         if isinstance(nt, FuelExhausted):
             continue
         prefix: list = []
-        normalize(t, RAW_THEORY, mode, Fuel(steps), trace=prefix)
-        for u in one_step_reducts(t, RAW_THEORY, mode) + [u for _, _, u in prefix]:
-            nu = normalize(u, RAW_THEORY, mode, Fuel(NF_FUEL))
+        normalize(t, theory, fuel=Fuel(steps), trace=prefix)
+        for u in one_step_reducts(t, theory) + [u for _, _, u in prefix]:
+            nu = normalize(u, theory, fuel=Fuel(NF_FUEL))
             if not isinstance(nu, FuelExhausted):
                 # each side spends at most the steps of its normalization
-                assert convertible(t, u, RAW_THEORY, Fuel(2 * NF_FUEL), mode) is (nt == nu)
+                assert convertible(t, u, theory, Fuel(2 * NF_FUEL)) is (nt == nu)
 
 
 # Small set values of the shared model layer: the carrier, {e}, explicit

@@ -5,8 +5,6 @@ import time
 import pytest
 
 from pimodulo.reduction import (
-    BETA,
-    BETA_R,
     Fuel,
     FuelExhausted,
     beta_root,
@@ -135,7 +133,7 @@ def test_r_root_returns_none_off_pattern() -> None:
 def test_one_step_reducts_cover_every_position() -> None:
     redex = App(Lam("x", TYPE, Var(0)), FVar("y"))
     t = App(FVar("f"), App(redex, redex))
-    got = one_step_reducts(t, Theory(), BETA)
+    got = one_step_reducts(t, Theory())
     assert set(got) == {
         App(FVar("f"), App(FVar("y"), redex)),
         App(FVar("f"), App(redex, FVar("y"))),
@@ -146,14 +144,14 @@ def test_one_step_reducts_deduplicate_alpha_equal_results() -> None:
     ident = Lam("x", TYPE, Var(0))
     # contracting either redex of (\x.x) ((\x.x) y) gives the same term
     t = App(ident, App(ident, FVar("y")))
-    got = one_step_reducts(t, Theory(), BETA)
+    got = one_step_reducts(t, Theory())
     assert got == [App(ident, FVar("y"))]
 
 
 def test_beta_mode_ignores_rewrite_rules() -> None:
     t = stt_term("eps (imp p q)", "p", "q")
-    assert one_step_reducts(t, STT, BETA) == []
-    assert len(one_step_reducts(t, STT, BETA_R)) == 1
+    assert one_step_reducts(t, STT.without_rules()) == []
+    assert len(one_step_reducts(t, STT)) == 1
 
 
 # ------------- normalization -------------
@@ -173,7 +171,7 @@ def test_normalize_traces_positions_and_labels() -> None:
 
 
 def test_normalize_returns_fuel_exhausted_on_divergence() -> None:
-    out = normalize(OMEGA, Theory(), mode=BETA, fuel=Fuel(10))
+    out = normalize(OMEGA, Theory(), fuel=Fuel(10))
     assert isinstance(out, FuelExhausted)
     assert out.last == OMEGA
 
@@ -193,7 +191,7 @@ def test_normalize_steps_into_a_growing_binder_nest_in_constant_time() -> None:
 
 
 def test_fuel_exhausted_has_no_truth_value() -> None:
-    out = normalize(OMEGA, Theory(), mode=BETA, fuel=Fuel(3))
+    out = normalize(OMEGA, Theory(), fuel=Fuel(3))
     with pytest.raises(TypeError):
         bool(out)
 
@@ -208,7 +206,7 @@ def test_normalize_reaches_deep_eps_chains(n) -> None:
     for _ in range(n):
         chain = App(App(Const("imp"), p), chain)
     start = time.perf_counter()
-    out = normalize(App(Const("eps"), chain), STT, mode=BETA_R, fuel=Fuel(10 * n))
+    out = normalize(App(Const("eps"), chain), STT, fuel=Fuel(10 * n))
     assert time.perf_counter() - start < 3.0
     eps_p = App(Const("eps"), p)
     depth = 0
@@ -232,7 +230,7 @@ def test_whnf_stops_at_a_stable_root() -> None:
 
 def test_whnf_leaves_non_applications_alone() -> None:
     t = Lam("x", TYPE, App(Lam("y", TYPE, Var(0)), Var(0)))
-    assert whnf(t, Theory(), BETA) == t
+    assert whnf(t, Theory()) == t
 
 
 def test_whnf_keeps_stepping_while_rules_can_fire() -> None:
@@ -271,7 +269,7 @@ def test_convertible_unfolds_a_bare_constant() -> None:
 
 
 def test_convertible_reports_fuel_exhaustion() -> None:
-    out = convertible(OMEGA, FVar("y"), Theory(), fuel=Fuel(4), mode=BETA)
+    out = convertible(OMEGA, FVar("y"), Theory(), fuel=Fuel(4))
     assert isinstance(out, FuelExhausted)
 
 
@@ -286,7 +284,7 @@ def test_cc_rule_instances_convert() -> None:
 def test_is_normal_accounts_for_rules() -> None:
     t = stt_term("eps (imp p q)", "p", "q")
     assert not is_normal(t, STT)
-    assert is_normal(t, STT, mode=BETA)
+    assert is_normal(t, STT.without_rules())
     assert is_normal(stt_term("eps p", "p"), STT)
 
 

@@ -8,10 +8,9 @@ observable of a reduction has to agree with `reference_reduction`.
 import pytest
 
 from pimodulo.generate import sample_well_typed
-from pimodulo.reduction import BETA, BETA_R
 from pimodulo.syntax import parse_term, parse_theory
 from pimodulo.theories import builtin_theory
-from reference_reduction import assert_agrees
+from reference_reduction import BETA, BETA_R, assert_agrees
 
 CONTEXTS = {
     "stt": "p : o, q : o, f : eps p -> eps q, a : eps p",

@@ -197,6 +197,16 @@ def test_schema_expansion_instantiates_each_simple_type() -> None:
     ]
 
 
+def test_a_schema_needs_a_simpletypes_line() -> None:
+    # no instantiation set is guessed from the declarations
+    text = "o : Type\neps : o -> Type\n#forall A\nall[A] : (A -> o) -> o\n"
+    with pytest.raises(ParseError, match="schema needs an instantiation set") as exc:
+        parse_theory(text)
+    assert exc.value.span == (3, 1)
+    tf = parse_theory("#simpletypes o\n" + text)
+    assert [n for n, _ in tf.theory.signature] == ["o", "eps", "all[o]"]
+
+
 def test_rule_contexts_are_recorded() -> None:
     r1 = builtin_theory("stt").theory.rules[0]
     assert r1.ctx == (("X", Const("o")), ("Y", Const("o")))
