@@ -14,10 +14,10 @@ from .terms import Term
 
 class _Same:
     """A term as a cache key compared by identity rather than by
-    alpha-equivalence: it hashes in constant time, where a term hashes node
-    by node, and it keeps terms that differ only in binder hints apart.  A
-    key held by a cache keeps its term alive, so no other term can take its
-    id."""
+    alpha-equivalence.  A term computes its hash only once, but its `==`
+    still walks both terms, and it treats terms that differ only in binder
+    hints as one; an identity key keeps those apart.  A key held by a cache
+    keeps its term alive, so no other term can take its id."""
 
     __slots__ = ("term",)
 

@@ -301,12 +301,15 @@ def _run_items(specs, jobs: int):
 
 def cmd_consistency_scan(args, rep: Reporter) -> None:
     tf = load_theory(args.theory)
+    family = _model_family(tf.theory.signature)
     if args.target:
         target_text = args.target
-    elif _model_family(tf.theory.signature) == "cc":
-        target_text = "x : U_Type |- eps_Type x"
+    elif family is None:
+        rep.emit("target", "config", "parse-error",
+                 "no default target outside the shipped vocabularies; give one with --target")
+        return
     else:
-        target_text = "x : o |- eps x"
+        target_text = "x : U_Type |- eps_Type x" if family == "cc" else "x : o |- eps x"
     try:
         j = parse_judgement(target_text, 1)
     except ParseError as exc:

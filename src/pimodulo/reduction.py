@@ -23,9 +23,9 @@ from .terms import (
     Term,
     Theory,
     Var,
+    _with_child,
     children,
     instantiate,
-    replace_at,
     spine,
     substitute_many,
     subterm_positions,
@@ -117,11 +117,28 @@ def root_steps(t: Term, theory: Theory) -> list[tuple[Term, str]]:
 
 
 def one_step_reducts(t: Term, theory: Theory) -> list[Term]:
-    """All one-step reducts at any position, deduplicated up to alpha."""
+    """All one-step reducts at any position, deduplicated up to alpha.
+
+    One preorder walk: each entry carries the path above it as nested
+    (parent, child index, path above the parent), and only the path of a
+    position that fires is rebuilt."""
     out: list[Term] = []
-    for pos, sub in subterm_positions(t):
-        for reduct, _ in root_steps(sub, theory):
-            out.append(replace_at(t, pos, reduct))
+    stack: list[tuple[Term, tuple | None]] = [(t, None)]
+    while stack:
+        node, path = stack.pop()
+        for reduct, _ in root_steps(node, theory):
+            up = path
+            while up is not None:
+                parent, i, up = up
+                reduct = _with_child(parent, i, reduct)
+            out.append(reduct)
+        cls = type(node)
+        if cls is App:
+            stack += ((node.arg, (node, 1, path)), (node.fn, (node, 0, path)))
+        elif cls is Pi:
+            stack += ((node.codomain, (node, 1, path)), (node.domain, (node, 0, path)))
+        elif cls is Lam:
+            stack += ((node.body, (node, 1, path)), (node.annotation, (node, 0, path)))
     return list(dict.fromkeys(out))
 
 
@@ -166,7 +183,7 @@ def _rebuild(above: Ancestors, sub: Term, level: int = 0) -> Term:
     for k in range(len(above) - 1, level - 1, -1):
         node, i, child = above[k]
         if child is not sub:
-            node = replace_at(node, (i,), sub)
+            node = _with_child(node, i, sub)
             above[k] = (node, i, sub)
         sub = node
     return sub
@@ -191,7 +208,7 @@ def _search(t: Term, above: Ancestors, theory: Theory, head: bool = False):
         while above:
             parent, i, child = above.pop()
             if child is not t:
-                parent = replace_at(parent, (i,), t)
+                parent = _with_child(parent, i, t)
             if i == 0:
                 t = children(parent)[1]
                 above.append((parent, 1, t))

@@ -4,14 +4,16 @@ Bound variables are nameless de Bruijn indices; free variables and signature
 constants are referenced by name.  Binders keep a display hint that is ignored
 by equality and hashing, so ``==`` on terms is exactly alpha-equivalence.
 
-The queries and substitutions walk an explicit stack, so term depth costs
-them no recursion: the queries fold over one preorder walk, `_walk`, the
-substitutions run on one rebuild, `_rebind`, and `fold` builds a value
-bottom-up.  `subterm_positions` and `replace_at` still recurse, and
-overflow on a chain some 3,000 applications deep.  Each node caches
-`loose_bound`, how many enclosing binders its loose indices need, so
-`shift` and `instantiate` hand back unchanged, rather than copy, a
-subterm none of whose indices they can reach.
+Every traversal walks an explicit stack, so term depth costs it no
+recursion: the queries fold over one preorder walk, `_walk`, the
+substitutions run on one rebuild, `_rebind`, `fold` builds a value
+bottom-up, and the position helpers swap one child at a time,
+`_with_child`.  Each node caches `loose_bound`, how many enclosing
+binders its loose indices need, so `shift` and `instantiate` hand back
+unchanged, rather than copy, a subterm none of whose indices they can
+reach.  Applications and binders cache their hash as well, the value the
+dataclass would compute, so a set or dict lookup hashes a term once, not
+node by node.  `==` and `repr` still recurse.
 """
 
 from __future__ import annotations
@@ -63,6 +65,17 @@ class SortKind:
     _loose = 0
 
 
+def _cached_hash(t: Term) -> int:
+    h = t._hash
+    return h if h is not None else _hash_nodes(t)
+
+
+def _uncached_state(t: Term) -> dict:
+    # str hashes differ between processes, so a pickled term leaves its
+    # hash behind
+    return {k: v for k, v in vars(t).items() if k != "_hash"}
+
+
 @dataclass(frozen=True)
 class Pi:
     hint: str = field(compare=False)
@@ -70,6 +83,9 @@ class Pi:
     codomain: Term
     span: Any = field(default=None, compare=False, repr=False)
     _loose = None
+    _hash = None
+    __hash__ = _cached_hash
+    __getstate__ = _uncached_state
 
 
 @dataclass(frozen=True)
@@ -79,6 +95,9 @@ class Lam:
     body: Term
     span: Any = field(default=None, compare=False, repr=False)
     _loose = None
+    _hash = None
+    __hash__ = _cached_hash
+    __getstate__ = _uncached_state
 
 
 @dataclass(frozen=True)
@@ -87,10 +106,14 @@ class App:
     arg: Term
     span: Any = field(default=None, compare=False, repr=False)
     _loose = None
+    _hash = None
+    __hash__ = _cached_hash
+    __getstate__ = _uncached_state
 
 
 TYPE = SortType()
 KIND = SortKind()
+_NODES = (App, Pi, Lam)
 
 
 def _walk(t: Term):
@@ -143,6 +166,32 @@ def loose_bound(t: Term) -> int:
         object.__setattr__(node, "_loose", bound)
         stack.pop()
     return bound
+
+
+def _hash_nodes(t: Term) -> int:
+    """t's hash, hash((first, second)) of its two children as the
+    dataclass would compute it.  Computed once per node and kept on it
+    (`_hash`), children before parents on an explicit stack like
+    `loose_bound`'s."""
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        cls = type(node)
+        if cls is App:
+            parts = (node.fn, node.arg)
+        elif cls is Pi:
+            parts = (node.domain, node.codomain)
+        else:
+            parts = (node.annotation, node.body)
+        a, b = parts
+        if type(a) in _NODES and a._hash is None:
+            stack.append(a)
+        elif type(b) in _NODES and b._hash is None:
+            stack.append(b)
+        else:
+            object.__setattr__(node, "_hash", hash(parts))
+            stack.pop()
+    return t._hash
 
 
 def _rebind(t: Term, depth: int, leaf: Callable[[Term, int], Term], reach: bool) -> Term:
@@ -272,13 +321,12 @@ def children(t: Term) -> tuple[Term, ...]:
 def subterm_positions(t: Term) -> list[tuple[Position, Term]]:
     """Preorder enumeration of all subterm occurrences with their paths."""
     out: list[tuple[Position, Term]] = []
-
-    def go(term: Term, pos: Position) -> None:
-        out.append((pos, term))
-        for i, child in enumerate(children(term)):
-            go(child, pos + (i,))
-
-    go(t, ())
+    stack = [((), t)]
+    while stack:
+        pos, node = stack.pop()
+        out.append((pos, node))
+        parts = children(node)
+        stack += ((pos + (i,), parts[i]) for i in reversed(range(len(parts))))
     return out
 
 
@@ -288,19 +336,26 @@ def subterm_at(t: Term, pos: Position) -> Term:
     return t
 
 
+def _with_child(t: Term, i: int, sub: Term) -> Term:
+    """t with its child number i replaced by sub, keeping t's binder hint."""
+    cls = type(t)
+    if cls is App:
+        return App(sub, t.arg) if i == 0 else App(t.fn, sub)
+    if cls is Pi:
+        return Pi(t.hint, sub, t.codomain) if i == 0 else Pi(t.hint, t.domain, sub)
+    return Lam(t.hint, sub, t.body) if i == 0 else Lam(t.hint, t.annotation, sub)
+
+
 def replace_at(t: Term, pos: Position, sub: Term) -> Term:
-    if not pos:
-        return sub
-    i, rest = pos[0], pos[1:]
-    match t:
-        case Pi(h, a, b):
-            return Pi(h, replace_at(a, rest, sub), b) if i == 0 else Pi(h, a, replace_at(b, rest, sub))
-        case Lam(h, a, b):
-            return Lam(h, replace_at(a, rest, sub), b) if i == 0 else Lam(h, a, replace_at(b, rest, sub))
-        case App(f, a):
-            return App(replace_at(f, rest, sub), a) if i == 0 else App(f, replace_at(a, rest, sub))
-        case _:
+    above = []
+    for i in pos:
+        if type(t) not in _NODES:
             raise IndexError(f"position {pos} goes below a leaf")
+        above.append(t)
+        t = children(t)[i]
+    for node, i in zip(reversed(above), reversed(pos)):
+        sub = _with_child(node, i, sub)
+    return sub
 
 
 def spine(t: Term) -> tuple[Term, list[Term]]:

@@ -115,7 +115,8 @@ def _outcome(result):
 def assert_agrees(t: Term, theory: Theory, mode: str, fuel: int) -> None:
     """The package's reduction takes exactly the reference's steps on t:
     same normal form or last term, trace, fuel spent, weak-head form,
-    normality, root steps and one-step reducts."""
+    normality, root steps and one-step reducts.  The trace and the reducts
+    are compared printed as well, so binder hints count too."""
     reducing = theory if mode == BETA_R else theory.without_rules()
     got_fuel, want_fuel = Fuel(fuel), Fuel(fuel)
     got_trace: list = []
@@ -135,6 +136,9 @@ def assert_agrees(t: Term, theory: Theory, mode: str, fuel: int) -> None:
     assert got_fuel.remaining == want_fuel.remaining
 
     assert reduction.is_normal(t, reducing) == is_normal(t, theory, mode)
-    assert reduction.one_step_reducts(t, reducing) == one_step_reducts(t, theory, mode)
+    got = reduction.one_step_reducts(t, reducing)
+    want = one_step_reducts(t, theory, mode)
+    assert got == want
+    assert [print_term(u) for u in got] == [print_term(u) for u in want]
     for _, sub in subterm_positions(t):
         assert reduction.r_root(sub, theory) == r_root(sub, theory)

@@ -1,5 +1,7 @@
 """Reference traversals: the recursive `pimodulo.terms` functions as they
-were before every traversal moved onto one explicit-stack walk and rebuild.
+were before every traversal moved onto one explicit-stack walk and rebuild,
+and the term classes as plain dataclasses, whose generated `__hash__` pins
+the value of the package's cached one.
 
 Each recurses once per node, so it overflows the stack on deep terms, but
 its sharing is plain to read: `shift` and `instantiate` return a subterm
@@ -10,7 +12,82 @@ tests hold the package's traversals to these, output and sharing alike.
 
 from __future__ import annotations
 
-from pimodulo.terms import App, FVar, Lam, Pi, Term, Var, loose_bound
+from dataclasses import dataclass, field
+from typing import Any
+
+from pimodulo.terms import App, Const, FVar, Lam, Pi, SortKind, SortType, Term, Var, loose_bound
+
+
+@dataclass(frozen=True)
+class PlainVar:
+    index: int
+    span: Any = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class PlainFVar:
+    name: str
+    span: Any = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class PlainConst:
+    name: str
+    span: Any = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class PlainSortType:
+    span: Any = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class PlainSortKind:
+    span: Any = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class PlainPi:
+    hint: str = field(compare=False)
+    domain: Any
+    codomain: Any
+    span: Any = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class PlainLam:
+    hint: str = field(compare=False)
+    annotation: Any
+    body: Any
+    span: Any = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class PlainApp:
+    fn: Any
+    arg: Any
+    span: Any = field(default=None, compare=False)
+
+
+def plain(t: Term) -> Any:
+    """t rebuilt from the plain dataclasses."""
+    match t:
+        case Var(i):
+            return PlainVar(i)
+        case FVar(x):
+            return PlainFVar(x)
+        case Const(c):
+            return PlainConst(c)
+        case SortType():
+            return PlainSortType()
+        case SortKind():
+            return PlainSortKind()
+        case Pi(h, a, b):
+            return PlainPi(h, plain(a), plain(b))
+        case Lam(h, a, b):
+            return PlainLam(h, plain(a), plain(b))
+        case App(f, a):
+            return PlainApp(plain(f), plain(a))
 
 
 def term_size(t: Term) -> int:

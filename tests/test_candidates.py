@@ -52,6 +52,14 @@ def test_depth_counts_the_longest_sequence():
     assert sn_check(nested) == StronglyNormalizing(2)
 
 
+def test_a_deep_application_chain_is_walked_without_recursion():
+    # one beta redex at the head of a chain 3,000 applications deep
+    t = App(IDENT, FVar("y"))
+    for _ in range(3_000):
+        t = App(t, FVar("z"))
+    assert sn_check(t, 100) == StronglyNormalizing(1)
+
+
 def test_self_application_exhausts_fuel():
     verdict = sn_check(OMEGA, fuel=1000)
     assert isinstance(verdict, FuelExhausted)

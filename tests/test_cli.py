@@ -376,6 +376,17 @@ def test_consistency_scan_picks_its_default_target_by_the_signature(capsys, tmp_
                    " up to size 4\n")
 
 
+def test_consistency_scan_asks_for_a_target_outside_the_shipped_vocabularies(capsys, tmp_path):
+    # no default target fits a theory that is neither stt nor cc: that is
+    # a usage error, not a type error in the user's input
+    (tmp_path / "loop.th").write_text(LOOP_THEORY)
+    code, out = run_cli(capsys, "consistency-scan", "--theory", str(tmp_path / "loop.th"),
+                        "--max-size", "4")
+    assert code == 2
+    assert out.startswith("parse-error\ttarget\t")
+    assert "--target" in out and len(out.splitlines()) == 1
+
+
 def test_consistency_scan_honours_the_fuel_budget(tmp_path):
     # the context's type P normalizes forever; the scan must stop at the
     # budget it was given and say so, not run to the default

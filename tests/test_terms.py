@@ -1,5 +1,10 @@
+import pickle
+
 import pytest
 
+from pimodulo.generate import sample_well_typed
+from pimodulo.reduction import one_step_reducts
+from pimodulo.syntax import parse_term
 from pimodulo.terms import (
     App,
     Const,
@@ -30,6 +35,8 @@ from pimodulo.terms import (
     term_size,
     uses_bound,
 )
+from pimodulo.theories import builtin_theory
+from reference_terms import plain
 
 
 # ------------- structural equality is alpha-equivalence -------------
@@ -52,6 +59,29 @@ def test_free_and_bound_variables_are_distinct_constructors() -> None:
 def test_terms_are_hashable_up_to_alpha() -> None:
     seen = {Lam("x", TYPE, Var(0)), Lam("y", TYPE, Var(0))}
     assert len(seen) == 1
+
+
+def test_a_pickled_term_leaves_its_cached_hash_behind() -> None:
+    # str hashes differ between processes, as in a spawned pool worker
+    t = App(Const("f"), FVar("x"))
+    hash(t)
+    assert "_hash" not in vars(pickle.loads(pickle.dumps(t)))
+
+
+CORPUS_CONTEXTS = {
+    "stt": (("p", parse_term("o")), ("q", parse_term("o"))),
+    "cc": (("p", parse_term("U_Type")),),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_CONTEXTS))
+def test_cached_hashes_are_the_dataclass_hashes(name) -> None:
+    # the order of every set and dict of terms rests on these values
+    theory = builtin_theory(name).theory
+    for t, ty in sample_well_typed(theory, 300, 0, CORPUS_CONTEXTS[name]):
+        for u in (t, ty, *one_step_reducts(t, theory)):
+            for _, sub in subterm_positions(u):
+                assert hash(sub) == hash(plain(sub))
 
 
 # ------------- sizes -------------
@@ -245,6 +275,18 @@ def test_every_traversal_runs_past_the_recursion_limit(shape) -> None:
         head, args = spine(close_binder(t, "x"))
         assert (head, set(args)) == (Var(0), {Var(1)})
         assert spine(substitute_many(t, {"x": Const("c")}))[0] == Const("c")
+    # a rebuilt copy hashes alike; the one redex sits at the deepest leaf
+    assert hash(substitute_many(t, {})) == hash(t)
+    positions = subterm_positions(t)
+    deepest = (0,) * DEEP if shape == "app" else (1,) * DEEP + (0, 0)
+    assert len(positions) == size and positions[0][1] is t
+    assert [pos for pos, sub in positions if sub == FVar("x")] == [deepest]
+    redex = App(Lam("z", TYPE, Var(0)), FVar("x"))
+    with_redex = replace_at(t, deepest, redex)
+    assert term_size(with_redex) == size + 4 and subterm_at(with_redex, deepest) is redex
+    assert one_step_reducts(t, Theory()) == []
+    [reduct] = one_step_reducts(with_redex, Theory())
+    assert term_size(reduct) == size and hash(reduct) == hash(t)
 
 
 # ------------- spines -------------
