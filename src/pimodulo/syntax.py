@@ -1,5 +1,13 @@
 """Surface syntax: lexer, parser, and printer.
 
+The lexer makes one pass of one token pattern and hands out plain
+``(kind, text, (line, column))`` tuples.  The term parser and the
+printer each run on an explicit stack, so a term's depth costs them no
+recursion: the parser keeps a frame for each open parenthesis, binder
+annotation and binder body, and the printer a todo stack of text
+pieces, subterms and binder names entering and leaving scope.  Arrow
+chains and application spines are loops in both.
+
 Term grammar (binders extend as far right as possible, arrows associate
 to the right, application to the left):
 
@@ -42,7 +50,6 @@ from .terms import (
     Var,
     instantiate,
     names_in,
-    spine,
     uses_bound,
 )
 
@@ -50,18 +57,6 @@ RESERVED = frozenset({"Type", "Kind", "Pi"})
 
 
 # --- lexer ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-    @property
-    def span(self) -> tuple[int, int]:
-        return (self.line, self.col)
-
 
 _TOKEN_RE = re.compile(
     r"""
@@ -87,152 +82,173 @@ _TOKEN_RE = re.compile(
 )
 
 
-def tokenize(text: str, first_line: int = 1) -> list[Token]:
-    tokens: list[Token] = []
+def tokenize(text: str, first_line: int = 1) -> list[tuple[str, str, tuple[int, int]]]:
+    """The (kind, text, (line, column)) tokens of text, ending in one EOF
+    token, in one pass of the token pattern; a gap between two matches
+    starts with a character no token takes."""
+    tokens = []
     line = first_line
     bol = 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", span=(line, pos - bol + 1)
-            )
-        kind = m.lastgroup or "WS"
-        tok_text = m.group()
-        col = pos - bol + 1
-        pos = m.end()
+    end = 0
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != end:
+            break
+        end = m.end()
+        kind = m.lastgroup
         if kind == "NL":
             line += 1
-            bol = pos
-            continue
-        if kind in ("WS", "COMMENT"):
-            continue
-        if kind == "PIU":
-            kind, tok_text = "NAME", "Pi"
-        tokens.append(Token(kind, tok_text, line, col))
-    tokens.append(Token("EOF", "", line, len(text) - bol + 1))
+            bol = end
+        elif kind != "WS" and kind != "COMMENT":
+            if kind == "PIU":
+                tokens.append(("NAME", "Pi", (line, start - bol + 1)))
+            else:
+                tokens.append((kind, m.group(), (line, start - bol + 1)))
+    if end != len(text):
+        raise ParseError(f"unexpected character {text[end]!r}", span=(line, end - bol + 1))
+    tokens.append(("EOF", "", (line, len(text) - bol + 1)))
     return tokens
 
 
 # --- term parser ---------------------------------------------------------
 
+# frames of the term parser's stack, under their first field
+_PAREN, _ANNOTATION, _BODY = range(3)
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token], var_names: frozenset[str]):
+    def __init__(self, tokens: list[tuple], var_names: frozenset[str]):
         self.tokens = tokens
         self.pos = 0
         self.var_names = set(var_names)
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            shown = tok.text or "end of input"
-            raise ParseError(f"expected {what}, found {shown!r}", span=tok.span)
-        return self.next()
+    def expect(self, kind: str, what: str) -> tuple:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            shown = tok[1] or "end of input"
+            raise ParseError(f"expected {what}, found {shown!r}", span=tok[2])
+        self.pos += 1
+        return tok
 
     def finish(self) -> None:
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"trailing input {tok.text!r}", span=tok.span)
+        kind, text, span = self.peek()
+        if kind != "EOF":
+            raise ParseError(f"trailing input {text!r}", span=span)
 
-    # term := binder | app ('->' term)?, an arrow chain read in one loop
-    def term(self, bound: list[str]) -> Term:
-        arrows: list[tuple[Term, Token]] = []
+    def term(self) -> Term:
+        """One term, read on an explicit stack of frames, so nesting
+        costs no recursion.  The innermost open term keeps its arrows
+        read so far and its application spine; a parenthesis or a binder
+        opens a new one, saving those in its frame:
+
+            (_PAREN, spine, '(' span, arrows)
+            (_ANNOTATION, Lam or Pi, name, head span, arrows)
+            (_BODY, Lam or Pi, name, head span, arrows, annotation)
+        """
+        tokens = self.tokens
+        var_names = self.var_names
+        pos = self.pos
+        bound: list[str] = []  # binder names, innermost last; "!" for an arrow
+        frames: list[tuple] = []
+        arrows: list[tuple[Term, tuple[int, int]]] = []
+        spine: Term | None = None
         while True:
-            tok = self.peek()
-            if tok.kind == "LAMBDA":
-                t = self.binder(bound, Lam)
+            kind, text, span = tokens[pos]
+            if kind == "NAME" and text != "Pi":
+                pos += 1
+                if text == "Type":
+                    t = SortType(span=span)
+                elif text == "Kind":
+                    t = SortKind(span=span)
+                elif text in bound:
+                    t = Var(bound[::-1].index(text), span=span)
+                elif text in var_names:
+                    t = FVar(text, span=span)
+                else:
+                    t = Const(text, span=span)
+                spine = t if spine is None else App(spine, t, span=span)
+                continue
+            if kind == "LPAR":
+                frames.append((_PAREN, spine, span, arrows))
+                pos += 1
+                arrows, spine = [], None
+                continue
+            if spine is None:
+                if kind == "LAMBDA" or kind == "NAME":  # text is "Pi"
+                    self.pos = pos + 1
+                    _, name, name_span = self.expect("NAME", "a binder name")
+                    if name in RESERVED:
+                        raise ParseError(
+                            f"{name!r} is reserved and cannot bind", span=name_span
+                        )
+                    self.expect("COLON", "':'")
+                    pos = self.pos
+                    frames.append((_ANNOTATION, Lam if kind == "LAMBDA" else Pi,
+                                   name, span, arrows))
+                    arrows = []
+                    continue
+                shown = text or "end of input"
+                raise ParseError(f"expected a term, found {shown!r}", span=span)
+            if kind == "ARROW":
+                arrows.append((spine, span))
+                bound.append("!")
+                pos += 1
+                spine = None
+                continue
+            # the spine ends the innermost open term; close terms outward
+            # until one is an argument or an annotation
+            t = spine
+            while True:
+                for left, arrow_span in reversed(arrows):
+                    bound.pop()
+                    t = Pi("_", left, t, span=arrow_span)
+                if not frames:
+                    self.pos = pos
+                    return t
+                frame = frames.pop()
+                if frame[0] == _BODY:
+                    _, node, name, head_span, arrows, ann = frame
+                    bound.pop()
+                    t = node(name, ann, t, span=head_span)
+                    continue
+                self.pos = pos
+                if frame[0] == _PAREN:
+                    self.expect("RPAR", "')'")
+                    _, spine, paren_span, arrows = frame
+                    spine = t if spine is None else App(spine, t, span=paren_span)
+                else:
+                    self.expect("DOT", "'.'")
+                    _, node, name, head_span, arrows = frame
+                    frames.append((_BODY, node, name, head_span, arrows, t))
+                    bound.append(name)
+                    arrows, spine = [], None
+                pos = self.pos
                 break
-            if tok.kind == "NAME" and tok.text == "Pi":
-                t = self.binder(bound, Pi)
-                break
-            t = self.app(bound)
-            if self.peek().kind != "ARROW":
-                break
-            arrows.append((t, self.next()))
-            bound.append("!arrow")
-        for left, arrow_tok in reversed(arrows):
-            bound.pop()
-            t = Pi("_", left, t, span=arrow_tok.span)
-        return t
-
-    def binder(self, bound: list[str], node: type) -> Term:
-        head = self.next()
-        name_tok = self.expect("NAME", "a binder name")
-        if name_tok.text in RESERVED:
-            raise ParseError(
-                f"{name_tok.text!r} is reserved and cannot bind", span=name_tok.span
-            )
-        self.expect("COLON", "':'")
-        ann = self.term(bound)
-        self.expect("DOT", "'.'")
-        bound.append(name_tok.text)
-        body = self.term(bound)
-        bound.pop()
-        return node(name_tok.text, ann, body, span=head.span)
-
-    def app(self, bound: list[str]) -> Term:
-        t = self.atom(bound)
-        while self.peek().kind in ("NAME", "LPAR") and not (
-            self.peek().kind == "NAME" and self.peek().text == "Pi"
-        ):
-            arg_tok = self.peek()
-            arg = self.atom(bound)
-            t = App(t, arg, span=arg_tok.span)
-        return t
-
-    def atom(self, bound: list[str]) -> Term:
-        tok = self.peek()
-        if tok.kind == "LPAR":
-            self.next()
-            t = self.term(bound)
-            self.expect("RPAR", "')'")
-            return t
-        if tok.kind == "NAME":
-            self.next()
-            if tok.text == "Type":
-                return SortType(span=tok.span)
-            if tok.text == "Kind":
-                return SortKind(span=tok.span)
-            if tok.text == "Pi":
-                raise ParseError("'Pi' cannot appear here", span=tok.span)
-            for depth, name in enumerate(reversed(bound)):
-                if name == tok.text:
-                    return Var(depth, span=tok.span)
-            if tok.text in self.var_names:
-                return FVar(tok.text, span=tok.span)
-            return Const(tok.text, span=tok.span)
-        shown = tok.text or "end of input"
-        raise ParseError(f"expected a term, found {shown!r}", span=tok.span)
 
     # ctx := (NAME ':' term (',' NAME ':' term)*)?
     def context_items(self, stop: str) -> Context:
         entries: list[tuple[str, Term]] = []
-        if self.peek().kind == stop:
+        if self.peek()[0] == stop:
             return ()
         while True:
-            name_tok = self.expect("NAME", "a variable name")
-            if name_tok.text in RESERVED:
-                raise ParseError(
-                    f"{name_tok.text!r} is reserved", span=name_tok.span
-                )
-            if any(name_tok.text == n for n, _ in entries):
-                raise DuplicateName(
-                    f"{name_tok.text} bound twice in one context", span=name_tok.span
-                )
+            _, name, span = self.expect("NAME", "a variable name")
+            if name in RESERVED:
+                raise ParseError(f"{name!r} is reserved", span=span)
+            if any(name == n for n, _ in entries):
+                raise DuplicateName(f"{name} bound twice in one context", span=span)
             self.expect("COLON", "':'")
-            ty = self.term([])
-            entries.append((name_tok.text, ty))
-            self.var_names.add(name_tok.text)
-            if self.peek().kind == "COMMA":
+            ty = self.term()
+            entries.append((name, ty))
+            self.var_names.add(name)
+            if self.peek()[0] == "COMMA":
                 self.next()
                 continue
             return tuple(entries)
@@ -240,7 +256,7 @@ class _Parser:
 
 def parse_term(text: str, var_names: frozenset[str] | set[str] = frozenset()) -> Term:
     parser = _Parser(tokenize(text), frozenset(var_names))
-    t = parser.term([])
+    t = parser.term()
     parser.finish()
     return t
 
@@ -259,25 +275,26 @@ class Judgement:
 def parse_judgement(text: str, line: int = 1) -> Judgement:
     parser = _Parser(tokenize(text, line), frozenset())
     ctx: Context = ()
-    if parser.peek().kind != "TURNSTILE":
+    if parser.peek()[0] != "TURNSTILE":
         ctx = parser.context_items(stop="TURNSTILE")
     parser.expect("TURNSTILE", "'|-'")
-    t = parser.term([])
+    t = parser.term()
     expected = None
-    if parser.peek().kind == "COLON":
+    if parser.peek()[0] == "COLON":
         parser.next()
-        expected = parser.term([])
+        expected = parser.term()
     parser.finish()
     return Judgement(ctx, t, expected, line, source=text.strip())
 
 
 def parse_judgements(text: str) -> list[Judgement]:
+    """The judgements of a file, one a line; columns count from the
+    start of each line as written."""
     out: list[Judgement] = []
     for i, raw in enumerate(text.splitlines(), start=1):
-        stripped = _strip_comment(raw).strip()
-        if not stripped:
-            continue
-        out.append(parse_judgement(stripped, i))
+        content = _strip_comment(raw)
+        if content.strip():
+            out.append(parse_judgement(content, i))
     return out
 
 
@@ -335,13 +352,13 @@ def _expand_schema(line: str, var: str, inst_text: str) -> str:
 
 def _parse_decl_line(text: str, line: int) -> tuple[str, Term]:
     parser = _Parser(tokenize(text, line), frozenset())
-    name_tok = parser.expect("NAME", "a constant name")
-    if name_tok.text in RESERVED:
-        raise ParseError(f"{name_tok.text!r} is reserved", span=name_tok.span)
+    _, name, span = parser.expect("NAME", "a constant name")
+    if name in RESERVED:
+        raise ParseError(f"{name!r} is reserved", span=span)
     parser.expect("COLON", "':'")
-    ty = parser.term([])
+    ty = parser.term()
     parser.finish()
-    return name_tok.text, ty
+    return name, ty
 
 
 def _parse_rule_line(text: str, line: int, label: str) -> RewriteRule:
@@ -349,11 +366,11 @@ def _parse_rule_line(text: str, line: int, label: str) -> RewriteRule:
     parser.expect("LBRACK", "'['")
     ctx = parser.context_items(stop="RBRACK")
     parser.expect("RBRACK", "']'")
-    lhs = parser.term([])
+    lhs = parser.term()
     parser.expect("RULEARROW", "'-->'")
-    rhs = parser.term([])
+    rhs = parser.term()
     parser.expect("COLON", "':'")
-    rtype = parser.term([])
+    rtype = parser.term()
     parser.finish()
     return RewriteRule(ctx, lhs, rhs, rtype, label=label)
 
@@ -366,16 +383,21 @@ def parse_theory(text: str, path: str | None = None) -> TheoryFile:
     when standing alone, canonicalised inside bracket suffixes).  The
     instantiation set comes from ``#simpletypes``, which a file with a
     schema must give.
+
+    A span's column counts from the start of the line as written, except
+    on a line that is rewritten before it is parsed: there it refers to
+    the rewritten line, with its bracket suffixes canonicalised and, on a
+    schema line, the type variable expanded.
     """
-    lines = [(_strip_comment(raw).strip(), i) for i, raw in enumerate(text.splitlines(), 1)]
-    lines = [(content, i) for content, i in lines if content]
+    lines = [(_strip_comment(raw), i) for i, raw in enumerate(text.splitlines(), 1)]
+    lines = [(content, i) for content, i in lines if content.strip()]
 
     simpletypes: list[str] = []
     for content, lineno in lines:
         if content.split()[0] == "#simpletypes":
             if simpletypes:
                 raise ParseError("#simpletypes given twice", span=(lineno, 1))
-            simpletypes = _parse_simpletypes(content, lineno)
+            simpletypes = _parse_simpletypes(content.strip(), lineno)
 
     items: list[tuple[str, str, int]] = []  # (kind, text, line)
     pending_forall: str | None = None
@@ -387,7 +409,7 @@ def parse_theory(text: str, path: str | None = None) -> TheoryFile:
         if head == "#forall":
             if pending_forall is not None:
                 raise ParseError("#forall without a schema line", span=(forall_line, 1))
-            rest = content[len("#forall"):].strip()
+            rest = content.strip()[len("#forall"):].strip()
             if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", rest or ""):
                 raise ParseError("#forall needs one variable name", span=(lineno, 1))
             pending_forall = rest
@@ -396,6 +418,7 @@ def parse_theory(text: str, path: str | None = None) -> TheoryFile:
         if head.startswith("#"):
             raise ParseError(f"unknown directive {head}", span=(lineno, 1))
         body = _canonical_brackets(content)
+        kind = "rule" if head.startswith("[") else "decl"
         if pending_forall is not None:
             if not simpletypes:
                 raise ParseError(
@@ -403,11 +426,9 @@ def parse_theory(text: str, path: str | None = None) -> TheoryFile:
                     span=(forall_line, 1),
                 )
             for inst in simpletypes:
-                kind = "rule" if body.startswith("[") else "decl"
                 items.append((kind, _expand_schema(body, pending_forall, inst), lineno))
             pending_forall = None
         else:
-            kind = "rule" if body.startswith("[") else "decl"
             items.append((kind, body, lineno))
     if pending_forall is not None:
         raise ParseError("#forall without a schema line", span=(forall_line, 1))
@@ -442,68 +463,89 @@ def _parse_simpletypes(content: str, lineno: int) -> list[str]:
 _TERM_LEVEL = 0       # anything goes
 _ARG_OF_ARROW = 1     # applications fine, arrows and binders need parens
 _ARG_OF_APP = 2       # only atoms go bare
+_BIND = -1            # not a level: the todo entry (name, _BIND) binds name
 
 
 def print_term(t: Term) -> str:
     # fresh binder names avoid every free variable and constant of t
-    return _print(t, [], _TERM_LEVEL, names_in(t) | RESERVED)
+    return _print(t, names_in(t) | RESERVED)
 
 
-def _print(t: Term, stack: list[str], level: int, avoid: set[str]) -> str:
-    match t:
-        case SortType():
-            return "Type"
-        case SortKind():
-            return "Kind"
-        case Var(i):
-            if i < len(stack):
-                return stack[-1 - i]
-            return f"#{i}"
-        case FVar(name) | Const(name):
-            return name
-        case App():
-            head, args = spine(t)
-            text = " ".join([_print(head, stack, _ARG_OF_ARROW, avoid)]
-                            + [_print(arg, stack, _ARG_OF_APP, avoid) for arg in args])
-            return f"({text})" if level > _ARG_OF_ARROW else text
-        case Pi(_, _, cod) if not uses_bound(cod):
+def _print(t: Term, avoid: set[str]) -> str:
+    """t's text, made on one explicit todo stack, so depth costs no
+    recursion.  An entry is a piece of text, a (term, level) pair, a
+    (name, _BIND) pair that brings a binder name into scope, or an int
+    that drops the names bound past that many."""
+    out: list[str] = []
+    names: list[str] = []  # the binder names in scope, innermost last
+    todo: list = [(t, _TERM_LEVEL)]
+    while todo:
+        entry = todo.pop()
+        if type(entry) is str:
+            out.append(entry)
+            continue
+        if type(entry) is int:
+            del names[entry:]
+            continue
+        t, level = entry
+        if level == _BIND:
+            names.append(t)
+            continue
+        cls = type(t)
+        if cls is Var:
+            i = t.index
+            out.append(names[-1 - i] if i < len(names) else f"#{i}")
+        elif cls is FVar or cls is Const:
+            out.append(t.name)
+        elif cls is App:
+            # the spine, its last argument pushed first
+            parens = level > _ARG_OF_ARROW
+            if parens:
+                todo.append(")")
+            while type(t) is App:
+                todo += ((t.arg, _ARG_OF_APP), " ")
+                t = t.fn
+            todo.append((t, _ARG_OF_ARROW))
+            if parens:
+                todo.append("(")
+        elif cls is Pi and not uses_bound(t.codomain):
             # a chain of arrows, one domain per non-dependent product
-            parts, depth = [], len(stack)
+            parens = level > _TERM_LEVEL
+            chain = []
             while isinstance(t, Pi) and not uses_bound(t.codomain):
-                parts.append(_print(t.domain, stack, _ARG_OF_ARROW, avoid))
-                stack.append("!")
+                chain += ((t.domain, _ARG_OF_ARROW), " -> ", ("!", _BIND))
                 t = t.codomain
-            parts.append(_print(t, stack, _TERM_LEVEL, avoid))
-            del stack[depth:]
-            text = " -> ".join(parts)
-            return f"({text})" if level > _TERM_LEVEL else text
-        case Pi(hint, dom, cod):
-            return _print_binder("Pi", hint, dom, cod, stack, level, avoid)
-        case Lam(hint, ann, body):
-            if not uses_bound(body) and "_" not in avoid:
-                name = "_"
+            chain.append((t, _TERM_LEVEL))
+            if parens:
+                todo.append(")")
+            todo.append(len(names))
+            todo += reversed(chain)
+            if parens:
+                todo.append("(")
+        elif cls is Pi or cls is Lam:
+            if cls is Pi:
+                kw, first, second = "Pi ", t.domain, t.codomain
+                name = _pick_name(t.hint, avoid, names)
             else:
-                name = _pick_name(hint, avoid, stack)
-            ann_text = _print(ann, stack, _TERM_LEVEL, avoid)
-            stack.append(name)
-            body_text = _print(body, stack, _TERM_LEVEL, avoid)
-            stack.pop()
-            text = f"\\{name} : {ann_text}. {body_text}"
-            return f"({text})" if level > _TERM_LEVEL else text
-    raise ValueError(f"cannot print {t!r}")
-
-
-def _print_binder(
-    kw: str, hint: str, dom: Term, cod: Term,
-    stack: list[str], level: int, avoid: set[str],
-) -> str:
-    name = _pick_name(hint, avoid, stack)
-    dom_text = _print(dom, stack, _TERM_LEVEL, avoid)
-    stack.append(name)
-    cod_text = _print(cod, stack, _TERM_LEVEL, avoid)
-    stack.pop()
-    text = f"{kw} {name} : {dom_text}. {cod_text}"
-    return f"({text})" if level > _TERM_LEVEL else text
+                kw, first, second = "\\", t.annotation, t.body
+                if not uses_bound(second) and "_" not in avoid:
+                    name = "_"
+                else:
+                    name = _pick_name(t.hint, avoid, names)
+            parens = level > _TERM_LEVEL
+            if parens:
+                todo.append(")")
+            todo += (len(names), (second, _TERM_LEVEL), (name, _BIND), ". ",
+                     (first, _TERM_LEVEL), f"{kw}{name} : ")
+            if parens:
+                todo.append("(")
+        elif cls is SortType:
+            out.append("Type")
+        elif cls is SortKind:
+            out.append("Kind")
+        else:
+            raise ValueError(f"cannot print {t!r}")
+    return "".join(out)
 
 
 def _pick_name(hint: str, avoid: set[str], stack: list[str]) -> str:

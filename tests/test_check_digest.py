@@ -6,6 +6,13 @@ IllegalSort), with beta and rule redices in the declared types so that
 the printed forms are normal forms the checker had to compute.  A few
 inference judgements pin the normal form `infer` reports.  The digests
 were recorded before the kernel moved to weak-head types.
+
+`MALFORMED` holds one judgement for each message the judgement parser
+can give.  `check` stops reading a file at its first parse error, so
+each judgement is a file of its own, all checked in one run; the
+duplicate context name comes last, because it ends the run.  Every line
+starts at column 1, so the digests pin the spans as well, and they were
+recorded before the parser moved onto explicit stacks.
 """
 
 import hashlib
@@ -49,6 +56,27 @@ y : eps_Kind dot_Type |- \\z : eps_Type y. z
 """,
 }
 
+MALFORMED = (
+    "|- o $\n",
+    "|- \\: o. o\n",
+    "|- \\Type : o. o\n",
+    "|- Pi Kind : o. eps Kind\n",
+    "|- \\x o. x\n",
+    "|- \\x : o x\n",
+    "|- eps (imp o o\n",
+    "|- eps (imp o o ->\n",
+    "|- \\x : . x\n",
+    "|- o :\n",
+    "|- o )\n",
+    "|- (\\x : o. x) o) o\n",
+    "|- Pi : o. o\n",
+    ": o |- o\n",
+    "Type : o |- o\n",
+    "x : o\n",
+    "x : o, eps x\n",
+    "x : o, x : o |- x\n",
+)
+
 DIGESTS = {
     ("stt", "text"):
         "b8de81e74e691ccef4d1ed91a5b39fcba0ab4191da617404b3b5ba4e6de0576a",
@@ -70,3 +98,24 @@ def test_check_output_is_byte_identical(theory, fmt, capsys, tmp_path, monkeypat
     out = capsys.readouterr().out
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[theory, fmt], out
+
+
+MALFORMED_DIGESTS = {
+    "text":
+        "052f1e7093cf6d014ab5dab0ddc3df519f3e6d36af34181b00adfee7a5173dd1",
+    "json-lines":
+        "61aae33b2e27d7975c3f44c060d6f742c4e22ad0ec0d2cc8bf7e6c99e3b081d7",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(MALFORMED_DIGESTS))
+def test_parse_errors_are_byte_identical(fmt, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    names = []
+    for i, text in enumerate(MALFORMED):
+        names.append(f"m{i:02}.tm")
+        (tmp_path / names[-1]).write_text(text)
+    code = main(["check", "--theory", "stt", "--format", fmt, *names])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == MALFORMED_DIGESTS[fmt], out

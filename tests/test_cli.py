@@ -16,6 +16,7 @@ from importlib import resources
 import pytest
 
 from pimodulo.cli import main
+from pimodulo.syntax import parse_term, print_term
 
 BROKEN_THEORY = """\
 ; simple-type vocabulary with the implication rule's sides swapped
@@ -240,6 +241,27 @@ def test_normalize_prints_terms_past_the_recursion_limit(capsys, text):
     code, out = run_cli(capsys, "normalize", "--theory", "stt", text)
     assert code == 0
     assert out == f"ok\tresult\t{text}\n"
+
+
+def test_normalize_reads_parentheses_past_the_recursion_limit(capsys, tmp_path):
+    deep = tmp_path / "parens.txt"
+    deep.write_text("(" * 1_200 + "o" + ")" * 1_200 + "\n")
+    code, out = run_cli(capsys, "normalize", "--theory", "stt", "--file", str(deep))
+    assert code == 0
+    assert out == "ok\tresult\to\n"
+
+
+def test_normalize_reads_and_prints_binders_past_the_recursion_limit(capsys, tmp_path):
+    deep = tmp_path / "binders.txt"
+    deep.write_text("".join(f"\\x{i} : o. " for i in range(1, 1_501)) + "imp x1 x1500\n")
+    code, out = run_cli(capsys, "normalize", "--theory", "stt", "--file", str(deep))
+    assert code == 0
+    status, item, text = out.rstrip("\n").split("\t")
+    assert (status, item) == ("ok", "result")
+    assert text.startswith("\\x1 : o. \\_ : o. ") and text.endswith(". \\x1500 : o. imp x1 x1500")
+    assert text.count("\\") == 1_500
+    # compared as text: == on terms this deep still recurses
+    assert print_term(parse_term(text)) == text
 
 
 # --- model-check ---
@@ -499,11 +521,15 @@ def test_bad_fuel_environment_is_a_usage_error(monkeypatch, capsys):
     assert "invalid int value: 'abc'" in capsys.readouterr().err
 
 
-def test_internal_failures_get_their_own_exit_code(capsys):
-    # the parser recurses once per parenthesis and runs out of stack
-    code, out = run_cli(capsys, "normalize", "(" * 1200 + "o" + ")" * 1200)
+def test_internal_failures_get_their_own_exit_code(capsys, tmp_path):
+    # the type checker recurses once per arrow and runs out of stack
+    deep = tmp_path / "arrows.tm"
+    deep.write_text("|- \\x : " + "o -> " * 1_500 + "o. x\n")
+    code, out = run_cli(capsys, "check", "--theory", "stt", str(deep))
     assert code == 6
-    lines = out.splitlines()
+    # the theory's own items come first, each ok
+    lines = [line for line in out.splitlines() if not line.startswith("ok\tconstant ")
+             and not line.startswith("ok\trule ")]
     assert len(lines) == 1
     assert lines[0].startswith("internal-error\tfatal\tRecursionError: ")
 

@@ -26,6 +26,7 @@ from pimodulo.terms import (  # noqa: E402
     Lam,
     Pi,
     SortKind,
+    Var,
     loose_bound,
     subterm_positions,
 )
@@ -219,3 +220,48 @@ def test_staged_models_evaluate_raw_terms_as_the_oracle_does(theory, seed, size,
             typed.append(s)
     agree = assert_stt_agrees if theory == "stt" else assert_cc_agrees
     agree([t, *typed], ctx, alg, MODEL_CAP)
+
+
+# Terms past the recursion limit: a short pattern of layers, repeated,
+# around one leaf.  Each layer puts the term so far in one place: a
+# binder's body, a lambda's annotation, an arrow's domain, an
+# application's head, or its argument, which prints in parentheses.
+DEEP_LAYERS = ("lam", "pi", "ann", "dom", "fn", "arg")
+
+
+def _deep_term(layers, hint: str, leaf: int):
+    binders = sum(kind in ("lam", "pi") for kind in layers)
+    i = leaf % (binders + 1)
+    t = Var(i) if i < binders else Const("o")
+    for kind in reversed(layers):
+        if kind == "lam":
+            t = Lam(hint, Const("o"), t)
+        elif kind == "pi":
+            t = Pi(hint, Const("o"), t)
+        elif kind == "ann":
+            t = Lam(hint, t, Var(0))
+        elif kind == "dom":
+            t = Pi("_", t, Const("o"))
+        elif kind == "fn":
+            t = App(t, Const("c"))
+        else:
+            t = App(Const("f"), t)
+    return t
+
+
+def _shape(t) -> list:
+    # == and repr recurse, so deep terms are compared by their preorder
+    return [(type(n).__name__, d, getattr(n, "index", None), getattr(n, "name", None))
+            for n, d in terms._walk(t)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(pattern=st.lists(st.sampled_from(DEEP_LAYERS), min_size=1, max_size=5),
+       depth=st.integers(1_001, 1_400), hint=st.sampled_from(("x", "_", "o", "f")),
+       leaf=st.integers(0, 2**16))
+def test_deep_terms_print_and_parse_back(pattern, depth, hint, leaf):
+    t = _deep_term((pattern * depth)[:depth], hint, leaf)
+    text = print_term(t)
+    back = parse_term(text)
+    assert print_term(back) == text
+    assert _shape(back) == _shape(t)

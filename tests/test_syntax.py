@@ -94,6 +94,26 @@ def test_errors_carry_a_source_span() -> None:
         raise AssertionError("expected a ParseError")
 
 
+def test_judgement_file_columns_count_the_indentation() -> None:
+    with pytest.raises(ParseError, match="trailing input") as exc:
+        parse_judgements("|- o\n   |- o )\n")
+    assert exc.value.span == (2, 9)
+    with pytest.raises(ParseError, match="unexpected character") as exc:
+        parse_judgements("\t|- o $ ; note\n")
+    assert exc.value.span == (1, 7)
+
+
+def test_theory_file_columns_count_the_indentation() -> None:
+    with pytest.raises(ParseError, match="trailing input") as exc:
+        parse_theory("o : Type\n    c : o )\n")
+    assert exc.value.span == (2, 11)
+    # a rewritten line is parsed, and located, as rewritten: the bracket
+    # suffix loses its two parentheses
+    with pytest.raises(ParseError, match="trailing input") as exc:
+        parse_theory("o : Type\n  all[(o)] : o )\n")
+    assert exc.value.span == (2, 14)
+
+
 def test_lambda_requires_an_annotation() -> None:
     with pytest.raises(ParseError):
         parse_term("\\x. x")
