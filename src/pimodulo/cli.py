@@ -23,7 +23,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .algebra import enumerate_full_algebras, sample_full_algebras, write_alg
-from .errors import FuelError, ParseError, PiModuloError
+from .errors import DuplicateName, FuelError, ParseError, PiModuloError
 from . import model_cc, model_stt
 from .candidates import StronglyNormalizing, sn_check
 from .generate import (
@@ -117,7 +117,8 @@ def cmd_check(args, rep: Reporter) -> None:
             continue
         try:
             judgements = parse_judgements(text)
-        except ParseError as exc:
+        except (ParseError, DuplicateName) as exc:
+            # a name bound twice in a context is malformed text like any other
             rep.emit(spec, "file", "parse-error", str(exc))
             continue
         for j in judgements:

@@ -20,7 +20,9 @@ conventions (a function space into {e} is {e}; a function whose outputs
 are all e is e) are applied by the constructors of `values`.
 
 Evaluation is staged: each term is turned once into closures for its three
-layers, which then run on every algebra and valuation (see below).
+layers, which then run on every algebra and valuation (see below).  The
+N-sets and the middle layer never read the inner valuation phi, so a lemma
+check evaluates them once per item and outer valuation psi, not per phi.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from ._staging import per_term
+from ._staging import last_item, per_term
 from .algebra import FiniteAlgebra
 from .errors import PiModuloError, UnenumerableUnion
 from .terms import (
@@ -540,6 +542,20 @@ def enumerate_m_valuations(
     return valuations(ctx, pools, cap)
 
 
+# What a lemma check does before it reads phi: staging, the N-sets and the
+# middle layer, which read only the terms and psi.  It is kept for the last
+# item (`last_item`); the sweeps run every phi of a psi in a row.
+
+@last_item
+def _conversion_outer(t: Term, u: Term, alg: FiniteAlgebra, cap: int, psi) -> tuple:
+    n_t, m_t, ev_t = _staged(t)
+    n_u, m_u, ev_u = _staged(u)
+    holds = equal_sets(n_t, n_u, alg, cap) and equal_values(
+        m_t(psi, alg, cap, []), m_u(psi, alg, cap, []), alg, cap
+    )
+    return ev_t, ev_u, holds
+
+
 def check_conversion_cc(
     t: Term,
     u: Term,
@@ -549,15 +565,23 @@ def check_conversion_cc(
     cap: int = DEFAULT_CAP,
 ) -> bool:
     """All three layers must agree on convertible terms."""
-    n_t, m_t, ev_t = _staged(t)
-    n_u, m_u, ev_u = _staged(u)
-    if not equal_sets(n_t, n_u, alg, cap):
-        return False
-    if not equal_values(m_t(psi, alg, cap, []), m_u(psi, alg, cap, []), alg, cap):
+    ev_t, ev_u, holds = _conversion_outer(t, u, alg, cap, psi=psi)
+    if not holds:
         return False
     return equal_values(
         ev_t(phi, psi, alg, cap, [], []), ev_u(phi, psi, alg, cap, [], []), alg, cap
     )
+
+
+@last_item
+def _substitution_outer(t: Term, x: str, u: Term, alg: FiniteAlgebra, cap: int, psi) -> tuple:
+    # the substituted term is new on every item: staged, but not kept by term
+    _, m_subbed, ev_subbed = _stage(substitute(t, x, u))
+    _, m_t, ev_t = _staged(t)
+    _, m_u, ev_u = _staged(u)
+    psi_ext = {**psi, x: m_u(psi, alg, cap, [])}
+    holds = equal_values(m_subbed(psi, alg, cap, []), m_t(psi_ext, alg, cap, []), alg, cap)
+    return ev_subbed, ev_t, ev_u, psi_ext, holds
 
 
 def check_substitution_cc(
@@ -569,12 +593,8 @@ def check_substitution_cc(
     alg: FiniteAlgebra,
     cap: int = DEFAULT_CAP,
 ) -> bool:
-    # the substituted term is new on every call: staged, but not cached
-    _, m_subbed, ev_subbed = _stage(substitute(t, x, u))
-    _, m_t, ev_t = _staged(t)
-    _, m_u, ev_u = _staged(u)
-    psi_ext = {**psi, x: m_u(psi, alg, cap, [])}
-    if not equal_values(m_subbed(psi, alg, cap, []), m_t(psi_ext, alg, cap, []), alg, cap):
+    ev_subbed, ev_t, ev_u, psi_ext, holds = _substitution_outer(t, x, u, alg, cap, psi=psi)
+    if not holds:
         return False
     phi_ext = {**phi, x: ev_u(phi, psi, alg, cap, [], [])}
     return equal_values(

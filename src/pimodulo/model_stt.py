@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._staging import per_term
+from ._staging import last_item, per_term
 from .algebra import FiniteAlgebra
 from .errors import PiModuloError
 from .syntax import parse_term
@@ -225,12 +225,19 @@ def check_lemma1_stt(t: Term) -> bool:
     return domain_stt(t) == SINGLETON_E
 
 
+# the substituted term is new on every item: staged once for all of the
+# item's valuations (`last_item`), but not kept by term; this one-layer
+# model has no outer valuation, so psi is always None
+@last_item
+def _staged_substitution(t: Term, x: str, u: Term, psi: None) -> tuple:
+    return _stage(substitute(t, x, u))
+
+
 def check_substitution_stt(
     t: Term, x: str, u: Term,
     phi: dict[str, ElemValue], alg: FiniteAlgebra, cap: int = DEFAULT_CAP,
 ) -> bool:
-    # the substituted term is new on every call: staged, but not cached
-    direct = _stage(substitute(t, x, u))[1](phi, alg, cap, [])
+    direct = _staged_substitution(t, x, u)[1](phi, alg, cap, [])
     shifted = interp_stt(t, {**phi, x: interp_stt(u, phi, alg, cap)}, alg, cap)
     return direct == shifted
 

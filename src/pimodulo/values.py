@@ -12,8 +12,12 @@ so structural equality of tabulated values is extensional equality.
 Enumeration depends only on the carrier's size, so listings are cached
 by set, carrier size and cap, shared by every algebra of that size and by
 both models; keying by the cap keeps a call's verdict (a listing or
-SizeLimitExceeded) independent of earlier calls.  A cached listing is
-shared: callers must not change it.
+SizeLimitExceeded) independent of earlier calls, and an error is never
+cached.  A cached listing is shared: callers must not change it.
+
+A finite function is applied by index: its first application builds a
+dict from its graph, kept on the value but outside its fields, so
+equality, hashing, `repr` and pickles see only the graph.
 """
 
 from __future__ import annotations
@@ -80,9 +84,16 @@ class EPoint:
     pass
 
 
+def _unindexed_state(f: "FiniteFun") -> dict:
+    # the index is rebuilt on demand, so a pickled function leaves it behind
+    return {k: v for k, v in vars(f).items() if k != "_index"}
+
+
 @dataclass(frozen=True)
 class FiniteFun:
     graph: frozenset  # of (element, element) pairs, total over a domain
+    _index = None  # key -> value, built by the first `apply_elem`
+    __getstate__ = _unindexed_state
 
 
 ElemValue = AlgElem | EPoint | FiniteFun
@@ -113,13 +124,17 @@ def finite_fun(pairs) -> ElemValue:
 
 
 def apply_elem(f: ElemValue, a: ElemValue) -> ElemValue:
-    if f == E_POINT:
-        return E_POINT
     if isinstance(f, FiniteFun):
-        for k, v in f.graph:
-            if k == a:
-                return v
-        raise PiModuloError(f"applied a finite function outside its domain: {a!r}")
+        index = f._index
+        if index is None:
+            index = dict(f.graph)
+            object.__setattr__(f, "_index", index)
+        v = index.get(a)
+        if v is None:
+            raise PiModuloError(f"applied a finite function outside its domain: {a!r}")
+        return v
+    if isinstance(f, EPoint):
+        return E_POINT
     raise PiModuloError(f"applied a non-function value {f!r}")
 
 
@@ -163,6 +178,7 @@ def enumerate_set(s: SetValue, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> li
     return listing(s, alg.n, cap)
 
 
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
 def listing(s: SetValue, n: int, cap: int) -> list:
     """`enumerate_set` over a carrier of n elements, for callers that
     know the carrier's size but not the algebra."""
@@ -171,11 +187,6 @@ def listing(s: SetValue, n: int, cap: int) -> list:
         raise UnenumerableUnion(f"cannot list the elements of {s!r}")
     if size > cap:
         raise SizeLimitExceeded(f"set has {size} elements, over the cap {cap}")
-    return _enumerate(s, n, cap)
-
-
-@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
-def _enumerate(s: SetValue, n: int, cap: int) -> list:
     match s:
         case Carrier():
             return [AlgElem(w) for w in range(n)]

@@ -13,9 +13,14 @@ copied.
 every layer of every evaluation must come out the same, a value with the
 same `repr` or an exception of the same class with the same message, which
 also pins the order of evaluation that decides which error comes first.
+The lemma checks here (`check_conversion_*`, `check_substitution_*`) are
+built from the oracle's layers afresh on every call, and hold the models'
+checks, which keep work between calls, to the same verdicts and errors.
 """
 
 from __future__ import annotations
+
+import operator
 
 from pimodulo import model_cc, model_stt
 from pimodulo.algebra import FiniteAlgebra
@@ -36,6 +41,7 @@ from pimodulo.model_cc import (
     canon_elem,
     default_n_value,
     equal_sets,
+    equal_values,
 )
 from pimodulo.syntax import parse_term
 from pimodulo.terms import (
@@ -49,6 +55,7 @@ from pimodulo.terms import (
     SortType,
     Term,
     Var,
+    substitute,
     uses_bound,
 )
 from pimodulo.values import (
@@ -370,24 +377,41 @@ def interp_stt(
 
 # --- comparing the models with the oracle ---------------------------------------
 
-def outcome(fn, *args) -> tuple:
+def evaluated(fn, *args) -> tuple:
     try:
-        return "value", repr(fn(*args))
+        return "value", fn(*args)
     except Exception as exc:  # noqa: BLE001 - the class and message are compared
-        return "raised", type(exc).__name__, str(exc)
+        return "raised", exc
+
+
+def shown(result: tuple) -> tuple:
+    """An evaluated result as it is compared: a value's `repr`, or the
+    class and message of what was raised."""
+    kind, got = result
+    if kind == "value":
+        return "value", repr(got)
+    return "raised", type(got).__name__, str(got)
+
+
+def outcome(fn, *args) -> tuple:
+    return shown(evaluated(fn, *args))
 
 
 def _stt_layers(model, terms, phi, alg, cap) -> list:
     domain, interp = model
-    return [(outcome(domain, t), outcome(interp, t, phi, alg, cap)) for t in terms]
+    return [(evaluated(domain, t), evaluated(interp, t, phi, alg, cap)) for t in terms]
 
 
 def _cc_layers(model, terms, phi, psi, alg, cap) -> list:
     domain, m, interp = model
     return [
-        (outcome(domain, t), outcome(m, t, psi, alg, cap), outcome(interp, t, phi, psi, alg, cap))
+        (evaluated(domain, t), evaluated(m, t, psi, alg, cap), evaluated(interp, t, phi, psi, alg, cap))
         for t in terms
     ]
+
+
+def _shown(layers: list) -> list:
+    return [tuple(map(shown, per_term)) for per_term in layers]
 
 
 STAGED_STT = (model_stt.domain_stt, model_stt.interp_stt)
@@ -396,30 +420,97 @@ STAGED_CC = (model_cc.domain_n, model_cc.m_value, model_cc.interp_cc)
 ORACLE_CC = (domain_n, m_value, interp_cc)
 
 
+# --- the lemma checks, built from the oracle's layers -------------------------------
+#
+# Every call evaluates its layers afresh, so a check that keeps work between
+# calls is held to one that keeps none.  A conversion compares the two
+# terms' layers outermost first: the first error raised stands for its
+# layer, and the first layer on which the terms differ makes the verdict
+# False, so an error in a layer after it is never raised.
+
+def _converts(t_layers, u_layers, agree) -> bool:
+    for (kind_t, a), (kind_u, b), same in zip(t_layers, u_layers, agree):
+        if kind_t == "raised":
+            raise a
+        if kind_u == "raised":
+            raise b
+        if not same(a, b):
+            return False
+    return True
+
+
+def conversion_stt_from_layers(t_layers, u_layers) -> bool:
+    return _converts(t_layers, u_layers, (operator.eq, operator.eq))
+
+
+def conversion_cc_from_layers(t_layers, u_layers, alg: FiniteAlgebra, cap: int) -> bool:
+    def same(a, b):
+        return equal_values(a, b, alg, cap)
+
+    return _converts(t_layers, u_layers, (lambda a, b: equal_sets(a, b, alg, cap), same, same))
+
+
+def check_conversion_stt(t, u, phi, alg, cap=DEFAULT_CAP) -> bool:
+    return conversion_stt_from_layers(*_stt_layers(ORACLE_STT, (t, u), phi, alg, cap))
+
+
+def check_conversion_cc(t, u, phi, psi, alg, cap=DEFAULT_CAP) -> bool:
+    return conversion_cc_from_layers(*_cc_layers(ORACLE_CC, (t, u), phi, psi, alg, cap), alg, cap)
+
+
+def check_substitution_stt(t, x, u, phi, alg, cap=DEFAULT_CAP) -> bool:
+    direct = interp_stt(substitute(t, x, u), phi, alg, cap)
+    return direct == interp_stt(t, {**phi, x: interp_stt(u, phi, alg, cap)}, alg, cap)
+
+
+def check_substitution_cc(t, x, u, phi, psi, alg, cap=DEFAULT_CAP) -> bool:
+    subbed = substitute(t, x, u)
+    psi_ext = {**psi, x: m_value(u, psi, alg, cap)}
+    if not equal_values(m_value(subbed, psi, alg, cap), m_value(t, psi_ext, alg, cap), alg, cap):
+        return False
+    phi_ext = {**phi, x: interp_cc(u, phi, psi, alg, cap)}
+    return equal_values(
+        interp_cc(subbed, phi, psi, alg, cap), interp_cc(t, phi_ext, psi_ext, alg, cap), alg, cap
+    )
+
+
+# --- holding the models to the oracle ---------------------------------------------
+
 def assert_stt_agrees(terms, ctx: Context, alg: FiniteAlgebra, cap: int) -> None:
     """`model_stt` evaluates every term as the oracle does under every
-    valuation of ctx."""
+    valuation of ctx; given two terms, `check_conversion_stt` also gives
+    the verdict built from their layers."""
     for phi in model_stt.enumerate_valuations(ctx, alg, cap):
-        expected = _stt_layers(ORACLE_STT, terms, phi, alg, cap)
-        assert _stt_layers(STAGED_STT, terms, phi, alg, cap) == expected, (terms, phi, alg)
+        oracle = _stt_layers(ORACLE_STT, terms, phi, alg, cap)
+        expected = _shown(oracle)
+        assert _shown(_stt_layers(STAGED_STT, terms, phi, alg, cap)) == expected, (terms, phi, alg)
+        if len(terms) == 2:
+            verdict = outcome(model_stt.check_conversion_stt, *terms, phi, alg, cap)
+            assert verdict == outcome(conversion_stt_from_layers, *oracle), (terms, phi, alg)
 
 
 def assert_cc_agrees(terms, ctx: Context, alg: FiniteAlgebra, cap: int) -> list:
     """`model_cc` evaluates every layer of every term as the oracle does
     under every valuation of ctx, and the outcomes are returned.  The inner
     valuations range over the context types' middle-layer values, so those
-    types are compared too."""
+    types are compared too.  Given two terms, `check_conversion_cc` also
+    gives the verdict built from their layers, called as the sweeps call
+    it: every inner valuation of an outer one in a row."""
     types = [ty for _, ty in ctx]
     outcomes = []
     for psi in model_cc.enumerate_psis(ctx, alg, cap):
-        expected = _cc_layers(ORACLE_CC, types, {}, psi, alg, cap)
-        assert _cc_layers(STAGED_CC, types, {}, psi, alg, cap) == expected, (types, psi, alg)
+        expected = _shown(_cc_layers(ORACLE_CC, types, {}, psi, alg, cap))
+        assert _shown(_cc_layers(STAGED_CC, types, {}, psi, alg, cap)) == expected, (types, psi, alg)
         try:
             phis = model_cc.enumerate_m_valuations(ctx, psi, alg, cap)
         except PiModuloError:
             continue
         for phi in phis:
-            expected = _cc_layers(ORACLE_CC, terms, phi, psi, alg, cap)
-            assert _cc_layers(STAGED_CC, terms, phi, psi, alg, cap) == expected, (terms, phi, psi, alg)
+            oracle = _cc_layers(ORACLE_CC, terms, phi, psi, alg, cap)
+            expected = _shown(oracle)
+            assert _shown(_cc_layers(STAGED_CC, terms, phi, psi, alg, cap)) == expected, (terms, phi, psi, alg)
+            if len(terms) == 2:
+                verdict = outcome(model_cc.check_conversion_cc, *terms, phi, psi, alg, cap)
+                assert verdict == outcome(conversion_cc_from_layers, *oracle, alg, cap), (terms, phi, psi, alg)
             outcomes += expected
     return outcomes

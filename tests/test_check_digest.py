@@ -9,10 +9,12 @@ were recorded before the kernel moved to weak-head types.
 
 `MALFORMED` holds one judgement for each message the judgement parser
 can give.  `check` stops reading a file at its first parse error, so
-each judgement is a file of its own, all checked in one run; the
-duplicate context name comes last, because it ends the run.  Every line
+each judgement is a file of its own, all checked in one run.  Every line
 starts at column 1, so the digests pin the spans as well, and they were
-recorded before the parser moved onto explicit stacks.
+recorded before the parser moved onto explicit stacks.  The duplicate
+context name comes last: it once ended the run with a `fatal` line, and
+the digests were re-recorded when it became a `parse-error` line of its
+own file, the only line that changed.
 """
 
 import hashlib
@@ -102,9 +104,9 @@ def test_check_output_is_byte_identical(theory, fmt, capsys, tmp_path, monkeypat
 
 MALFORMED_DIGESTS = {
     "text":
-        "052f1e7093cf6d014ab5dab0ddc3df519f3e6d36af34181b00adfee7a5173dd1",
+        "ef1b9ad1489c2f160e651d73d29bd5c5ffd2fae0361b7944b846acb131fa2aa2",
     "json-lines":
-        "61aae33b2e27d7975c3f44c060d6f742c4e22ad0ec0d2cc8bf7e6c99e3b081d7",
+        "779815cb0f570c03c319488ae8b753e25aa0a0c754920a6ab27e1f07099402cb",
 }
 
 

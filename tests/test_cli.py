@@ -98,6 +98,21 @@ def test_a_file_that_is_not_utf8_is_named_in_its_error(capsys, tmp_path, argv):
     assert f"\t{bad}: 'utf-8' codec can't decode byte 0xff" in out.splitlines()[-1]
 
 
+def test_check_reports_a_duplicate_context_name_and_reads_on(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.tm").write_text("p : o |- p : o\n")
+    (tmp_path / "b.tm").write_text("x : o, x : o |- x\n")
+    (tmp_path / "c.tm").write_text("|- o : Type\n")
+    code, out = run_cli(capsys, "check", "--theory", "stt", "a.tm", "b.tm", "c.tm")
+    assert code == 2
+    files = [l for l in out.splitlines() if ".tm" in l]
+    assert files == [
+        "ok\ta.tm:1\tp : o |- p : o",
+        "parse-error\tb.tm\t(1, 8): x bound twice in one context",
+        "ok\tc.tm:1\t|- o : Type",
+    ]
+
+
 def test_check_rejects_ill_formed_contexts(capsys, tmp_path):
     bad = tmp_path / "contexts.tm"
     bad.write_text("x : imp |- x : imp\ny : Kind |- y : Kind\nx : imp |- x\n")
@@ -300,6 +315,9 @@ MODEL_CHECK_DIGESTS = {
     "stt-text": "4d7aa72300120ccb6c3a9d3086ad97c5efc46d8e825d7d029b7e0f2360c830b9",
     "stt-json-lines": "9d512b1772fb205e5519adee7cd839076c6453bdfcaa34f241ba8f1f1475fc0d",
     "swapped-rule": "e3b0847fda648dfb42bfd315ea269d99cd5c3131a9358d49bcc06aa8c11dc40e",
+    # recorded before finite functions were applied by index; the run ends
+    # on a model error whose message prints a finite function
+    "cc-text": "bd49cb1b061ade181053733ec04adabf926449659b77155b70f0653504655c62",
 }
 
 
@@ -327,6 +345,15 @@ def test_model_check_json_lines_are_deterministic(capsys, tmp_path):
     for name, args in runs.items():
         _, out = run_cli(capsys, "model-check", *args)
         assert hashlib.sha256(out.encode()).hexdigest() == MODEL_CHECK_DIGESTS[name], name
+
+
+def test_model_check_cc_output_is_byte_identical(capsys):
+    code, out = run_cli(capsys, "model-check", "--theory", "cc",
+                        "--count", "16", "--pairs", "6", "--subst", "3")
+    assert code == 1
+    assert out.splitlines()[-1].startswith("type-error\tfatal\t")
+    assert "FiniteFun(graph=" in out.splitlines()[-1]
+    assert hashlib.sha256(out.encode()).hexdigest() == MODEL_CHECK_DIGESTS["cc-text"], out
 
 
 def _serial_and_pooled(theory, *sizes):

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from pimodulo.algebra import FiniteAlgebra, enumerate_full_algebras
@@ -59,6 +61,37 @@ def test_apply_elem_outside_the_domain_fails() -> None:
     f = finite_fun([(AlgElem(0), AlgElem(1))])
     with pytest.raises(PiModuloError):
         apply_elem(f, AlgElem(7))
+
+
+def test_apply_elem_finds_a_key_equal_to_a_graph_key() -> None:
+    key = finite_fun([(AlgElem(0), AlgElem(1)), (AlgElem(1), AlgElem(1))])
+    twin = finite_fun([(AlgElem(1), AlgElem(1)), (AlgElem(0), AlgElem(1))])
+    assert key == twin and key is not twin
+    f = finite_fun([(key, AlgElem(0))])
+    assert apply_elem(f, twin) == AlgElem(0)
+    assert apply_elem(f, key) == AlgElem(0)
+
+
+def test_apply_elem_off_the_graph_names_the_argument() -> None:
+    f = finite_fun([(AlgElem(0), AlgElem(1))])
+    assert apply_elem(f, AlgElem(0)) == AlgElem(1)
+    with pytest.raises(PiModuloError) as exc:
+        apply_elem(f, AlgElem(7))
+    assert str(exc.value) == "applied a finite function outside its domain: AlgElem(value=7)"
+
+
+def test_a_looked_up_finite_function_pickles_without_its_index() -> None:
+    f = finite_fun([(AlgElem(0), AlgElem(1)), (AlgElem(1), AlgElem(0))])
+    unused = FiniteFun(f.graph)
+    shown, pickled = repr(f), pickle.dumps(unused)
+    assert apply_elem(f, AlgElem(1)) == AlgElem(0)
+    assert f._index is not None
+    assert repr(f) == shown and f == unused and hash(f) == hash(unused)
+    assert pickle.dumps(f) == pickled
+    copy = pickle.loads(pickle.dumps(f))
+    assert copy == f and hash(copy) == hash(f)
+    assert "_index" not in vars(copy) and copy._index is None
+    assert apply_elem(copy, AlgElem(0)) == AlgElem(1)
 
 
 def test_enumerate_set_sizes() -> None:

@@ -10,15 +10,25 @@ strides to, and substitution instances, all at the benchmark's enumeration
 cap of 1024.  The `cc` pairs and instances include ones that stop with the
 errors of ROADMAP defect 4b and with `SizeLimitExceeded`, and the tests
 check that they do.
+
+The lemma checks keep the work that no inner valuation changes for the
+last item they ran on; their verdicts are held to checks built afresh
+from the oracle's layers, in the sweeps' order (every inner valuation of
+an outer valuation in a row), with two items interleaved so that nothing
+kept is reused, and with an outer valuation changed in place between
+calls.
 """
+
+from itertools import islice
 
 import pytest
 
 from pimodulo.algebra import enumerate_full_algebras
-from pimodulo import model_cc
+from pimodulo import model_cc, model_stt
+from pimodulo.errors import PiModuloError
 from pimodulo.generate import convertible_pairs, sample_well_typed
 from pimodulo.syntax import parse_term
-from pimodulo.terms import Const, FVar, substitute
+from pimodulo.terms import App, Const, FVar, Lam, Var, substitute
 from pimodulo.theories import builtin_theory
 from reference_models import assert_cc_agrees, assert_stt_agrees, outcome
 import reference_models
@@ -112,3 +122,122 @@ def test_terms_equal_up_to_binder_hints_keep_their_own_hints():
     applied = parse_term("(\\A : U_Kind. \\y : eps_Kind A. y) U_Type")
     assert (outcome(model_cc.m_value, applied, {}, alg, CAP)
             == outcome(reference_models.m_value, applied, {}, alg, CAP))
+
+
+# --- the lemma checks ------------------------------------------------------------
+#
+# The rules and pairs tests above hold the conversion checks to the oracle
+# in the sweeps' order, on every rule and algebra.
+
+LEMMAS = {
+    ("stt", "conversion"): (model_stt.check_conversion_stt, reference_models.check_conversion_stt),
+    ("stt", "substitution"): (model_stt.check_substitution_stt, reference_models.check_substitution_stt),
+    ("cc", "conversion"): (model_cc.check_conversion_cc, reference_models.check_conversion_cc),
+    ("cc", "substitution"): (model_cc.check_substitution_cc, reference_models.check_substitution_cc),
+}
+# A full pass of the substitution oracle over every rule's context variables
+# and all 513 algebras takes a minute; every 16th algebra keeps both sizes.
+SUBST_ALGS = ALGS[::16]
+
+
+def sweep_valuations(theory, ctx, alg):
+    """Every valuation of ctx as the sweeps run them: (phi,) for stt,
+    (phi, psi) for cc with every phi of a psi in a row."""
+    if theory == "stt":
+        return [(phi,) for phi in model_stt.enumerate_valuations(ctx, alg, CAP)]
+    out = []
+    for psi in model_cc.enumerate_psis(ctx, alg, CAP):
+        try:
+            phis = model_cc.enumerate_m_valuations(ctx, psi, alg, CAP)
+        except PiModuloError:
+            continue
+        out += [(phi, psi) for phi in phis]
+    return out
+
+
+def rule_items(theory):
+    """Per rule, its conversion and a substitution into its lhs for each
+    context variable x, by the redex (\\y : T. y) x of x's type T."""
+    items = []
+    for rule in builtin_theory(theory).theory.rules:
+        items.append(("conversion", (rule.lhs, rule.rhs), rule.ctx))
+        for x, ty in rule.ctx:
+            items.append(("substitution", (rule.lhs, x, App(Lam("y", ty, Var(0)), FVar(x))), rule.ctx))
+    return items
+
+
+def assert_lemma_agrees(theory, lemma, terms, valuation, alg):
+    staged, reference = LEMMAS[theory, lemma]
+    args = (*terms, *valuation, alg, CAP)
+    expected = outcome(reference, *args)
+    assert outcome(staged, *args) == expected, (lemma, terms, valuation, alg)
+    return expected
+
+
+@pytest.mark.parametrize("theory", ("stt", "cc"))
+def test_substitution_verdicts_in_sweep_order_on_every_rule(theory):
+    verdicts = set()
+    for lemma, terms, ctx in rule_items(theory):
+        if lemma == "substitution":
+            for alg in SUBST_ALGS:
+                for valuation in sweep_valuations(theory, ctx, alg):
+                    verdicts.add(assert_lemma_agrees(theory, lemma, terms, valuation, alg))
+    assert ("value", "True") in verdicts
+
+
+def test_substitution_verdicts_on_sampled_instances():
+    for theory in ("stt", "cc"):
+        ctx = CONTEXTS[theory]
+        sampled = list(sample_well_typed(builtin_theory(theory).theory, 600, 1, ctx, max_size=10))
+        images = [t for t, ty in sampled if ty == ctx[0][1] and t != FVar(ctx[0][0])]
+        for i in range(INSTANCES):
+            terms = (sampled[i % len(sampled)][0], ctx[i % len(ctx)][0], images[i % len(images)])
+            alg = ALGS[i % len(ALGS)]
+            for valuation in sweep_valuations(theory, ctx, alg):
+                assert_lemma_agrees(theory, "substitution", terms, valuation, alg)
+
+
+@pytest.mark.parametrize("theory", ("stt", "cc"))
+def test_lemma_verdicts_with_two_items_interleaved(theory):
+    # each call of a check is on another item than its call before, so
+    # nothing kept from that call applies
+    for lemma in ("conversion", "substitution"):
+        items = [item for item in rule_items(theory) if item[0] == lemma]
+        assert len(items) > 1
+        for alg in PAIR_ALGS:
+            for first, second in zip(items, items[1:] + items[:1]):
+                runs = [sweep_valuations(theory, ctx, alg) for _, _, ctx in (first, second)]
+                for k in range(max(map(len, runs))):
+                    for (_, terms, _), run in zip((first, second), runs):
+                        if run:
+                            assert_lemma_agrees(theory, lemma, terms, run[k % len(run)], alg)
+
+
+def test_lemma_verdicts_follow_an_outer_valuation_changed_in_place():
+    # M(X) is the outer value of X, so X and dot_Type agree in the middle
+    # layer only where psi maps X to the carrier; a binder over eps_Kind Z
+    # ranges over the set psi gives Z.  Work kept from a psi that the
+    # caller's dict has since left behind would change the verdicts.
+    ctx = (("X", Const("U_Kind")), ("Z", Const("U_Kind")))
+    binder = parse_term("\\y : eps_Kind Z. y", var_names=frozenset({"Z"}))
+    items = [
+        ("conversion", (FVar("X"), Const("dot_Type"))),
+        ("conversion", (binder, binder)),
+        ("substitution", (binder, "X", Const("dot_Type"))),
+        ("substitution", (binder, "Z", Const("dot_Type"))),
+    ]
+    for alg in PAIR_ALGS:
+        psis = model_cc.enumerate_psis(ctx, alg, CAP)
+        assert len(psis) > 1
+        verdicts = set()
+        for lemma, terms in items:
+            staged, reference = LEMMAS["cc", lemma]
+            live = {}
+            for psi in psis + psis[::-1]:
+                live.clear()
+                live.update(psi)
+                for phi in islice(model_cc.enumerate_m_valuations(ctx, psi, alg, CAP), 2):
+                    expected = outcome(reference, *terms, phi, psi, alg, CAP)
+                    assert outcome(staged, *terms, phi, live, alg, CAP) == expected, (terms, psi)
+                    verdicts.add(expected)
+        assert {("value", "True"), ("value", "False")} <= verdicts

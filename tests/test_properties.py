@@ -118,7 +118,7 @@ def test_set_values_list_each_element_once(s, alg):
         return
     listed = enumerate_set(s, alg, SET_CAP)
     assert len(set(listed)) == len(listed) == size
-    values._enumerate.cache_clear()
+    values.listing.cache_clear()
     assert enumerate_set(s, alg, SET_CAP) == listed
     if isinstance(s, FunSpace):
         dom = enumerate_set(s.dom, alg, SET_CAP)
