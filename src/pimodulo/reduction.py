@@ -121,11 +121,24 @@ def one_step_reducts(t: Term, theory: Theory) -> list[Term]:
 
     One preorder walk: each entry carries the path above it as nested
     (parent, child index, path above the parent), and only the path of a
-    position that fires is rebuilt."""
+    position that fires is rebuilt.  A subterm marked normal under the
+    theory's rules is skipped.  Each application or binder also leaves an
+    entry that is popped once its subterm is walked, carrying the number
+    of reducts found before its own root steps: if none were found since,
+    its whole subterm is normal and gets the mark."""
+    rules = theory.rules
     out: list[Term] = []
-    stack: list[tuple[Term, tuple | None]] = [(t, None)]
+    stack: list[tuple[Term, tuple | int | None]] = [(t, None)]
     while stack:
         node, path = stack.pop()
+        if type(path) is int:
+            if len(out) == path:
+                object.__setattr__(node, "_normal", rules)
+            continue
+        mark = node._normal
+        if mark is not None and (mark is rules or not rules):
+            continue
+        found = len(out)
         for reduct, _ in root_steps(node, theory):
             up = path
             while up is not None:
@@ -134,11 +147,13 @@ def one_step_reducts(t: Term, theory: Theory) -> list[Term]:
             out.append(reduct)
         cls = type(node)
         if cls is App:
-            stack += ((node.arg, (node, 1, path)), (node.fn, (node, 0, path)))
+            stack += ((node, found), (node.arg, (node, 1, path)), (node.fn, (node, 0, path)))
         elif cls is Pi:
-            stack += ((node.codomain, (node, 1, path)), (node.domain, (node, 0, path)))
+            stack += ((node, found), (node.codomain, (node, 1, path)),
+                      (node.domain, (node, 0, path)))
         elif cls is Lam:
-            stack += ((node.body, (node, 1, path)), (node.annotation, (node, 0, path)))
+            stack += ((node, found), (node.body, (node, 1, path)),
+                      (node.annotation, (node, 0, path)))
     return list(dict.fromkeys(out))
 
 
@@ -164,6 +179,20 @@ def one_step_reducts(t: Term, theory: Theory) -> list[Term]:
 # child.  It is rebuilt only when needed (an application to re-check, a
 # trace entry, the final term) or on the way back up, so a step under a
 # binder copies no path above it.
+#
+# The search marks what it proves normal (`terms`, `_normal`) and treats
+# a subterm marked under the theory's rules like a normal leaf.  A mark
+# made under some rules holds under no rules at all, since beta-normal is
+# part of normal under any rules, but not under other rules.  When the
+# search pops past an ancestor from its second child, that ancestor,
+# rebuilt, is marked.  This is sound by the invariant above.  Both
+# children are normal: the first lies before the current position, and
+# the second's subterm has just been walked to its end.  The ancestor's
+# root was found no redex when the search first reached it.  Every step
+# since then lay below it.  If no binder lay between such a step and the
+# ancestor, the ancestor was re-checked after the step.  Otherwise the
+# step could not change the ancestor's redex status.  So a rescan from the
+# root would find no step in the marked subterm either.
 
 Ancestors = list[tuple[Term, int, Term]]
 
@@ -193,18 +222,22 @@ def _search(t: Term, above: Ancestors, theory: Theory, head: bool = False):
     """First step at t or after it in preorder, every position before t
     being normal: (step, redex) with `above` left holding the redex's
     ancestors, or (None, root) with `above` emptied.  With `head`, a root
-    that is neither an application nor a redex ends the search."""
+    that is neither an application nor a redex ends the search.  Marks
+    each ancestor it leaves normal, and skips marked subterms."""
+    rules = theory.rules
     while True:
-        step = _first_step(t, theory)
-        if step is not None:
-            return step, t
-        if head and not above and not isinstance(t, App):
-            return None, t
-        match t:
-            case App(first, _) | Pi(_, first, _) | Lam(_, first, _):
-                above.append((t, 0, first))
-                t = first
-                continue
+        mark = t._normal
+        if mark is None or (rules and mark is not rules):
+            step = _first_step(t, theory)
+            if step is not None:
+                return step, t
+            if head and not above and not isinstance(t, App):
+                return None, t
+            match t:
+                case App(first, _) | Pi(_, first, _) | Lam(_, first, _):
+                    above.append((t, 0, first))
+                    t = first
+                    continue
         while above:
             parent, i, child = above.pop()
             if child is not t:
@@ -213,6 +246,7 @@ def _search(t: Term, above: Ancestors, theory: Theory, head: bool = False):
                 t = children(parent)[1]
                 above.append((parent, 1, t))
                 break
+            object.__setattr__(parent, "_normal", rules)
             t = parent
         else:
             return None, t

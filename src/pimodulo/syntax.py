@@ -49,7 +49,6 @@ from .terms import (
     Theory,
     Var,
     instantiate,
-    names_in,
     uses_bound,
 )
 
@@ -468,16 +467,52 @@ _BIND = -1            # not a level: the todo entry (name, _BIND) binds name
 
 def print_term(t: Term) -> str:
     # fresh binder names avoid every free variable and constant of t
-    return _print(t, names_in(t) | RESERVED)
+    names, used = _scan(t)
+    return _print(t, names | RESERVED, used)
 
 
-def _print(t: Term, avoid: set[str]) -> str:
+def _scan(t: Term) -> tuple[set[str], set[int]]:
+    """The names of t's free variables and constants, and the ids of the
+    binders of t whose variable occurs in their scope, in one preorder
+    walk, so printing stays linear in binder depth.  An entry (binder,
+    ~d) opens the body of a binder at depth d, which then sits at
+    `scope[d]`.  A binder's answer depends only on its own subterm, so a
+    shared node has one answer."""
+    names: set[str] = set()
+    used: set[int] = set()
+    scope: list[Term] = []
+    todo: list[tuple[Term, int]] = [(t, 0)]
+    while todo:
+        node, d = todo.pop()
+        cls = type(node)
+        if d < 0:
+            del scope[~d:]
+            scope.append(node)
+        elif cls is Var:
+            if node.index < d:
+                used.add(id(scope[d - 1 - node.index]))
+        elif cls is FVar or cls is Const:
+            names.add(node.name)
+        elif cls is App:
+            todo += ((node.arg, d), (node.fn, d))
+        elif cls is Pi:
+            todo += ((node.codomain, d + 1), (node, ~d), (node.domain, d))
+        elif cls is Lam:
+            todo += ((node.body, d + 1), (node, ~d), (node.annotation, d))
+    return names, used
+
+
+def _print(t: Term, avoid: set[str], used: set[int]) -> str:
     """t's text, made on one explicit todo stack, so depth costs no
     recursion.  An entry is a piece of text, a (term, level) pair, a
     (name, _BIND) pair that brings a binder name into scope, or an int
-    that drops the names bound past that many."""
+    that drops the names bound past that many.  `used` holds the ids of
+    the binders whose variable occurs."""
     out: list[str] = []
     names: list[str] = []  # the binder names in scope, innermost last
+    # the same as a set: only "_" and "!" can be bound twice, and
+    # `_pick_name` never chooses either
+    in_scope: set[str] = set()
     todo: list = [(t, _TERM_LEVEL)]
     while todo:
         entry = todo.pop()
@@ -485,11 +520,13 @@ def _print(t: Term, avoid: set[str]) -> str:
             out.append(entry)
             continue
         if type(entry) is int:
+            in_scope.difference_update(names[entry:])
             del names[entry:]
             continue
         t, level = entry
         if level == _BIND:
             names.append(t)
+            in_scope.add(t)
             continue
         cls = type(t)
         if cls is Var:
@@ -508,11 +545,11 @@ def _print(t: Term, avoid: set[str]) -> str:
             todo.append((t, _ARG_OF_ARROW))
             if parens:
                 todo.append("(")
-        elif cls is Pi and not uses_bound(t.codomain):
+        elif cls is Pi and id(t) not in used:
             # a chain of arrows, one domain per non-dependent product
             parens = level > _TERM_LEVEL
             chain = []
-            while isinstance(t, Pi) and not uses_bound(t.codomain):
+            while isinstance(t, Pi) and id(t) not in used:
                 chain += ((t.domain, _ARG_OF_ARROW), " -> ", ("!", _BIND))
                 t = t.codomain
             chain.append((t, _TERM_LEVEL))
@@ -525,13 +562,13 @@ def _print(t: Term, avoid: set[str]) -> str:
         elif cls is Pi or cls is Lam:
             if cls is Pi:
                 kw, first, second = "Pi ", t.domain, t.codomain
-                name = _pick_name(t.hint, avoid, names)
+                name = _pick_name(t.hint, avoid, in_scope)
             else:
                 kw, first, second = "\\", t.annotation, t.body
-                if not uses_bound(second) and "_" not in avoid:
+                if id(t) not in used and "_" not in avoid:
                     name = "_"
                 else:
-                    name = _pick_name(t.hint, avoid, names)
+                    name = _pick_name(t.hint, avoid, in_scope)
             parens = level > _TERM_LEVEL
             if parens:
                 todo.append(")")
@@ -548,10 +585,10 @@ def _print(t: Term, avoid: set[str]) -> str:
     return "".join(out)
 
 
-def _pick_name(hint: str, avoid: set[str], stack: list[str]) -> str:
+def _pick_name(hint: str, avoid: set[str], in_scope: set[str]) -> str:
     base = hint if hint and hint != "_" and hint[0] != "!" else "x"
     name = base
-    while name in avoid or name in stack:
+    while name in avoid or name in in_scope:
         name += "'"
     return name
 

@@ -11,9 +11,17 @@ bottom-up, and the position helpers swap one child at a time,
 `_with_child`.  Each node caches `loose_bound`, how many enclosing
 binders its loose indices need, so `shift` and `instantiate` hand back
 unchanged, rather than copy, a subterm none of whose indices they can
-reach.  Applications and binders cache their hash as well, the value the
-dataclass would compute, so a set or dict lookup hashes a term once, not
-node by node.  `==` and `repr` still recurse.
+reach.  Applications and binders cache two more facts, outside the
+fields, so `==` and `repr` ignore them, and a pickle leaves both behind:
+
+- `_hash`, the value the dataclass would compute, so a set or dict
+  lookup hashes a term once, not node by node;
+- `_normal`, a mark: the rules tuple of a theory under which the node's
+  whole subterm has no redex.  The reduction walks of `reduction` set it
+  and skip a subterm that carries it.  A leaf's stays None: a bare
+  constant can be a rule lhs, and a leaf is cheap to check anyway.
+
+`==` and `repr` still recurse.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ class Var:
     index: int
     span: Any = field(default=None, compare=False, repr=False)
     _loose = None
+    _normal = None
 
 
 @dataclass(frozen=True)
@@ -42,6 +51,7 @@ class FVar:
     name: str
     span: Any = field(default=None, compare=False, repr=False)
     _loose = 0
+    _normal = None
 
 
 @dataclass(frozen=True)
@@ -51,18 +61,21 @@ class Const:
     name: str
     span: Any = field(default=None, compare=False, repr=False)
     _loose = 0
+    _normal = None
 
 
 @dataclass(frozen=True)
 class SortType:
     span: Any = field(default=None, compare=False, repr=False)
     _loose = 0
+    _normal = None
 
 
 @dataclass(frozen=True)
 class SortKind:
     span: Any = field(default=None, compare=False, repr=False)
     _loose = 0
+    _normal = None
 
 
 def _cached_hash(t: Term) -> int:
@@ -71,9 +84,9 @@ def _cached_hash(t: Term) -> int:
 
 
 def _uncached_state(t: Term) -> dict:
-    # str hashes differ between processes, so a pickled term leaves its
-    # hash behind
-    return {k: v for k, v in vars(t).items() if k != "_hash"}
+    # str hashes differ between processes, and a rules tuple is matched
+    # by identity, so a pickled term leaves its hash and its mark behind
+    return {k: v for k, v in vars(t).items() if k != "_hash" and k != "_normal"}
 
 
 @dataclass(frozen=True)
@@ -84,6 +97,7 @@ class Pi:
     span: Any = field(default=None, compare=False, repr=False)
     _loose = None
     _hash = None
+    _normal = None
     __hash__ = _cached_hash
     __getstate__ = _uncached_state
 
@@ -96,6 +110,7 @@ class Lam:
     span: Any = field(default=None, compare=False, repr=False)
     _loose = None
     _hash = None
+    _normal = None
     __hash__ = _cached_hash
     __getstate__ = _uncached_state
 
@@ -107,6 +122,7 @@ class App:
     span: Any = field(default=None, compare=False, repr=False)
     _loose = None
     _hash = None
+    _normal = None
     __hash__ = _cached_hash
     __getstate__ = _uncached_state
 
@@ -294,11 +310,6 @@ def free_vars(t: Term) -> set[str]:
 
 def const_names(t: Term) -> set[str]:
     return {node.name for node, _ in _walk(t) if type(node) is Const}
-
-
-def names_in(t: Term) -> set[str]:
-    """The name of every free variable and constant of t, in one walk."""
-    return {node.name for node, _ in _walk(t) if type(node) is FVar or type(node) is Const}
 
 
 def uses_bound(t: Term, index: int = 0) -> bool:

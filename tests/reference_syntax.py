@@ -31,7 +31,8 @@ from pimodulo.terms import (
     SortType,
     Term,
     Var,
-    names_in,
+    const_names,
+    free_vars,
     spine,
     uses_bound,
 )
@@ -254,7 +255,7 @@ _ARG_OF_APP = 2       # only atoms go bare
 
 def print_term(t: Term) -> str:
     # fresh binder names avoid every free variable and constant of t
-    return _print(t, [], _TERM_LEVEL, names_in(t) | RESERVED)
+    return _print(t, [], _TERM_LEVEL, free_vars(t) | const_names(t) | RESERVED)
 
 
 def _print(t: Term, stack: list[str], level: int, avoid: set[str]) -> str:

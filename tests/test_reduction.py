@@ -1,3 +1,4 @@
+import pickle
 import subprocess
 import sys
 import time
@@ -19,7 +20,18 @@ from pimodulo.reduction import (
     rule_overlap_warnings,
     whnf,
 )
-from pimodulo.terms import App, Const, FVar, Lam, Pi, RewriteRule, TYPE, Theory, Var
+from pimodulo.terms import (
+    App,
+    Const,
+    FVar,
+    Lam,
+    Pi,
+    RewriteRule,
+    TYPE,
+    Theory,
+    Var,
+    subterm_positions,
+)
 from pimodulo.syntax import parse_theory
 from pimodulo.theories import builtin_theory
 
@@ -286,6 +298,58 @@ def test_is_normal_accounts_for_rules() -> None:
     assert not is_normal(t, STT)
     assert is_normal(t, STT.without_rules())
     assert is_normal(stt_term("eps p", "p"), STT)
+
+
+# ------------- normality marks -------------
+
+
+def test_a_beta_normal_mark_does_not_hide_a_rule_redex() -> None:
+    # f c is beta-normal, and marked so by a walk without rules
+    for walk in (lambda t, th: normalize(t, th), one_step_reducts):
+        t = App(FVar("f"), Const("c"))
+        walk(t, Theory())
+        assert t._normal == ()
+        assert normalize(t, DEFINITION) == App(FVar("f"), Const("d"))
+        assert one_step_reducts(t, DEFINITION) == [App(FVar("f"), Const("d"))]
+        assert not is_normal(t, DEFINITION)
+
+
+def test_a_mark_holds_under_its_own_rules_and_under_none() -> None:
+    t = stt_term("\\h : eps p. f h", "p", "f")
+    assert is_normal(t, STT)
+    assert t._normal is STT.rules
+    # a planted mark on a redex shows which walks trust it
+    for walk in (is_normal, lambda t, th: one_step_reducts(t, th) == []):
+        redex = stt_term("eps ((\\x : o. x) p)", "p")
+        object.__setattr__(redex, "_normal", STT.rules)
+        assert walk(redex, STT)
+        assert walk(redex, STT.without_rules())
+        assert not walk(redex, CC)
+        # an equal rules tuple that is another object
+        assert not walk(redex, Theory(STT.signature, tuple(list(STT.rules))))
+
+
+def test_marks_change_no_reduct() -> None:
+    ident = Lam("x", TYPE, Var(0))
+    for t, theory in (
+        (stt_term("f (eps (imp p p)) ((\\x : o. x) (imp p q)) (eps q)", "p", "q", "f"), STT),
+        (App(ident, App(ident, FVar("y"))), Theory()),
+    ):
+        first = one_step_reducts(t, theory)
+        assert one_step_reducts(t, theory) == first
+
+
+def test_a_mark_is_invisible_to_equality_hash_repr_and_pickle() -> None:
+    text = "\\h : eps (imp p q). f h (eps q)"
+    t, twin = stt_term(text, "p", "q", "f"), stt_term(text, "p", "q", "f")
+    normalize(t, STT.without_rules())
+    one_step_reducts(t, STT)
+    assert any(node._normal is not None for _, node in subterm_positions(t))
+    assert all(node._normal is None for _, node in subterm_positions(twin))
+    assert t == twin and hash(t) == hash(twin) and repr(t) == repr(twin)
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t
+    assert all("_normal" not in vars(node) for _, node in subterm_positions(copy))
 
 
 # ------------- pattern analysis -------------

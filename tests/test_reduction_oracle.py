@@ -43,6 +43,18 @@ def test_corpus_reduces_as_the_reference_does(corpus, mode):
         assert_agrees(t, theory, mode, FUEL)
 
 
+def test_marks_left_under_other_rules_change_no_step(corpus):
+    # the same term objects go through every theory twice, so each walk
+    # meets the marks that walks under the other rules tuples left
+    _, terms = corpus
+    theories = [builtin_theory(name).theory for name in sorted(CONTEXTS)]
+    for _ in range(2):
+        for t in terms[::4]:
+            for theory in theories:
+                for mode in (BETA, BETA_R):
+                    assert_agrees(t, theory, mode, FUEL)
+
+
 @pytest.mark.parametrize("mode", (BETA, BETA_R))
 def test_starved_budgets_stop_where_the_reference_stops(corpus, mode):
     theory, terms = corpus

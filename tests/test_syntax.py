@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from pimodulo.errors import ParseError
@@ -145,6 +147,26 @@ def test_printer_avoids_capturing_free_variables() -> None:
     t = Lam("x", Const("o"), App(App(Const("imp"), FVar("x")), Var(0)))
     printed = print_term(t)
     assert parse_term(printed, var_names={"x"}) == t
+
+
+def test_printing_is_linear_in_binder_depth() -> None:
+    # x1 escapes every body, so a printer that asks each binder's body
+    # whether its variable occurs walks the rest of the chain every time:
+    # 4n binders would take about 16 times as long as n
+    def timed(n: int) -> float:
+        t = parse_term("".join(f"\\x{i} : o. " for i in range(1, n + 1)) + f"imp x1 x{n}")
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            text = print_term(t)
+            best = min(best, time.perf_counter() - start)
+        unused = "".join("\\_ : o. " for _ in range(n - 2))
+        assert text == f"\\x1 : o. {unused}\\x{n} : o. imp x1 x{n}"
+        return best
+
+    n = 1500
+    times = [timed(n), timed(2 * n), timed(4 * n)]
+    assert times[2] < 10 * times[0], times
 
 
 # ------------- judgements -------------

@@ -23,7 +23,6 @@ from pimodulo.terms import (
     ctx_lookup,
     free_vars,
     instantiate,
-    names_in,
     open_binder,
     replace_at,
     shift,
@@ -214,7 +213,6 @@ def test_name_queries_walk_chains_past_the_recursion_limit() -> None:
         t = App(Const("f"), t)
     assert free_vars(t) == {"x"}
     assert const_names(t) == {"f"}
-    assert names_in(t) == {"x", "f"}
 
 
 def test_uses_bound_tracks_depth() -> None:
@@ -259,7 +257,6 @@ def test_every_traversal_runs_past_the_recursion_limit(shape) -> None:
     assert term_size(t) == size
     assert free_vars(t) == {"x"}
     assert const_names(t) == ({"c"} if shape == "lam" else set())
-    assert names_in(t) == ({"x", "c"} if shape == "lam" else {"x"})
     assert uses_bound(t, 0) and not uses_bound(t, 1)
     for result in (shift(t, 2), instantiate(t, Const("u")), close_binder(t, "x"),
                    substitute_many(t, {"x": Var(0)})):
