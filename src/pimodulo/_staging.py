@@ -9,6 +9,25 @@ three-layer model innermost.  What a check does before it reads the
 inner valuation (staging its terms, the substituted term among them, and
 evaluating the layers that read only the outer valuation) is kept for
 the last item it ran on (`last_item`).
+
+A `model_cc` conversion verdict is also kept across algebras
+(`by_table_reads`), in the manner of a build system's verifying traces: a
+check reads only a few entries of an algebra's table, and its verdict
+holds on every algebra of the same size that agrees on those entries.  The verdicts of an item
+and valuation are kept as a decision tree: each inner node is one read of
+`top` or of a `pi` entry and branches on the value read, and each leaf is
+a verdict.  A call walks the tree against its algebra.  Where no branch
+is kept for the value it reads, the check runs once on a view of the
+algebra that logs each `top` and `pi` read in order (`_Recorder`), and the
+logged path, ending in the verdict, is grafted onto the tree.  The tree
+is sound only if every read goes through that view.  The layers a check
+evaluates before the inner valuation read the carrier size alone, so they
+get a view with the size and nothing else (`size_only`), one per size:
+any other read fails, and `last_item` still finds them from one algebra
+to the next.  A check that raises keeps nothing, so every error is raised
+afresh.  The `model_stt` checks are not kept this way: their per-algebra
+constants are cached by the algebra and by a whole table row, which would
+answer for reads the view never sees.
 """
 
 from __future__ import annotations
@@ -63,3 +82,91 @@ def last_item(fn: Callable[..., Any]) -> Callable[..., Any]:
         return result
 
     return cached
+
+
+class _SizeOnly:
+    """An algebra seen through its carrier size alone."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+
+
+# one view per carrier size, so that a memo keyed by identity finds it again
+size_only = lru_cache(maxsize=16)(_SizeOnly)
+
+
+class _Recorder:
+    """An algebra whose `top` and `pi` reads are logged in the order of
+    their first read, as read -> value: the read is None for `top` and
+    (w, mask) for an entry.  A read made again is not logged again, since
+    its value is already known.  The carrier size and `mask_of` read no
+    table."""
+
+    __slots__ = ("_alg", "n", "reads")
+
+    def __init__(self, alg):
+        self._alg = alg
+        self.n = alg.n
+        self.reads: dict = {}
+
+    @property
+    def top(self) -> int:
+        return self.reads.setdefault(None, self._alg.top)
+
+    def pi(self, w: int, mask: int) -> int:
+        return self.reads.setdefault((w, mask), self._alg.pi(w, mask))
+
+    def mask_of(self, elems) -> int:
+        return self._alg.mask_of(elems)
+
+
+class _Read(list):
+    """An inner node of a verdict tree.  node[0] is the read it makes, as
+    `_Recorder` logs it; node[1 + v] is what follows reading v: another
+    node, a result, or `_MISSING` while no call has read v there."""
+
+    __slots__ = ()
+
+
+_MISSING = object()
+
+
+def by_table_reads(maxsize: int) -> Callable:
+    """A decorator: fn(*terms, phi, psi, alg, cap), called with every
+    argument positional, kept for the last `maxsize` keys it ran on, and
+    under each key as a tree of the algebra reads its results came from.
+    The key is the leading arguments by identity (kept alive, as
+    `per_term` keeps its terms), phi and psi by value (dicts equal in
+    another order miss), the carrier size and the cap.  fn reads the
+    algebra through a `_Recorder` and must return no `_Read`.  A call that
+    raises keeps nothing."""
+
+    def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
+        # a key's tree hangs from the one slot of a list
+        trees = lru_cache(maxsize=maxsize)(lambda key: [_MISSING])
+
+        def cached(*args):
+            *terms, phi, psi, alg, cap = args
+            root = trees((tuple(map(_Same, terms)), tuple(phi.items()), tuple(psi.items()),
+                          alg.n, cap))
+            slots, i = root, 0
+            while type(node := slots[i]) is _Read:
+                read = node[0]
+                slots, i = node, 1 + (alg.top if read is None else alg.pi(*read))
+            if node is not _MISSING:
+                return node
+            recorder = _Recorder(alg)
+            result = fn(*terms, phi, psi, recorder, cap)
+            slots, i = root, 0
+            for read, got in recorder.reads.items():
+                if slots[i] is _MISSING:
+                    slots[i] = _Read([read, *[_MISSING] * alg.n])
+                slots, i = slots[i], 1 + got
+            slots[i] = result
+            return result
+
+        return cached
+
+    return decorate

@@ -75,6 +75,10 @@ class Reporter:
 
     def emit(self, item_id: str, kind: str, status: str, detail: str = "") -> None:
         self.worst = max(self.worst, _STATUS_CODES.get(status, EXIT_IO))
+        self.show(item_id, kind, status, detail)
+
+    def show(self, item_id: str, kind: str, status: str, detail: str = "") -> None:
+        """Print a line that leaves the exit code to a later summary."""
         if self.fmt == "json-lines":
             record = {"detail": detail, "id": item_id, "kind": kind, "status": status}
             print(json.dumps(record, sort_keys=True, separators=(",", ":")))
@@ -352,7 +356,9 @@ def cmd_sn_scan(args, rep: Reporter) -> None:
                 counts["yes"] += 1
             case FuelExhausted(last):
                 counts["unknown"] += 1
-                rep.emit(f"term {i}", "sn", "unknown",
+                # the summary, which weighs the unknowns against
+                # --allow-unknown, sets the exit code
+                rep.show(f"term {i}", "sn", "unknown",
                          f"{print_term(t)} not certified; search stopped at {print_term(last)}")
     status = "ok"
     if counts["unknown"] > args.allow_unknown:

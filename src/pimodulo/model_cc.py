@@ -23,6 +23,19 @@ Evaluation is staged: each term is turned once into closures for its three
 layers, which then run on every algebra and valuation (see below).  The
 N-sets and the middle layer never read the inner valuation phi, so a lemma
 check evaluates them once per item and outer valuation psi, not per phi.
+
+A conversion verdict is also kept across algebras
+(`_staging.by_table_reads`).  It is kept under its terms (by identity),
+phi and psi (by value), the carrier size and the cap, as a tree of the
+`top` and `pi` reads the check made, and an algebra that agrees on those
+entries gets it without an evaluation.  The check reads the algebra
+through a view that logs those reads; its N-set and middle layers read
+only the carrier size, and get a view that has nothing else.  A check
+that raises keeps nothing, so its error is raised afresh on every call.
+The substitution check keeps no verdicts: the sweeps check each instance
+on one algebra or a few, so a key would seldom be met twice.  `model_stt`
+keeps none either: its per-algebra constants are cached by the algebra
+and by a whole table row, beyond the reach of such a view.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from ._staging import last_item, per_term
+from ._staging import by_table_reads, last_item, per_term, size_only
 from .algebra import FiniteAlgebra
 from .errors import PiModuloError, UnenumerableUnion
 from .terms import (
@@ -511,10 +524,6 @@ def interp_cc(
 
 # --- valuations and lemma checks -------------------------------------------------
 
-def default_psi(ctx: Context, alg: FiniteAlgebra) -> dict[str, UniverseElem]:
-    return {name: default_n_value(domain_n(ty), alg) for name, ty in ctx}
-
-
 def enumerate_psis(
     ctx: Context, alg: FiniteAlgebra, cap: int = DEFAULT_CAP
 ) -> list[dict[str, UniverseElem]]:
@@ -543,8 +552,11 @@ def enumerate_m_valuations(
 
 
 # What a lemma check does before it reads phi: staging, the N-sets and the
-# middle layer, which read only the terms and psi.  It is kept for the last
-# item (`last_item`); the sweeps run every phi of a psi in a row.
+# middle layer, which read only the terms, psi and the carrier size.  It is
+# kept for the last item (`last_item`); the sweeps run every phi of a psi in
+# a row.  The conversion check hands it the carrier size alone
+# (`size_only`), not the algebra, so it is found again on the next algebra
+# of that size.
 
 @last_item
 def _conversion_outer(t: Term, u: Term, alg: FiniteAlgebra, cap: int, psi) -> tuple:
@@ -556,6 +568,23 @@ def _conversion_outer(t: Term, u: Term, alg: FiniteAlgebra, cap: int, psi) -> tu
     return ev_t, ev_u, holds
 
 
+# Lemma verdicts kept at once, each under its item, valuation and carrier
+# size (`by_table_reads`).  The five rules under every valuation at carrier
+# sizes 1 and 2 make 210 keys; a pair adds one per valuation and size, so a
+# sweep of pairs on a few algebras each needs few at a time.
+VERDICT_CACHE_SIZE = 512
+
+
+@by_table_reads(VERDICT_CACHE_SIZE)
+def _conversion_verdict(t: Term, u: Term, phi, psi, alg: FiniteAlgebra, cap: int) -> bool:
+    ev_t, ev_u, holds = _conversion_outer(t, u, size_only(alg.n), cap, psi=psi)
+    if not holds:
+        return False
+    return equal_values(
+        ev_t(phi, psi, alg, cap, [], []), ev_u(phi, psi, alg, cap, [], []), alg, cap
+    )
+
+
 def check_conversion_cc(
     t: Term,
     u: Term,
@@ -565,12 +594,7 @@ def check_conversion_cc(
     cap: int = DEFAULT_CAP,
 ) -> bool:
     """All three layers must agree on convertible terms."""
-    ev_t, ev_u, holds = _conversion_outer(t, u, alg, cap, psi=psi)
-    if not holds:
-        return False
-    return equal_values(
-        ev_t(phi, psi, alg, cap, [], []), ev_u(phi, psi, alg, cap, [], []), alg, cap
-    )
+    return _conversion_verdict(t, u, phi, psi, alg, cap)
 
 
 @last_item

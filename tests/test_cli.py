@@ -318,6 +318,9 @@ MODEL_CHECK_DIGESTS = {
     # recorded before finite functions were applied by index; the run ends
     # on a model error whose message prints a finite function
     "cc-text": "bd49cb1b061ade181053733ec04adabf926449659b77155b70f0653504655c62",
+    # recorded before cc verdicts were kept across algebras: every rule on
+    # all 512 algebras of size 2, then the pair phase's model error
+    "cc-default-text": "01f3e32858c7d044b61094034a36de4d2b6666b835d19b7e7c0d65cc1115c25e",
 }
 
 
@@ -354,6 +357,17 @@ def test_model_check_cc_output_is_byte_identical(capsys):
     assert out.splitlines()[-1].startswith("type-error\tfatal\t")
     assert "FiniteFun(graph=" in out.splitlines()[-1]
     assert hashlib.sha256(out.encode()).hexdigest() == MODEL_CHECK_DIGESTS["cc-text"], out
+
+
+def test_model_check_cc_at_default_sizes_is_byte_identical_serial_and_pooled(capsys):
+    code, out = run_cli(capsys, "model-check", "--theory", "cc")
+    assert code == 1
+    assert out.splitlines()[-1].startswith("type-error\tfatal\tapplied a finite function outside")
+    assert hashlib.sha256(out.encode()).hexdigest() == MODEL_CHECK_DIGESTS["cc-default-text"], out
+    pooled = subprocess.run([sys.executable, "-m", "pimodulo.cli", "model-check", "--theory", "cc",
+                             "--jobs", "2"], capture_output=True, text=True)
+    assert pooled.returncode == 1
+    assert pooled.stdout == out
 
 
 def _serial_and_pooled(theory, *sizes):
@@ -551,6 +565,16 @@ def test_sn_scan_output_is_byte_identical(capsys, run, fmt):
     _, out = run_cli(capsys, "sn-scan", *SN_SCAN_RUNS[run], "--count", "250", "--seed", "0",
                      "--allow-unknown", "1000", "--format", fmt)
     assert hashlib.sha256(out.encode()).hexdigest() == SN_SCAN_DIGESTS[run, fmt], out
+
+
+@pytest.mark.parametrize("allowed, code", ((45, 0), (44, 3), (1000, 0)))
+def test_sn_scan_exit_code_follows_the_unknown_allowance(capsys, allowed, code):
+    # 45 of these 250 terms are unknown: the summary weighs them against
+    # the allowance, and the per-term lines leave the exit code to it
+    got, out = run_cli(capsys, "sn-scan", *SN_SCAN_RUNS["stt-beta-R-3"], "--count", "250",
+                       "--seed", "0", "--allow-unknown", str(allowed))
+    assert out.count("unknown\tterm ") == 45
+    assert got == code
 
 
 # --- configuration ---

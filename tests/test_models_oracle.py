@@ -17,6 +17,12 @@ from the oracle's layers, in the sweeps' order (every inner valuation of
 an outer valuation in a row), with two items interleaved so that nothing
 kept is reused, and with an outer valuation changed in place between
 calls.
+
+The `cc` conversion check also keeps each verdict across algebras, under
+the table entries it read; the verdicts are held to the oracle's on every
+algebra, for items whose verdict depends on the algebra, with the
+algebras taken in either order.  A check that raises keeps nothing, and
+the layers that read only the carrier size see nothing else.
 """
 
 from itertools import islice
@@ -25,6 +31,7 @@ import pytest
 
 from pimodulo.algebra import enumerate_full_algebras
 from pimodulo import model_cc, model_stt
+from pimodulo._staging import size_only
 from pimodulo.errors import PiModuloError
 from pimodulo.generate import convertible_pairs, sample_well_typed
 from pimodulo.syntax import parse_term
@@ -241,3 +248,77 @@ def test_lemma_verdicts_follow_an_outer_valuation_changed_in_place():
                     assert outcome(staged, *terms, phi, live, alg, CAP) == expected, (terms, psi)
                     verdicts.add(expected)
         assert {("value", "True"), ("value", "False")} <= verdicts
+
+
+# --- the verdict memo ---------------------------------------------------------------
+#
+# A cc conversion verdict is kept under its item and valuation as a tree
+# of the table entries its check read, and reused on every algebra that
+# agrees on them.
+# Each pair below holds on 129 of the 513 algebras and fails on 384, so a
+# tree that followed the wrong entries, or no value, would hand some
+# algebra another's verdict: the first reads pi(p, {p}), the second `top`
+# and then pi(top, {p}).
+
+MEMO_CTX = CONTEXTS["cc"]
+ALGEBRA_DEPENDENT = (
+    ("eps_Type (pi_TTT p (\\z : eps_Type p. p))", "eps_Type p"),
+    ("eps_Type (pi_KTT dot_Type (\\z : eps_Kind dot_Type. p))", "eps_Type p"),
+)
+
+
+def conversion_outcomes(check, t, u, ctx, alg):
+    return [outcome(check, t, u, *valuation, alg, CAP)
+            for valuation in sweep_valuations("cc", ctx, alg)]
+
+
+@pytest.mark.parametrize("order", ("sweep", "reverse"))
+@pytest.mark.parametrize("lhs, rhs", ALGEBRA_DEPENDENT)
+def test_memoized_verdicts_follow_the_table_entries_read(lhs, rhs, order):
+    names = frozenset(name for name, _ in MEMO_CTX)
+    # parsed here, so that no other test has kept a verdict for these terms
+    t, u = (parse_term(text, var_names=names) for text in (lhs, rhs))
+    expected = [conversion_outcomes(reference_models.check_conversion_cc, t, u, MEMO_CTX, alg)
+                for alg in ALGS]
+    holds = sum(all(o == ("value", "True") for o in per_alg) for per_alg in expected)
+    assert (holds, len(ALGS) - holds) == (129, 384)
+    indices = range(len(ALGS)) if order == "sweep" else range(len(ALGS) - 1, -1, -1)
+    # the first pass grows the trees, the second only walks them
+    for _ in range(2):
+        for i in indices:
+            got = conversion_outcomes(model_cc.check_conversion_cc, t, u, MEMO_CTX, ALGS[i])
+            assert got == expected[i], (lhs, i)
+
+
+def test_the_memoized_check_takes_its_arguments_by_keyword():
+    names = frozenset(name for name, _ in MEMO_CTX)
+    t, u = (parse_term(text, var_names=names) for text in ALGEBRA_DEPENDENT[0])
+    for alg in ALGS[::32]:
+        for phi, psi in sweep_valuations("cc", MEMO_CTX, alg):
+            expected = reference_models.check_conversion_cc(t, u, phi, psi, alg, CAP)
+            assert model_cc.check_conversion_cc(t, u, phi, psi, alg, CAP) == expected
+            assert model_cc.check_conversion_cc(
+                t=t, u=u, phi=phi, psi=psi, alg=alg, cap=CAP) == expected
+            assert model_cc.check_conversion_cc(t, u, phi, psi, alg=alg) == \
+                reference_models.check_conversion_cc(t, u, phi, psi, alg)
+
+
+def test_a_failing_check_raises_afresh_on_every_call():
+    # ROADMAP item 1's outside-domain pair: its redex tabulates an identity
+    # over a domain that does not list pi_TTT's value
+    t = parse_term("(\\x : Pi X : U_Type. (eps_Type X -> U_Type) -> U_Type. x) pi_TTT")
+    u = parse_term("pi_TTT")
+    for alg in ALGS:
+        (expected,) = conversion_outcomes(reference_models.check_conversion_cc, t, u, (), alg)
+        assert expected[0] == "raised" and "outside its domain" in expected[2]
+        for _ in range(2):
+            assert conversion_outcomes(model_cc.check_conversion_cc, t, u, (), alg) == [expected]
+
+
+def test_the_size_only_view_has_no_table():
+    view = size_only(2)
+    assert view.n == 2 and size_only(2) is view
+    with pytest.raises(AttributeError):
+        view.top
+    with pytest.raises(AttributeError):
+        view.pi(0, 1)
