@@ -1,33 +1,33 @@
 """The stage caches the finite models share.
 
-`model_stt` and `model_cc` turn a term once into closures, one per node
-(`terms.fold`), and keep what they made for each term object (`per_term`).
+Three memos, each for the checks that meet its keys again:
 
-A lemma check runs once per valuation of an item, and a sweep runs all
-of an item's valuations in a row, the inner valuations of the
-three-layer model innermost.  What a check does before it reads the
-inner valuation (staging its terms, the substituted term among them, and
-evaluating the layers that read only the outer valuation) is kept for
-the last item it ran on (`last_item`).
-
-A `model_cc` conversion verdict is also kept across algebras
-(`by_table_reads`), in the manner of a build system's verifying traces: a
-check reads only a few entries of an algebra's table, and its verdict
-holds on every algebra of the same size that agrees on those entries.  The verdicts of an item
-and valuation are kept as a decision tree: each inner node is one read of
-`top` or of a `pi` entry and branches on the value read, and each leaf is
-a verdict.  A call walks the tree against its algebra.  Where no branch
-is kept for the value it reads, the check runs once on a view of the
-algebra that logs each `top` and `pi` read in order (`_Recorder`), and the
-logged path, ending in the verdict, is grafted onto the tree.  The tree
-is sound only if every read goes through that view.  The layers a check
-evaluates before the inner valuation read the carrier size alone, so they
-get a view with the size and nothing else (`size_only`), one per size:
-any other read fails, and `last_item` still finds them from one algebra
-to the next.  A check that raises keeps nothing, so every error is raised
-afresh.  The `model_stt` checks are not kept this way: their per-algebra
-constants are cached by the algebra and by a whole table row, which would
-answer for reads the view never sees.
+- `per_term`: `model_stt` and `model_cc` turn a term once into closures,
+  one per node (`terms.fold`), and keep what they made for each term
+  object.
+- `last_item`: a substitution check runs once per valuation of an
+  instance, and a sweep runs all of an instance's valuations in a row,
+  the inner valuations of the three-layer model innermost.  What the
+  check does before it reads the inner valuation (staging the substituted
+  term, and in `model_cc` evaluating the layers that read only the outer
+  valuation) is kept for the last instance it ran on.
+- `by_table_reads`: a `model_cc` conversion verdict is kept across
+  algebras, in the manner of a build system's verifying traces.  A check
+  reads only a few entries of an algebra's table, and its verdict holds
+  on every algebra of the same size that agrees on those entries.  The
+  verdicts of an item and valuation are kept as a decision tree: each
+  inner node is one read of `top` or of a `pi` entry and branches on the
+  value read, and each leaf is a verdict.  A call walks the tree against
+  its algebra.  Where no branch is kept for the value it reads, the check
+  runs once on a view of the algebra that logs each `top` and `pi` read
+  in order (`_Recorder`), and the logged path, ending in the verdict, is
+  grafted onto the tree.  The tree is sound only if every read goes
+  through that view.  A verdict decided by layers that read the carrier
+  size alone logs no read, and sits at the tree's root.  A check that
+  raises keeps nothing, so every error is raised afresh.  The `model_stt`
+  checks are not kept this way: their per-algebra constants are cached
+  by the algebra and by a whole table row, which would answer for reads
+  the view never sees.
 """
 
 from __future__ import annotations
@@ -37,6 +37,15 @@ from operator import is_
 from typing import Any, Callable
 
 from .terms import Term
+
+# Staged terms kept at once.  A sweep evaluates each rule side and pair
+# under every valuation and algebra, so its working set is a few dozen
+# terms; a long run cannot hold every term it ever staged.
+STAGE_CACHE_SIZE = 64
+# Constants kept at once, by carrier size, algebra, name or set.  An algebra's
+# constants are reused by every valuation of an item on it, and seldom
+# after: the sweeps visit 513 algebras.
+CONSTANT_CACHE_SIZE = 64
 
 
 class _Same:
@@ -70,7 +79,12 @@ def last_item(fn: Callable[..., Any]) -> Callable[..., Any]:
     and psi, an outer valuation or None, must equal that call's by value;
     a copy of psi is kept, so a caller that changes its dict in place
     cannot get a stale result.  A call that raises leaves the memo as it
-    was, so a failing call raises afresh every time."""
+    was, so a failing call raises afresh every time.
+
+    The substitution checks use it: the substituted term is new on every
+    instance, so `per_term` would not find its stage again, and the
+    `model_cc` middle layer, which reads psi but not phi, is evaluated
+    once per psi rather than once per phi."""
     last = None  # (args, a copy of psi, result)
 
     def cached(*args, psi=None):
@@ -82,19 +96,6 @@ def last_item(fn: Callable[..., Any]) -> Callable[..., Any]:
         return result
 
     return cached
-
-
-class _SizeOnly:
-    """An algebra seen through its carrier size alone."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self.n = n
-
-
-# one view per carrier size, so that a memo keyed by identity finds it again
-size_only = lru_cache(maxsize=16)(_SizeOnly)
 
 
 class _Recorder:

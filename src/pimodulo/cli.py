@@ -369,10 +369,18 @@ def cmd_sn_scan(args, rep: Reporter) -> None:
 
 # --- entry ------------------------------------------------------------------------
 
-def _positive(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"invalid positive int value: {text!r}")
-    return int(text)
+def _at_least(minimum: int):
+    """An argparse type: a decimal int no less than `minimum`."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r} (at least {minimum})")
+        return int(text)
+    return parse
+
+
+_positive = _at_least(1)
+_natural = _at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,16 +419,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model-check",
                        help="sweep the finite models over rules, pairs, and substitutions")
     p.add_argument("--algebra-size", type=_positive, default=2)
-    p.add_argument("--count", type=int, default=0,
+    p.add_argument("--count", type=_natural, default=0,
                    help="algebras to sample; 0 means all when the size allows")
-    p.add_argument("--pairs", type=int, default=24)
-    p.add_argument("--subst", type=int, default=12)
+    p.add_argument("--pairs", type=_natural, default=24)
+    p.add_argument("--subst", type=_natural, default=12)
     common(p)
     p.set_defaults(run=cmd_model_check)
 
     p = sub.add_parser("consistency-scan",
                        help="search for normal inhabitants of a target type")
-    p.add_argument("--max-size", type=int, default=8)
+    p.add_argument("--max-size", type=_natural, default=8)
     p.add_argument("--target",
                    help="judgement giving context and target, e.g. 'x : o |- eps x'")
     p.add_argument("--limit", type=_positive, default=5,
@@ -430,10 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sn-scan",
                        help="check generated well-typed terms for strong normalization")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-size", type=int, default=24)
+    p.add_argument("--count", type=_natural, default=100)
+    p.add_argument("--max-size", type=_natural, default=24)
     p.add_argument("--mode", choices=(BETA, BETA_R), default=BETA)
-    p.add_argument("--allow-unknown", type=int, default=0)
+    p.add_argument("--allow-unknown", type=_natural, default=0)
     common(p)
     p.set_defaults(run=cmd_sn_scan)
     return top

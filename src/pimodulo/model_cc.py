@@ -20,22 +20,24 @@ conventions (a function space into {e} is {e}; a function whose outputs
 are all e is e) are applied by the constructors of `values`.
 
 Evaluation is staged: each term is turned once into closures for its three
-layers, which then run on every algebra and valuation (see below).  The
-N-sets and the middle layer never read the inner valuation phi, so a lemma
-check evaluates them once per item and outer valuation psi, not per phi.
+layers, which then run on every algebra and valuation (see below).
 
-A conversion verdict is also kept across algebras
-(`_staging.by_table_reads`).  It is kept under its terms (by identity),
-phi and psi (by value), the carrier size and the cap, as a tree of the
-`top` and `pi` reads the check made, and an algebra that agrees on those
-entries gets it without an evaluation.  The check reads the algebra
-through a view that logs those reads; its N-set and middle layers read
-only the carrier size, and get a view that has nothing else.  A check
+A conversion verdict is kept across algebras (`_staging.by_table_reads`).
+It is kept under its terms (by identity), phi and psi (by value), the
+carrier size and the cap, as a tree of the `top` and `pi` reads the check
+made, and an algebra that agrees on those entries gets it without an
+evaluation.  The check reads the algebra, all three layers of it, through
+a view that logs those reads; the N-set and middle layers read only the
+carrier size, so a verdict they decide sits at the tree's root.  A check
 that raises keeps nothing, so its error is raised afresh on every call.
+
 The substitution check keeps no verdicts: the sweeps check each instance
-on one algebra or a few, so a key would seldom be met twice.  `model_stt`
-keeps none either: its per-algebra constants are cached by the algebra
-and by a whole table row, beyond the reach of such a view.
+on one algebra or a few, so a key would seldom be met twice.  The N-sets
+and the middle layer never read the inner valuation phi, so it evaluates
+them once per instance and outer valuation psi, not per phi
+(`_staging.last_item`).  `model_stt` keeps no verdicts either: its
+per-algebra constants are cached by the algebra and by a whole table row,
+beyond the reach of such a view.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from ._staging import by_table_reads, last_item, per_term, size_only
+from ._staging import CONSTANT_CACHE_SIZE, STAGE_CACHE_SIZE, by_table_reads, last_item, per_term
 from .algebra import FiniteAlgebra
 from .errors import PiModuloError, UnenumerableUnion
 from .terms import (
@@ -79,6 +81,7 @@ from .values import (
     SingletonE,
     apply_elem,
     as_carrier,
+    carrier_identity,
     enumerable,
     enumerate_set,
     explicit_set,
@@ -283,13 +286,6 @@ def apply_u(f: UniverseElem, a: UniverseElem, alg: FiniteAlgebra, cap: int = DEF
 # so a failing evaluation raises the same error it would raise on a walk of
 # the term.
 
-# Staged terms kept at once.  A sweep evaluates each rule side and pair
-# under every valuation and algebra, so its working set is a few dozen
-# terms; a long run cannot hold every term it ever staged.
-STAGE_CACHE_SIZE = 64
-# Constants kept at once, by carrier size, and default inhabitants.
-CONSTANT_CACHE_SIZE = 64
-
 _M_UNIVERSE_CONSTS = frozenset({"U_Kind", "U_Type", "dot_Type"})
 _M_CONSTS = {
     **{name: SetElem(CARRIER) for name in _M_UNIVERSE_CONSTS},
@@ -342,7 +338,7 @@ def _stage_leaf(node: Term) -> tuple:
         ev = _ev_top
     elif name in _DECODERS:
         def ev(phi, psi, alg, cap, phi_env, psi_env):
-            return _ident_b(alg.n)
+            return carrier_identity(alg.n)
     elif name in _PI_CODES:
         def ev(phi, psi, alg, cap, phi_env, psi_env):
             return _pi_code(alg.n)
@@ -450,11 +446,6 @@ _staged = per_term(_stage, STAGE_CACHE_SIZE)
 
 
 @lru_cache(maxsize=CONSTANT_CACHE_SIZE)
-def _ident_b(n: int) -> FiniteFun:
-    return FiniteFun(frozenset((AlgElem(w), AlgElem(w)) for w in range(n)))
-
-
-@lru_cache(maxsize=CONSTANT_CACHE_SIZE)
 def _pi_code(n: int) -> FiniteFun:
     return FiniteFun(frozenset((AlgElem(w), IPiDot1(w)) for w in range(n)))
 
@@ -551,23 +542,6 @@ def enumerate_m_valuations(
     return valuations(ctx, pools, cap)
 
 
-# What a lemma check does before it reads phi: staging, the N-sets and the
-# middle layer, which read only the terms, psi and the carrier size.  It is
-# kept for the last item (`last_item`); the sweeps run every phi of a psi in
-# a row.  The conversion check hands it the carrier size alone
-# (`size_only`), not the algebra, so it is found again on the next algebra
-# of that size.
-
-@last_item
-def _conversion_outer(t: Term, u: Term, alg: FiniteAlgebra, cap: int, psi) -> tuple:
-    n_t, m_t, ev_t = _staged(t)
-    n_u, m_u, ev_u = _staged(u)
-    holds = equal_sets(n_t, n_u, alg, cap) and equal_values(
-        m_t(psi, alg, cap, []), m_u(psi, alg, cap, []), alg, cap
-    )
-    return ev_t, ev_u, holds
-
-
 # Lemma verdicts kept at once, each under its item, valuation and carrier
 # size (`by_table_reads`).  The five rules under every valuation at carrier
 # sizes 1 and 2 make 210 keys; a pair adds one per valuation and size, so a
@@ -577,11 +551,13 @@ VERDICT_CACHE_SIZE = 512
 
 @by_table_reads(VERDICT_CACHE_SIZE)
 def _conversion_verdict(t: Term, u: Term, phi, psi, alg: FiniteAlgebra, cap: int) -> bool:
-    ev_t, ev_u, holds = _conversion_outer(t, u, size_only(alg.n), cap, psi=psi)
-    if not holds:
-        return False
-    return equal_values(
-        ev_t(phi, psi, alg, cap, [], []), ev_u(phi, psi, alg, cap, [], []), alg, cap
+    n_t, m_t, ev_t = _staged(t)
+    n_u, m_u, ev_u = _staged(u)
+    return (
+        equal_sets(n_t, n_u, alg, cap)
+        and equal_values(m_t(psi, alg, cap, []), m_u(psi, alg, cap, []), alg, cap)
+        and equal_values(ev_t(phi, psi, alg, cap, [], []), ev_u(phi, psi, alg, cap, [], []),
+                         alg, cap)
     )
 
 

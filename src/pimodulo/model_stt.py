@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._staging import last_item, per_term
+from ._staging import CONSTANT_CACHE_SIZE, STAGE_CACHE_SIZE, last_item, per_term
 from .algebra import FiniteAlgebra
 from .errors import PiModuloError
 from .syntax import parse_term
@@ -41,6 +41,7 @@ from .values import (
     SetValue,
     apply_elem,
     as_carrier,
+    carrier_identity,
     enumerate_set,
     finite_fun,
     fun_space,
@@ -57,13 +58,6 @@ from .values import (
 # cap or the valuation happens when the closure runs, in the order the
 # model defines, so a failing evaluation raises the same error a walk of
 # the term would.
-
-# Staged terms kept at once: a sweep's working set is a few dozen terms.
-STAGE_CACHE_SIZE = 64
-# Constants kept at once, by carrier size, algebra or quantifier name.  An
-# algebra's constants are reused by every valuation of an item on it, and
-# seldom after: the sweeps visit 513 algebras.
-CONSTANT_CACHE_SIZE = 64
 
 
 def _stage_leaf(node: Term) -> tuple:
@@ -91,7 +85,7 @@ def _stage_leaf(node: Term) -> tuple:
         ev = _ev_top
     elif name == "eps":
         def ev(phi, alg, cap, env):
-            return _eps(alg.n)
+            return carrier_identity(alg.n)
     elif name == "imp":
         def ev(phi, alg, cap, env):
             return _imp(alg)
@@ -159,11 +153,6 @@ _staged = per_term(_stage, STAGE_CACHE_SIZE)
 
 
 @lru_cache(maxsize=CONSTANT_CACHE_SIZE)
-def _eps(n: int) -> ElemValue:
-    return finite_fun((AlgElem(w), AlgElem(w)) for w in range(n))
-
-
-@lru_cache(maxsize=CONSTANT_CACHE_SIZE)
 def _imp(alg: FiniteAlgebra) -> ElemValue:
     return finite_fun(
         (
@@ -201,10 +190,9 @@ def _all_table(name: str, n: int, cap: int, w_c: int, pi_row: tuple[int, ...]) -
 
 # --- domains and interpretation ---------------------------------------------
 
-def domain_stt(t: Term, alg: FiniteAlgebra | None = None) -> SetValue:
-    """The domain of a term.  The algebra argument is accepted for call-shape
-    symmetry with the interpreter but the answer never depends on it: the
-    carrier stays symbolic inside SetValue."""
+def domain_stt(t: Term) -> SetValue:
+    """The domain of a term.  It does not depend on the algebra: the carrier
+    stays symbolic inside SetValue."""
     return _staged(t)[0]
 
 

@@ -27,6 +27,7 @@ from functools import lru_cache
 from itertools import product
 from math import prod
 
+from ._staging import CONSTANT_CACHE_SIZE
 from .algebra import FiniteAlgebra
 from .errors import PiModuloError, SizeLimitExceeded, UnenumerableUnion
 
@@ -121,6 +122,12 @@ def finite_fun(pairs) -> ElemValue:
     if graph and all(v == E_POINT for _, v in graph):
         return E_POINT
     return FiniteFun(graph)
+
+
+@lru_cache(maxsize=CONSTANT_CACHE_SIZE)
+def carrier_identity(n: int) -> ElemValue:
+    """The identity on a carrier of n elements."""
+    return finite_fun((AlgElem(w), AlgElem(w)) for w in range(n))
 
 
 def apply_elem(f: ElemValue, a: ElemValue) -> ElemValue:

@@ -298,6 +298,25 @@ def test_model_check_algebra_size_below_one_is_a_usage_error(capsys, size):
     assert "--algebra-size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", (
+    ("model-check", "--count"),
+    ("model-check", "--pairs"),
+    ("model-check", "--subst"),
+    ("consistency-scan", "--max-size"),
+    ("sn-scan", "--count"),
+    ("sn-scan", "--max-size"),
+    ("sn-scan", "--allow-unknown"),
+))
+def test_a_negative_count_or_size_is_a_usage_error(capsys, argv):
+    # each of these once ran as a vacuous pass over nothing
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[1] in captured.err
+
+
 def test_model_check_finds_the_swapped_rule(capsys, tmp_path):
     path = tmp_path / "broken.th"
     path.write_text(BROKEN_THEORY)
@@ -321,6 +340,10 @@ MODEL_CHECK_DIGESTS = {
     # recorded before cc verdicts were kept across algebras: every rule on
     # all 512 algebras of size 2, then the pair phase's model error
     "cc-default-text": "01f3e32858c7d044b61094034a36de4d2b6666b835d19b7e7c0d65cc1115c25e",
+    # recorded while the cc substitution check kept the layers that read no
+    # inner valuation for the last instance: the run reaches its
+    # substitution phase, and checks each instance on several algebras
+    "cc-subst-text": "8261ff57f457d7eae886a1e7144167b7937e28b493d08c8b3ed43d0bc88ce0f9",
 }
 
 
@@ -367,6 +390,17 @@ def test_model_check_cc_at_default_sizes_is_byte_identical_serial_and_pooled(cap
     pooled = subprocess.run([sys.executable, "-m", "pimodulo.cli", "model-check", "--theory", "cc",
                              "--jobs", "2"], capture_output=True, text=True)
     assert pooled.returncode == 1
+    assert pooled.stdout == out
+
+
+def test_model_check_cc_substitution_phase_is_byte_identical_serial_and_pooled(capsys):
+    code, out = run_cli(capsys, "model-check", "--theory", "cc", "--pairs", "0")
+    assert code == 0
+    assert out.splitlines()[-1] == "ok\tsubstitution\t12 instances over 8 algebras"
+    assert hashlib.sha256(out.encode()).hexdigest() == MODEL_CHECK_DIGESTS["cc-subst-text"], out
+    pooled = subprocess.run([sys.executable, "-m", "pimodulo.cli", "model-check", "--theory", "cc",
+                             "--pairs", "0", "--jobs", "2"], capture_output=True, text=True)
+    assert pooled.returncode == 0
     assert pooled.stdout == out
 
 
