@@ -395,10 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="builtin theory name (stt, cc) or a theory file path")
         # a string default goes through `type` like a command-line value,
         # so a bad PIMODULO_FUEL is a usage error just as a bad --fuel is
-        p.add_argument("--fuel", type=int, default=os.environ.get("PIMODULO_FUEL") or "1000000",
+        p.add_argument("--fuel", type=_natural, default=os.environ.get("PIMODULO_FUEL") or "1000000",
                        help="reduction budget (env PIMODULO_FUEL)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_positive, default=1)
         p.add_argument("--format", choices=("text", "json-lines"), default="text")
 
     p = sub.add_parser("check", help="type-check judgement files against a theory")

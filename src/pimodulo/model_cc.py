@@ -2,7 +2,14 @@
 
 Three layers.  The outer domain family N assigns every term a set built
 from E, {e}, and function spaces; E is the big universe of sets and is
-never enumerated, only handled symbolically.  The middle family M is
+never enumerated, only handled symbolically.  The only N-set that can be
+listed is {e}: a leaf's N-set is E or {e}, an application or abstraction
+passes on a child's, and a product's is `fun_space` of its binder's and
+its codomain's, which is {e} when the codomain's is {e} and otherwise a
+space into a set that cannot be listed.  So the middle value of a
+dependent product, which takes the union of its codomain's values over
+the binder's N-set, needs the codomain at e alone, and fails
+(`UnenumerableUnion`) when that N-set is not {e}.  The middle family M is
 valuation-indexed: M(t, psi) is an element of N at t's type, and may be
 a set (elements of E are sets), the point e, or a function.  The inner
 interpretation maps a term and two valuations (phi over M-values, psi
@@ -74,7 +81,6 @@ from .values import (
     ElemValue,
     EPoint,
     EUniverse,
-    ExplicitSet,
     FiniteFun,
     FunSpace,
     SetValue,
@@ -84,7 +90,6 @@ from .values import (
     carrier_identity,
     enumerable,
     enumerate_set,
-    explicit_set,
     finite_fun,
     fun_space,
     listing,
@@ -403,21 +408,14 @@ def _stage_lam(node: Lam, ann: tuple, body: tuple) -> tuple:
 def _stage_pi(node: Pi, ann: tuple, cod: tuple) -> tuple:
     n_ann, m_ann, ev_ann = ann
     n_cod, m_cod, ev_cod = cod
-    dependent = uses_bound(node.codomain)
-    listable = enumerable(n_ann)
+    # the only listable N-set is {e}, so a union over it has one part, at e
+    unlistable_union = uses_bound(node.codomain) and not enumerable(n_ann)
 
     def m(psi, alg, cap, env):
         dom_set = as_set(m_ann(psi, alg, cap, env), "product domain")
-        if not dependent:
-            union = as_set(m_cod(psi, alg, cap, env + [E_POINT]), "product codomain")
-        elif listable:
-            parts = [
-                as_set(m_cod(psi, alg, cap, env + [c]), "product codomain")
-                for c in enumerate_set(n_ann, alg, cap)
-            ]
-            union = _union_sets(parts, alg, cap)
-        else:
+        if unlistable_union:
             raise UnenumerableUnion("product codomain union runs over an unenumerable set")
+        union = as_set(m_cod(psi, alg, cap, env + [E_POINT]), "product codomain")
         if equal_sets(union, SINGLETON_E, alg, cap):
             return SetElem(SINGLETON_E)
         return SetElem(fun_space(dom_set, union))
@@ -464,17 +462,6 @@ def m_value(
     env: list[UniverseElem] | None = None,
 ) -> UniverseElem:
     return _staged(t)[1](psi, alg, cap, env or [])
-
-
-def _union_sets(parts: list[SetValue], alg: FiniteAlgebra, cap: int) -> SetValue:
-    first = parts[0]
-    if all(equal_sets(p, first, alg, cap) for p in parts[1:]):
-        return first
-    members: dict = {}
-    for p in parts:
-        for x in enumerate_set(p, alg, cap):
-            members.setdefault(canon_elem(x, alg, cap), x)
-    return explicit_set(members.values())
 
 
 def domain_m(t: Term, psi: dict[str, UniverseElem], alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SetValue:
@@ -627,9 +614,6 @@ def member_of_n(v: UniverseElem, s: SetValue, alg: FiniteAlgebra, cap: int = DEF
             return isinstance(v, SetElem)
         case Carrier():
             return isinstance(v, AlgElem) and 0 <= v.value < alg.n
-        case ExplicitSet(members):
-            cv = canon_elem(v, alg, cap)
-            return any(cv == canon_elem(m, alg, cap) for m in members)
         case FunSpace(dom, cod):
             if v == E_POINT:
                 return member_of_n(E_POINT, cod, alg, cap)

@@ -438,7 +438,7 @@ def parse_theory(text: str, path: str | None = None) -> TheoryFile:
         if kind == "decl":
             name, ty = _parse_decl_line(body, lineno)
             if any(name == n for n, _ in signature):
-                raise DuplicateName(f"constant {name} declared twice", span=(lineno, 1))
+                raise ParseError(f"constant {name} declared twice", span=(lineno, 1))
             signature.append((name, ty))
         else:
             rules.append(_parse_rule_line(body, lineno, label=f"r{len(rules) + 1}"))

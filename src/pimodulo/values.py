@@ -2,12 +2,12 @@
 
 Both models give every term a set (its domain) and an element of it.
 Sets are the algebra's carrier B, the one-point set {e}, the universe E
-of sets (handled symbolically, never enumerated), function spaces and
-explicit finite sets.  Elements are carrier elements, the point e and
-finite functions given by their graphs.  The collapse convention
-identifies a function space into {e} with {e}, and a function all of
-whose outputs are e with the point e; the constructors below apply it,
-so structural equality of tabulated values is extensional equality.
+of sets (handled symbolically, never enumerated) and function spaces.
+Elements are carrier elements, the point e and finite functions given by
+their graphs.  The collapse convention identifies a function space into
+{e} with {e}, and a function all of whose outputs are e with the point e;
+the constructors below apply it, so structural equality of tabulated
+values is extensional equality.
 
 Enumeration depends only on the carrier's size, so listings are cached
 by set, carrier size and cap, shared by every algebra of that size and by
@@ -61,12 +61,7 @@ class FunSpace:
     cod: "SetValue"
 
 
-@dataclass(frozen=True)
-class ExplicitSet:
-    members: frozenset
-
-
-SetValue = Carrier | SingletonE | EUniverse | FunSpace | ExplicitSet
+SetValue = Carrier | SingletonE | EUniverse | FunSpace
 
 CARRIER = Carrier()
 SINGLETON_E = SingletonE()
@@ -105,16 +100,9 @@ E_POINT = EPoint()
 # --- collapsing constructors ---------------------------------------------------
 
 def fun_space(dom: SetValue, cod: SetValue) -> SetValue:
-    if cod == SINGLETON_E or isinstance(cod, ExplicitSet) and cod.members == {E_POINT}:
+    if cod == SINGLETON_E:
         return SINGLETON_E
     return FunSpace(dom, cod)
-
-
-def explicit_set(members) -> SetValue:
-    ms = frozenset(members)
-    if ms == {E_POINT}:
-        return SINGLETON_E
-    return ExplicitSet(ms)
 
 
 def finite_fun(pairs) -> ElemValue:
@@ -163,8 +151,6 @@ def cardinality(s: SetValue, n: int) -> int | None:
             return 1
         case EUniverse():
             return None
-        case ExplicitSet(members):
-            return len(members)
         case FunSpace(dom, cod):
             d = cardinality(dom, n)
             c = cardinality(cod, n)
@@ -199,8 +185,6 @@ def listing(s: SetValue, n: int, cap: int) -> list:
             return [AlgElem(w) for w in range(n)]
         case SingletonE():
             return [E_POINT]
-        case ExplicitSet(members):
-            return sorted(members, key=repr)
         case FunSpace(dom, cod):
             keys = listing(dom, n, cap)
             vals = listing(cod, n, cap)

@@ -5,9 +5,11 @@ once and run those; the functions here are the walkers they replaced,
 which dispatch every node through a `match` on every evaluation.  They
 are copied unchanged, except that `apply_u` is copied beside them, so an
 `MClosure` applied here runs this module's `m_value` and the oracle never
-calls staged code.  The value helpers they share with the models
-(canonical forms, enumeration, listability, defaults) are imported, not
-copied.
+calls staged code, and that `_union_sets` asserts what the staged model
+relies on instead of building a set: a dependent product's codomain
+takes one value over its binder's N-set.  The value helpers they share
+with the models (canonical forms, enumeration, listability, defaults) are
+imported, not copied.
 
 `assert_stt_agrees` and `assert_cc_agrees` hold the models to the oracle:
 every layer of every evaluation must come out the same, a value with the
@@ -72,7 +74,6 @@ from pimodulo.values import (
     as_carrier,
     enumerable,
     enumerate_set,
-    explicit_set,
     finite_fun,
     fun_space,
 )
@@ -210,14 +211,11 @@ def m_value(
 
 
 def _union_sets(parts: list[SetValue], alg: FiniteAlgebra, cap: int) -> SetValue:
+    # the only listable N-set is {e}, so a union never has two parts to
+    # tell apart; the model relies on it and evaluates the codomain at e
     first = parts[0]
-    if all(equal_sets(p, first, alg, cap) for p in parts[1:]):
-        return first
-    members: dict = {}
-    for p in parts:
-        for x in enumerate_set(p, alg, cap):
-            members.setdefault(canon_elem(x, alg, cap), x)
-    return explicit_set(members.values())
+    assert all(equal_sets(p, first, alg, cap) for p in parts[1:]), parts
+    return first
 
 
 def interp_cc(

@@ -155,6 +155,47 @@ def test_check_validates_the_theory_itself(capsys):
     assert len([l for l in lines if l.startswith("ok")]) == len(lines)
 
 
+# Theory files that are malformed text, each with the one line it gets.
+MALFORMED_THEORIES = {
+    "simpletypes-twice": ("#simpletypes o\n#simpletypes o\no : Type",
+                          "(2, 1): #simpletypes given twice"),
+    "forall-then-forall": ("#forall A\n#forall B\no : Type",
+                           "(1, 1): #forall without a schema line"),
+    "forall-at-the-end": ("o : Type\n#forall A", "(2, 1): #forall without a schema line"),
+    "forall-two-names": ("#forall A B\no : Type", "(1, 1): #forall needs one variable name"),
+    "unknown-directive": ("#model x", "(1, 1): unknown directive #model"),
+    "simpletypes-empty": ("#simpletypes", "(1, 1): #simpletypes needs at least one type"),
+    "simpletypes-not-a-type": ("#simpletypes o o", "not a simple type: o o"),
+    "reserved-name": ("Type2 : Type\nPi : Type", "(2, 1): 'Pi' is reserved"),
+    "schema-without-types": ("o : Type\n#forall A\nall[A] : (A -> o) -> o",
+                             "(2, 1): schema needs an instantiation set and none is available"),
+    "duplicate-constant": ("c : Type\nc : Type", "(2, 1): constant c declared twice"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_THEORIES)
+def test_a_malformed_theory_file_is_a_parse_error(capsys, tmp_path, name):
+    text, detail = MALFORMED_THEORIES[name]
+    path = tmp_path / "bad.th"
+    path.write_text(text)
+    code = main(["check", "--theory", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, f"parse-error\tfatal\t{detail}\n", "")
+
+
+def test_check_reports_a_rule_that_fails_validation(capsys, tmp_path):
+    path = tmp_path / "ill_typed_rule.th"
+    path.write_text("o : Type\np : o\n[] p --> o : o")
+    code, out = run_cli(capsys, "check", "--theory", str(path))
+    assert code == 1
+    assert out.splitlines() == [
+        "ok\tconstant o\t",
+        "ok\tconstant p\t",
+        "type-error\trule r1\t(3, 10): term does not have the expected type"
+        " term: o expected: o actual: Type",
+    ]
+
+
 # A rule whose lhs is a bare constant, the common form of a definition.
 DEFINITION_THEORY = "c : Type\nd : Type\n[] c --> d : Type\n"
 
@@ -306,9 +347,13 @@ def test_model_check_algebra_size_below_one_is_a_usage_error(capsys, size):
     ("sn-scan", "--count"),
     ("sn-scan", "--max-size"),
     ("sn-scan", "--allow-unknown"),
+    ("sn-scan", "--fuel"),
+    ("normalize", "--fuel"),
+    ("model-check", "--jobs"),
 ))
 def test_a_negative_count_or_size_is_a_usage_error(capsys, argv):
-    # each of these once ran as a vacuous pass over nothing
+    # each of these once ran: as a vacuous pass over nothing, on a budget
+    # spent before the first step, or serially
     with pytest.raises(SystemExit) as exc:
         main([*argv, "-1"])
     assert exc.value.code == 2
@@ -622,11 +667,12 @@ def test_fuel_environment_default(monkeypatch, capsys):
 
 
 def test_bad_fuel_environment_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("PIMODULO_FUEL", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["normalize", "o"])
-    assert exc.value.code == 2
-    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    for fuel in ("abc", "-3"):
+        monkeypatch.setenv("PIMODULO_FUEL", fuel)
+        with pytest.raises(SystemExit) as exc:
+            main(["normalize", "o"])
+        assert exc.value.code == 2
+        assert f"invalid int value: '{fuel}'" in capsys.readouterr().err
 
 
 def test_internal_failures_get_their_own_exit_code(capsys, tmp_path):

@@ -14,7 +14,6 @@ from pimodulo.model_cc import (
     MIdent,
     SetElem,
     apply_u,
-    canon_elem,
     check_conversion_cc,
     check_lemma1_cc,
     check_n_substitution,
@@ -46,7 +45,6 @@ from pimodulo.values import (
     cardinality,
     enumerable,
     enumerate_set,
-    explicit_set,
     finite_fun,
     fun_space,
 )
@@ -82,11 +80,6 @@ def test_fun_space_collapses_to_singleton_codomain():
     assert space == FunSpace(CARRIER, CARRIER)
 
 
-def test_explicit_set_of_points_is_the_singleton():
-    assert explicit_set([E_POINT]) is SINGLETON_E
-    assert explicit_set([E_POINT, E_POINT]) is SINGLETON_E
-
-
 def test_constant_point_functions_collapse_to_the_point():
     graph = [(AlgElem(0), E_POINT), (AlgElem(1), E_POINT)]
     assert finite_fun(graph) == E_POINT
@@ -108,8 +101,7 @@ def test_cardinality_and_enumeration():
 
 
 def test_enumeration_respects_the_cap():
-    two = explicit_set([AlgElem(0), AlgElem(1)])
-    space = fun_space(two, two)
+    space = fun_space(CARRIER, CARRIER)
     alg = ALGS[1]
     assert len(list(enumerate_set(space, alg))) == 4
     with pytest.raises(SizeLimitExceeded):
@@ -342,11 +334,7 @@ def test_membership_in_basic_sets():
 
 def test_set_equality_is_extensional():
     alg = ALGS[1]
-    assert equal_sets(CARRIER, explicit_set([AlgElem(0), AlgElem(1)]), alg)
     assert not equal_sets(CARRIER, SINGLETON_E, alg)
     left = finite_fun([(AlgElem(0), AlgElem(1)), (AlgElem(1), AlgElem(1))])
     right = finite_fun([(AlgElem(k), AlgElem(1)) for k in range(2)])
     assert equal_values(left, right, alg)
-    assert canon_elem(SetElem(CARRIER), alg) == canon_elem(
-        SetElem(explicit_set([AlgElem(1), AlgElem(0)])), alg
-    )
