@@ -19,12 +19,14 @@ meaning of the four pi codes, which is kept symbolic and applied on
 demand.  The sets and tabulated elements are the shared ones of `values`;
 the symbolic elements below are this model's own.
 
-Equality of values is extensional.  Finite sets and functions are
-canonicalized to element sets and graphs; functions over unenumerable
-domains are compared on a fixed finite probe menu, which can certify
-difference but takes agreement on the menu as equality.  The collapse
-conventions (a function space into {e} is {e}; a function whose outputs
-are all e is e) are applied by the constructors of `values`.
+Values compare by structure.  The constructors of `values` apply the
+collapse conventions (a function space into {e} is {e}; a function whose
+outputs are all e is e), so two sets are equal exactly when they have the
+same members, and two tabulated elements exactly when they have the same
+graph.  Only a function over a set that cannot be listed (`MConstFun`,
+`MClosure`) is compared another way: on a fixed finite probe menu
+(`canon_elem`), which can certify difference but takes agreement on the
+menu as equality.
 
 Evaluation is staged: each term is turned once into closures for its three
 layers, which then run on every algebra and valuation (see below).
@@ -182,59 +184,27 @@ def probe_menu(s: SetValue, alg: FiniteAlgebra) -> list:
             return enumerate_set(s, alg)[:3]
 
 
-def canon_set(s: SetValue, alg: FiniteAlgebra, cap: int = DEFAULT_CAP):
-    if enumerable(s):
-        return ("set", frozenset(canon_elem(x, alg, cap) for x in enumerate_set(s, alg, cap)))
-    match s:
-        case EUniverse():
-            return ("E",)
-        case FunSpace(dom, cod):
-            return ("fspace", canon_set(dom, alg, cap), canon_set(cod, alg, cap))
-    raise PiModuloError(f"cannot canonicalize {s!r}")
-
-
 def canon_elem(v: UniverseElem, alg: FiniteAlgebra, cap: int = DEFAULT_CAP):
+    """A form that is equal for extensionally equal values.  A function
+    over a set that cannot be listed is read on the probe menu; a value
+    that holds one is rebuilt around its form.  Every other value is its
+    own form, and a graph's keys, always tabulated, are kept as they are."""
     match v:
-        case EPoint():
-            return ("e",)
-        case AlgElem(w):
-            return ("w", w)
-        case SetElem(s):
-            return ("S", canon_set(s, alg, cap))
         case FiniteFun(graph):
-            return (
-                "fun",
-                frozenset(
-                    (canon_elem(k, alg, cap), canon_elem(val, alg, cap))
-                    for k, val in graph
-                ),
-            )
-        case MIdent():
-            return ("identE",)
-        case MPiKKK():
-            return ("piKKK",)
-        case MPiTKK1():
-            return ("piTKK1",)
+            return ("fun", frozenset((k, canon_elem(val, alg, cap)) for k, val in graph))
         case MPiKKK1(a):
             return ("piKKK1", canon_elem(a, alg, cap))
-        case IPiDot1(c):
-            return ("piDot1", c)
         case MConstFun() | MClosure():
-            dom = v.dom
             results = tuple(
                 canon_elem(apply_u(v, probe, alg, cap), alg, cap)
-                for probe in probe_menu(dom, alg)
+                for probe in probe_menu(v.dom, alg)
             )
-            return ("bigfun", canon_set(dom, alg, cap), results)
-    raise PiModuloError(f"cannot canonicalize {v!r}")
+            return ("bigfun", v.dom, results)
+    return v
 
 
 def equal_values(a: UniverseElem, b: UniverseElem, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> bool:
     return a == b or canon_elem(a, alg, cap) == canon_elem(b, alg, cap)
-
-
-def equal_sets(a: SetValue, b: SetValue, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> bool:
-    return a == b or canon_set(a, alg, cap) == canon_set(b, alg, cap)
 
 
 # --- application -------------------------------------------------------------
@@ -242,14 +212,7 @@ def equal_sets(a: SetValue, b: SetValue, alg: FiniteAlgebra, cap: int = DEFAULT_
 def apply_u(f: UniverseElem, a: UniverseElem, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> UniverseElem:
     match f:
         case EPoint() | FiniteFun():
-            try:
-                return apply_elem(f, a)
-            except PiModuloError:
-                ca = canon_elem(a, alg, cap)
-                for k, v in f.graph:
-                    if canon_elem(k, alg, cap) == ca:
-                        return v
-                raise
+            return apply_elem(f, a)
         case MIdent():
             return a
         case MPiKKK():
@@ -416,8 +379,6 @@ def _stage_pi(node: Pi, ann: tuple, cod: tuple) -> tuple:
         if unlistable_union:
             raise UnenumerableUnion("product codomain union runs over an unenumerable set")
         union = as_set(m_cod(psi, alg, cap, env + [E_POINT]), "product codomain")
-        if equal_sets(union, SINGLETON_E, alg, cap):
-            return SetElem(SINGLETON_E)
         return SetElem(fun_space(dom_set, union))
 
     def ev(phi, psi, alg, cap, phi_env, psi_env):
@@ -541,7 +502,7 @@ def _conversion_verdict(t: Term, u: Term, phi, psi, alg: FiniteAlgebra, cap: int
     n_t, m_t, ev_t = _staged(t)
     n_u, m_u, ev_u = _staged(u)
     return (
-        equal_sets(n_t, n_u, alg, cap)
+        n_t == n_u
         and equal_values(m_t(psi, alg, cap, []), m_u(psi, alg, cap, []), alg, cap)
         and equal_values(ev_t(phi, psi, alg, cap, [], []), ev_u(phi, psi, alg, cap, [], []),
                          alg, cap)
@@ -622,18 +583,12 @@ def member_of_n(v: UniverseElem, s: SetValue, alg: FiniteAlgebra, cap: int = DEF
             if isinstance(v, FiniteFun):
                 if not enumerable(dom):
                     return False
-                keys = {canon_elem(k, alg, cap) for k, _ in v.graph}
-                expected = {
-                    canon_elem(k, alg, cap) for k in enumerate_set(dom, alg, cap)
-                }
-                if keys != expected:
+                if {k for k, _ in v.graph} != set(enumerate_set(dom, alg, cap)):
                     return False
                 return all(
                     member_of_n(val, cod, alg, cap) for _, val in v.graph
                 )
-            if isinstance(v, (MConstFun, MClosure)) and not equal_sets(
-                v.dom, dom, alg, cap
-            ):
+            if isinstance(v, (MConstFun, MClosure)) and v.dom != dom:
                 return False
             if isinstance(v, (MConstFun, MClosure, MPiTKK1, MPiKKK, MPiKKK1)):
                 return all(

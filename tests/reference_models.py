@@ -7,9 +7,11 @@ are copied unchanged, except that `apply_u` is copied beside them, so an
 `MClosure` applied here runs this module's `m_value` and the oracle never
 calls staged code, and that `_union_sets` asserts what the staged model
 relies on instead of building a set: a dependent product's codomain
-takes one value over its binder's N-set.  The value helpers they share
-with the models (canonical forms, enumeration, listability, defaults) are
-imported, not copied.
+takes one value over its binder's N-set.  Like the model's, this
+`apply_u` applies a finite function by its graph alone, with no retry on
+canonical forms.  The value helpers they share with the models
+(enumeration, listability, defaults, and the probe-menu equality of
+functions over E) are imported, not copied.
 
 `assert_stt_agrees` and `assert_cc_agrees` hold the models to the oracle:
 every layer of every evaluation must come out the same, a value with the
@@ -40,9 +42,7 @@ from pimodulo.model_cc import (
     SetElem,
     UniverseElem,
     as_set,
-    canon_elem,
     default_n_value,
-    equal_sets,
     equal_values,
 )
 from pimodulo.syntax import parse_term
@@ -84,14 +84,7 @@ from pimodulo.values import (
 def apply_u(f: UniverseElem, a: UniverseElem, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> UniverseElem:
     match f:
         case EPoint() | FiniteFun():
-            try:
-                return apply_elem(f, a)
-            except PiModuloError:
-                ca = canon_elem(a, alg, cap)
-                for k, v in f.graph:
-                    if canon_elem(k, alg, cap) == ca:
-                        return v
-                raise
+            return apply_elem(f, a)
         case MIdent():
             return a
         case MPiKKK():
@@ -197,24 +190,22 @@ def m_value(
                         as_set(m(cod, env + [c]), "product codomain")
                         for c in enumerate_set(n_ann, alg, cap)
                     ]
-                    union = _union_sets(parts, alg, cap)
+                    union = _union_sets(parts)
                 else:
                     raise UnenumerableUnion(
                         "product codomain union runs over an unenumerable set"
                     )
-                if equal_sets(union, SINGLETON_E, alg, cap):
-                    return SetElem(SINGLETON_E)
                 return SetElem(fun_space(dom_set, union))
         raise PiModuloError(f"no middle-layer value for {t!r}")
 
     return m(t, env)
 
 
-def _union_sets(parts: list[SetValue], alg: FiniteAlgebra, cap: int) -> SetValue:
+def _union_sets(parts: list[SetValue]) -> SetValue:
     # the only listable N-set is {e}, so a union never has two parts to
     # tell apart; the model relies on it and evaluates the codomain at e
     first = parts[0]
-    assert all(equal_sets(p, first, alg, cap) for p in parts[1:]), parts
+    assert all(p == first for p in parts[1:]), parts
     return first
 
 
@@ -445,7 +436,7 @@ def conversion_cc_from_layers(t_layers, u_layers, alg: FiniteAlgebra, cap: int) 
     def same(a, b):
         return equal_values(a, b, alg, cap)
 
-    return _converts(t_layers, u_layers, (lambda a, b: equal_sets(a, b, alg, cap), same, same))
+    return _converts(t_layers, u_layers, (operator.eq, same, same))
 
 
 def check_conversion_stt(t, u, phi, alg, cap=DEFAULT_CAP) -> bool:

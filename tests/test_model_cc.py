@@ -7,10 +7,11 @@ algebra carrier.  Conversion and substitution checks must agree on all three.
 
 import pytest
 
-from pimodulo.algebra import enumerate_full_algebras
-from pimodulo.errors import SizeLimitExceeded, UnenumerableUnion
+from pimodulo.algebra import enumerate_full_algebras, read_alg
+from pimodulo.errors import PiModuloError, SizeLimitExceeded, UnenumerableUnion
 from pimodulo.model_cc import (
     M_IDENT,
+    MClosure,
     MIdent,
     SetElem,
     apply_u,
@@ -23,7 +24,6 @@ from pimodulo.model_cc import (
     domain_n,
     enumerate_m_valuations,
     enumerate_psis,
-    equal_sets,
     equal_values,
     interp_cc,
     m_value,
@@ -41,12 +41,15 @@ from pimodulo.values import (
     E_UNIVERSE,
     SINGLETON_E,
     AlgElem,
+    FiniteFun,
     FunSpace,
     cardinality,
+    carrier_identity,
     enumerable,
     enumerate_set,
     finite_fun,
     fun_space,
+    listing,
 )
 
 CC = builtin_theory("cc").theory
@@ -113,6 +116,16 @@ def test_probe_menu_for_the_full_universe():
     assert SetElem(CARRIER) in menu
     assert SetElem(SINGLETON_E) in menu
     assert len(menu) == 3
+
+
+def test_a_finite_function_is_applied_by_its_graph_alone():
+    # a closure over E is no key of a graph over the carrier, whatever
+    # values the closure takes
+    alg = ALGS[0]
+    a = m_value(cc("\\A : U_Kind. U_Type A"), {}, alg)
+    assert isinstance(a, MClosure)
+    with pytest.raises(PiModuloError, match="applied a finite function outside its domain"):
+        apply_u(carrier_identity(2), a, alg)
 
 
 def test_apply_identity():
@@ -269,6 +282,26 @@ def test_substitution_on_a_decoder_body():
         assert check_substitution_cc(t, "x", u, {}, {}, alg)
 
 
+# Two instances of the model-sweep probe (seed 0), each on its algebra.
+# Their products have middle values of 65,536 members, past the cap, so
+# comparing such a value with {e} must not list it.
+SWEEP_INSTANCES = [
+    ("U_Kind -> (U_Kind -> U_Kind -> U_Type) -> U_Type",
+     "pi_KTT dot_Type (\\_ : U_Type. p)", "2 0\n0 0 1 1\n1 0 1 0\n"),
+    ("U_Kind -> ((U_Kind -> U_Type) -> U_Type) -> Type",
+     "(\\_ : U_Type. p) ((\\_ : U_Type. p) p)", "2 1\n1 0 1 0\n0 0 1 1\n"),
+]
+
+
+@pytest.mark.parametrize("t, u, alg", SWEEP_INSTANCES, ids=["code-image", "applied-image"])
+def test_instances_with_a_large_product_domain_hold_under_a_small_cap(t, u, alg):
+    ctx = (("p", cc("U_Type")),)
+    t, u, alg = cc(t, "p"), cc(u, "p"), read_alg(alg)
+    for psi in enumerate_psis(ctx, alg, 1024):
+        for phi in enumerate_m_valuations(ctx, psi, alg, 1024):
+            assert check_substitution_cc(t, "p", u, phi, psi, alg, 1024)
+
+
 def test_outer_domains_are_stable_under_substitution():
     t = cc("Pi y : eps_Type x. U_Type", "x")
     u = cc("pi_KTT dot_Type f", "f")
@@ -334,7 +367,35 @@ def test_membership_in_basic_sets():
 
 def test_set_equality_is_extensional():
     alg = ALGS[1]
-    assert not equal_sets(CARRIER, SINGLETON_E, alg)
     left = finite_fun([(AlgElem(0), AlgElem(1)), (AlgElem(1), AlgElem(1))])
     right = finite_fun([(AlgElem(k), AlgElem(1)) for k in range(2)])
     assert equal_values(left, right, alg)
+
+
+# Every set built by `fun_space` from B, {e} and E, nested to depth 3.
+# The model compares sets and tabulated elements with `==`, which is
+# extensional only because the constructors of `values` collapse; this
+# holds that to the members, with no canonical form in between.
+def _nested_sets(depth: int) -> list:
+    sets = [CARRIER, SINGLETON_E, E_UNIVERSE]
+    for _ in range(depth - 1):
+        sets = list(dict.fromkeys(sets + [fun_space(a, b) for a in sets for b in sets]))
+    return sets
+
+
+def _graph(v):
+    return {k: _graph(out) for k, out in v.graph} if isinstance(v, FiniteFun) else v
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_listable_sets_and_their_members_are_equal_when_extensionally_equal(n):
+    cap = 1024
+    listable = [s for s in _nested_sets(3) if enumerable(s) and cardinality(s, n) <= cap]
+    members = {s: listing(s, n, cap) for s in listable}
+    for s in listable:
+        for t in listable:
+            assert (s == t) == (set(members[s]) == set(members[t])), (s, t)
+        graphs = [_graph(v) for v in members[s]]
+        for v, gv in zip(members[s], graphs):
+            for w, gw in zip(members[s], graphs):
+                assert (v == w) == (gv == gw), (s, v, w)
