@@ -22,8 +22,9 @@ Three memos, each for the checks that meet its keys again:
   runs once on a view of the algebra that logs each `top` and `pi` read
   in order (`_Recorder`), and the logged path, ending in the verdict, is
   grafted onto the tree.  The tree is sound only if every read goes
-  through that view.  A verdict decided by layers that read the carrier
-  size alone logs no read, and sits at the tree's root.  A check that
+  through that view.  Only the interpretation layer can read the table:
+  a verdict that the N-set or middle layer decides logs no read, and sits
+  at the tree's root.  A check that
   raises keeps nothing, so every error is raised afresh.  The `model_stt`
   checks are not kept this way: their per-algebra constants are cached
   by the algebra and by a whole table row, which would answer for reads
@@ -74,8 +75,8 @@ def per_term(fn: Callable[[Term], Any], maxsize: int) -> Callable[[Term], Any]:
 
 
 def last_item(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """fn(*args, psi), kept for its last call only.  The arguments (terms,
-    names, the algebra, the cap) must be the same objects as that call's,
+    """fn(*args, psi), kept for its last call only.  The arguments (terms
+    and names) must be the same objects as that call's,
     and psi, an outer valuation or None, must equal that call's by value;
     a copy of psi is kept, so a caller that changes its dict in place
     cannot get a stale result.  A call that raises leaves the memo as it
@@ -83,8 +84,9 @@ def last_item(fn: Callable[..., Any]) -> Callable[..., Any]:
 
     The substitution checks use it: the substituted term is new on every
     instance, so `per_term` would not find its stage again, and the
-    `model_cc` middle layer, which reads psi but not phi, is evaluated
-    once per psi rather than once per phi."""
+    `model_cc` middle layer, which reads psi but neither phi nor the
+    algebra, is evaluated once per psi rather than once per phi and
+    algebra."""
     last = None  # (args, a copy of psi, result)
 
     def cached(*args, psi=None):

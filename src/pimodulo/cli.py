@@ -241,15 +241,17 @@ def cmd_model_check(args, rep: Reporter) -> None:
                  "model checking needs a theory over the shipped vocabularies")
         return
     algebras = _model_algebras(args)
-    items = [(rule, alg) for rule in tf.theory.rules for alg in algebras]
+    # sampled algebras can repeat, so an algebra is named by its position
+    items = [(rule, i) for rule in tf.theory.rules for i in range(len(algebras))]
     results = _run_items(
-        [(family, alg, rule.lhs, rule.rhs, None, rule.ctx) for rule, alg in items], args.jobs
+        [(family, algebras[i], rule.lhs, rule.rhs, None, rule.ctx) for rule, i in items],
+        args.jobs,
     )
     by_rule: dict[str, tuple[int, int]] = {}
-    for (rule, alg), (status, detail) in zip(items, results):
+    for (rule, i), (status, detail) in zip(items, results):
         held, total = by_rule.get(rule.label, (0, 0))
         if status != "ok":
-            rep.emit(f"rule {rule.label} algebra {algebras.index(alg)}",
+            rep.emit(f"rule {rule.label} algebra {i}",
                      "rule-conversion", status, detail)
         else:
             held += 1

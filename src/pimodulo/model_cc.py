@@ -9,15 +9,17 @@ its codomain's, which is {e} when the codomain's is {e} and otherwise a
 space into a set that cannot be listed.  So the middle value of a
 dependent product, which takes the union of its codomain's values over
 the binder's N-set, needs the codomain at e alone, and fails
-(`UnenumerableUnion`) when that N-set is not {e}.  The middle family M is
-valuation-indexed: M(t, psi) is an element of N at t's type, and may be
-a set (elements of E are sets), the point e, or a function.  The inner
-interpretation maps a term and two valuations (phi over M-values, psi
-over N-values) to an element of M at the term's type; with a finite
-algebra every interpretation-level value is finite except the shared
-meaning of the four pi codes, which is kept symbolic and applied on
-demand.  The sets and tabulated elements are the shared ones of `values`;
-the symbolic elements below are this model's own.
+(`UnenumerableUnion`) when that N-set is not {e}; an abstraction over {e}
+has the one-point graph at e.  The middle family M is valuation-indexed:
+M(t, psi) is an element of N at t's type, and may be a set (elements of
+E are sets), the point e, or a function.  It reads neither the algebra
+nor the enumeration cap.  The inner interpretation maps a term and two
+valuations (phi over M-values, psi over N-values) to an element of M at
+the term's type; with a finite algebra every interpretation-level value
+is finite except the shared meaning of the four pi codes, which is kept
+symbolic and applied on demand (`apply_interp`), the one value that
+reads `pi`.  The sets and tabulated elements are the shared ones of
+`values`; the symbolic elements below are this model's own.
 
 Values compare by structure.  The constructors of `values` apply the
 collapse conventions (a function space into {e} is {e}; a function whose
@@ -35,18 +37,18 @@ A conversion verdict is kept across algebras (`_staging.by_table_reads`).
 It is kept under its terms (by identity), phi and psi (by value), the
 carrier size and the cap, as a tree of the `top` and `pi` reads the check
 made, and an algebra that agrees on those entries gets it without an
-evaluation.  The check reads the algebra, all three layers of it, through
-a view that logs those reads; the N-set and middle layers read only the
-carrier size, so a verdict they decide sits at the tree's root.  A check
-that raises keeps nothing, so its error is raised afresh on every call.
+evaluation.  Only the interpretation reads the algebra, through a view
+that logs those reads; the N-set and middle layers read no algebra, so a
+verdict they decide sits at the tree's root.  A check that raises keeps
+nothing, so its error is raised afresh on every call.
 
 The substitution check keeps no verdicts: the sweeps check each instance
 on one algebra or a few, so a key would seldom be met twice.  The N-sets
-and the middle layer never read the inner valuation phi, so it evaluates
-them once per instance and outer valuation psi, not per phi
-(`_staging.last_item`).  `model_stt` keeps no verdicts either: its
-per-algebra constants are cached by the algebra and by a whole table row,
-beyond the reach of such a view.
+and the middle layer read neither the inner valuation phi nor the
+algebra, so it evaluates them once per instance and outer valuation psi,
+not per phi or algebra (`_staging.last_item`).  `model_stt` keeps no
+verdicts either: its per-algebra constants are cached by the algebra and
+by a whole table row, beyond the reach of such a view.
 """
 
 from __future__ import annotations
@@ -94,7 +96,6 @@ from .values import (
     enumerate_set,
     finite_fun,
     fun_space,
-    listing,
     valuations,
 )
 
@@ -166,50 +167,59 @@ def as_set(v: UniverseElem, what: str = "value") -> SetValue:
 
 # --- extensional equality ----------------------------------------------------
 
-def probe_menu(s: SetValue, alg: FiniteAlgebra) -> list:
-    """A few members of s, used to compare functions that cannot be tabulated."""
+def _outer(s: SetValue) -> bool:
+    """Is s an N-set: {e}, E or a space of functions between N-sets?"""
     match s:
+        case SingletonE() | EUniverse():
+            return True
+        case FunSpace(dom, cod):
+            return _outer(dom) and _outer(cod)
+    return False
+
+
+def probe_menu(s: SetValue) -> list:
+    """A few members of an N-set, used to compare functions that cannot be
+    tabulated.  Every N-set but {e} is unlistable, and {e} is its own menu."""
+    match s:
+        case SingletonE():
+            return [E_POINT]
         case EUniverse():
             return [
                 SetElem(CARRIER),
                 SetElem(SINGLETON_E),
                 SetElem(fun_space(CARRIER, CARRIER)),
             ]
-        case FunSpace(dom, cod) if not enumerable(s):
-            if enumerable(dom):
-                keys = enumerate_set(dom, alg)
-                return [finite_fun((k, m) for k in keys) for m in probe_menu(cod, alg)]
-            return [MConstFun(dom, m) for m in probe_menu(cod, alg)]
-        case _:
-            return enumerate_set(s, alg)[:3]
+        case FunSpace(dom, cod) if _outer(dom):
+            if dom == SINGLETON_E:
+                return [finite_fun([(E_POINT, m)]) for m in probe_menu(cod)]
+            return [MConstFun(dom, m) for m in probe_menu(cod)]
+    raise PiModuloError(f"no probe menu for {s!r}, which is not an outer set")
 
 
-def canon_elem(v: UniverseElem, alg: FiniteAlgebra, cap: int = DEFAULT_CAP):
+def canon_elem(v: UniverseElem):
     """A form that is equal for extensionally equal values.  A function
     over a set that cannot be listed is read on the probe menu; a value
     that holds one is rebuilt around its form.  Every other value is its
     own form, and a graph's keys, always tabulated, are kept as they are."""
     match v:
         case FiniteFun(graph):
-            return ("fun", frozenset((k, canon_elem(val, alg, cap)) for k, val in graph))
+            return ("fun", frozenset((k, canon_elem(val)) for k, val in graph))
         case MPiKKK1(a):
-            return ("piKKK1", canon_elem(a, alg, cap))
+            return ("piKKK1", canon_elem(a))
         case MConstFun() | MClosure():
-            results = tuple(
-                canon_elem(apply_u(v, probe, alg, cap), alg, cap)
-                for probe in probe_menu(v.dom, alg)
-            )
+            results = tuple(canon_elem(apply_u(v, probe)) for probe in probe_menu(v.dom))
             return ("bigfun", v.dom, results)
     return v
 
 
-def equal_values(a: UniverseElem, b: UniverseElem, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> bool:
-    return a == b or canon_elem(a, alg, cap) == canon_elem(b, alg, cap)
+def equal_values(a: UniverseElem, b: UniverseElem) -> bool:
+    return a == b or canon_elem(a) == canon_elem(b)
 
 
 # --- application -------------------------------------------------------------
 
-def apply_u(f: UniverseElem, a: UniverseElem, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> UniverseElem:
+def apply_u(f: UniverseElem, a: UniverseElem) -> UniverseElem:
+    """Application in the middle layer, whose functions may be symbolic."""
     match f:
         case EPoint() | FiniteFun():
             return apply_elem(f, a)
@@ -218,38 +228,44 @@ def apply_u(f: UniverseElem, a: UniverseElem, alg: FiniteAlgebra, cap: int = DEF
         case MPiKKK():
             return MPiKKK1(a)
         case MPiTKK1():
-            he = apply_u(a, E_POINT, alg, cap)
+            he = apply_u(a, E_POINT)
             return SetElem(fun_space(SINGLETON_E, as_set(he, "pi code output")))
         case MPiKKK1(aset):
-            he = apply_u(a, E_POINT, alg, cap)
+            he = apply_u(a, E_POINT)
             return SetElem(fun_space(as_set(aset, "pi code argument"), as_set(he, "pi code output")))
         case MConstFun(_, value):
             return value
         case MClosure(body, env, psi, _):
-            return _staged(body)[1](dict(psi), alg, cap, list(env) + [a])
-        case IPiDot1(c):
-            if not isinstance(a, FiniteFun):
-                raise PiModuloError(
-                    f"a pi code needs a finite function argument, got {a!r}"
-                )
-            outs = set()
-            for _, out in a.graph:
-                if not isinstance(out, AlgElem):
-                    raise PiModuloError(f"pi code body output off the carrier: {out!r}")
-                outs.add(out.value)
-            return AlgElem(alg.pi(c, alg.mask_of(outs)))
+            return _staged(body)[1](dict(psi), list(env) + [a])
     raise PiModuloError(f"applied a non-function value {f!r}")
+
+
+def apply_interp(f: UniverseElem, a: UniverseElem, alg: FiniteAlgebra) -> UniverseElem:
+    """Application in the interpretation, whose functions are tabulated
+    except the pi codes' shared meaning, the one value that reads `pi`."""
+    if type(f) is not IPiDot1:
+        return apply_elem(f, a)
+    if not isinstance(a, FiniteFun):
+        raise PiModuloError(f"a pi code needs a finite function argument, got {a!r}")
+    outs = set()
+    for _, out in a.graph:
+        if not isinstance(out, AlgElem):
+            raise PiModuloError(f"pi code body output off the carrier: {out!r}")
+        outs.add(out.value)
+    return AlgElem(alg.pi(f.c, alg.mask_of(outs)))
 
 
 # --- staged evaluation ---------------------------------------------------------
 #
-# A term is staged once into three things: its N-set, a closure m(psi, alg,
-# cap, env) for its middle-layer value and a closure ev(phi, psi, alg, cap,
-# phi_env, psi_env) for its interpretation.  Everything fixed by the term
+# A term is staged once into three things: its N-set, a closure m(psi, env)
+# for its middle-layer value and a closure ev(phi, psi, alg, cap, phi_env,
+# psi_env) for its interpretation.  Only the interpretation reads the
+# algebra and the cap: the middle layer is a function of the term, psi and
+# the binder environment, since a binder over {e}, the one N-set that can
+# be listed, has the one-point graph at e.  Everything fixed by the term
 # alone is settled at stage time: which node kind runs, each binder's
-# N-set, whether that set can be listed (only E makes it unlistable, so
-# this does not depend on the algebra) and whether a product's codomain
-# uses its variable.  Everything that depends on the algebra, the cap or a
+# N-set, whether it is {e}, its default inhabitant and whether a product's
+# codomain uses its variable.  Everything that depends on the algebra, the cap or a
 # valuation happens when a closure runs, in the order the model defines,
 # so a failing evaluation raises the same error it would raise on a walk of
 # the term.
@@ -275,7 +291,7 @@ def _stage_leaf(node: Term) -> tuple:
     if cls is Var:
         i = -1 - node.index
 
-        def m_var(psi, alg, cap, env):
+        def m_var(psi, env):
             return env[i]
 
         def ev_var(phi, psi, alg, cap, phi_env, psi_env):
@@ -285,7 +301,7 @@ def _stage_leaf(node: Term) -> tuple:
     if cls is FVar:
         x = node.name
 
-        def m_free(psi, alg, cap, env):
+        def m_free(psi, env):
             if x not in psi:
                 raise PiModuloError(f"outer valuation has no value for {x}")
             return psi[x]
@@ -300,7 +316,7 @@ def _stage_leaf(node: Term) -> tuple:
     if name in _M_CONSTS:
         m = _m_constant(_M_CONSTS[name])
     else:
-        def m(psi, alg, cap, env):
+        def m(psi, env):
             raise PiModuloError(f"constant {name} has no middle-layer value here")
     if name in _M_UNIVERSE_CONSTS:
         ev = _ev_top
@@ -317,7 +333,7 @@ def _stage_leaf(node: Term) -> tuple:
 
 
 def _m_constant(value: UniverseElem):
-    def m(psi, alg, cap, env):
+    def m(psi, env):
         return value
     return m
 
@@ -330,17 +346,17 @@ def _stage_app(node: App, fn: tuple, arg: tuple) -> tuple:
     n_fn, m_fn, ev_fn = fn
     _, m_arg, ev_arg = arg
 
-    def m(psi, alg, cap, env):
-        f_val = m_fn(psi, alg, cap, env)
+    def m(psi, env):
+        f_val = m_fn(psi, env)
         if type(f_val) is EPoint:
             return E_POINT
-        return apply_u(f_val, m_arg(psi, alg, cap, env), alg, cap)
+        return apply_u(f_val, m_arg(psi, env))
 
     def ev(phi, psi, alg, cap, phi_env, psi_env):
         f_val = ev_fn(phi, psi, alg, cap, phi_env, psi_env)
         if type(f_val) is EPoint:
             return E_POINT
-        return apply_u(f_val, ev_arg(phi, psi, alg, cap, phi_env, psi_env), alg, cap)
+        return apply_interp(f_val, ev_arg(phi, psi, alg, cap, phi_env, psi_env), alg)
 
     return n_fn, m, ev
 
@@ -348,18 +364,17 @@ def _stage_app(node: App, fn: tuple, arg: tuple) -> tuple:
 def _stage_lam(node: Lam, ann: tuple, body: tuple) -> tuple:
     n_ann, m_ann, _ = ann
     n_body, m_body, ev_body = body
-    if enumerable(n_ann):
-        def m(psi, alg, cap, env):
-            return finite_fun([
-                (c, m_body(psi, alg, cap, env + [c])) for c in enumerate_set(n_ann, alg, cap)
-            ])
+    filler = default_n_value(n_ann)
+    if n_ann == SINGLETON_E:
+        def m(psi, env):
+            return finite_fun([(E_POINT, m_body(psi, env + [E_POINT]))])
     else:
-        def m(psi, alg, cap, env):
+        def m(psi, env):
             return MClosure(node.body, tuple(env), tuple(sorted(psi.items(), key=itemgetter(0))), n_ann)
 
     def ev(phi, psi, alg, cap, phi_env, psi_env):
-        m_dom = as_set(m_ann(psi, alg, cap, psi_env), "binder domain")
-        inner = psi_env + [default_n_value(n_ann, alg)]
+        m_dom = as_set(m_ann(psi, psi_env), "binder domain")
+        inner = psi_env + [filler]
         return finite_fun([
             (c, ev_body(phi, psi, alg, cap, phi_env + [c], inner))
             for c in enumerate_set(m_dom, alg, cap)
@@ -371,20 +386,21 @@ def _stage_lam(node: Lam, ann: tuple, body: tuple) -> tuple:
 def _stage_pi(node: Pi, ann: tuple, cod: tuple) -> tuple:
     n_ann, m_ann, ev_ann = ann
     n_cod, m_cod, ev_cod = cod
+    filler = default_n_value(n_ann)
     # the only listable N-set is {e}, so a union over it has one part, at e
-    unlistable_union = uses_bound(node.codomain) and not enumerable(n_ann)
+    unlistable_union = uses_bound(node.codomain) and n_ann != SINGLETON_E
 
-    def m(psi, alg, cap, env):
-        dom_set = as_set(m_ann(psi, alg, cap, env), "product domain")
+    def m(psi, env):
+        dom_set = as_set(m_ann(psi, env), "product domain")
         if unlistable_union:
             raise UnenumerableUnion("product codomain union runs over an unenumerable set")
-        union = as_set(m_cod(psi, alg, cap, env + [E_POINT]), "product codomain")
+        union = as_set(m_cod(psi, env + [E_POINT]), "product codomain")
         return SetElem(fun_space(dom_set, union))
 
     def ev(phi, psi, alg, cap, phi_env, psi_env):
         w_dom = as_carrier(ev_ann(phi, psi, alg, cap, phi_env, psi_env), "product domain")
-        m_dom = as_set(m_ann(psi, alg, cap, psi_env), "binder domain")
-        inner = psi_env + [default_n_value(n_ann, alg)]
+        m_dom = as_set(m_ann(psi, psi_env), "binder domain")
+        inner = psi_env + [filler]
         outs = {
             as_carrier(ev_cod(phi, psi, alg, cap, phi_env + [c], inner), "product codomain")
             for c in enumerate_set(m_dom, alg, cap)
@@ -416,39 +432,20 @@ def domain_n(t: Term) -> SetValue:
 
 
 def m_value(
-    t: Term,
-    psi: dict[str, UniverseElem],
-    alg: FiniteAlgebra,
-    cap: int = DEFAULT_CAP,
-    env: list[UniverseElem] | None = None,
+    t: Term, psi: dict[str, UniverseElem], env: list[UniverseElem] | None = None
 ) -> UniverseElem:
-    return _staged(t)[1](psi, alg, cap, env or [])
+    return _staged(t)[1](psi, env or [])
 
 
-def domain_m(t: Term, psi: dict[str, UniverseElem], alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SetValue:
-    return as_set(m_value(t, psi, alg, cap), "middle-layer domain")
+def domain_m(t: Term, psi: dict[str, UniverseElem]) -> SetValue:
+    return as_set(m_value(t, psi), "middle-layer domain")
 
 
-def default_n_value(s: SetValue, alg: FiniteAlgebra) -> UniverseElem:
-    """A canonical inhabitant of an N-layer set, used to extend psi when the
-    interpreter walks under a binder."""
-    return _default_n(s, alg.n)
-
-
-# by N-set and carrier size, the only things a default inhabitant reads
 @lru_cache(maxsize=CONSTANT_CACHE_SIZE)
-def _default_n(s: SetValue, n: int) -> UniverseElem:
-    match s:
-        case SingletonE():
-            return E_POINT
-        case EUniverse():
-            return SetElem(CARRIER)
-        case FunSpace(dom, cod):
-            filler = _default_n(cod, n)
-            if enumerable(dom):
-                return finite_fun((k, filler) for k in listing(dom, n, DEFAULT_CAP))
-            return MConstFun(dom, filler)
-    raise PiModuloError(f"no default inhabitant for {s!r}")
+def default_n_value(s: SetValue) -> UniverseElem:
+    """A canonical inhabitant of an N-set, used to extend psi when the
+    interpreter walks under a binder: the first of its probe menu."""
+    return probe_menu(s)[0]
 
 
 def interp_cc(
@@ -466,16 +463,11 @@ def interp_cc(
 def enumerate_psis(
     ctx: Context, alg: FiniteAlgebra, cap: int = DEFAULT_CAP
 ) -> list[dict[str, UniverseElem]]:
-    """All outer valuations for a context; unenumerable components fall back
-    to the probe menu."""
-    pools = []
-    for _, ty in ctx:
-        n_ty = domain_n(ty)
-        if enumerable(n_ty):
-            pools.append(enumerate_set(n_ty, alg, cap))
-        else:
-            pools.append(probe_menu(n_ty, alg))
-    return valuations(ctx, pools, cap)
+    """All outer valuations for a context: each variable ranges over the
+    probe menu of its type's N-set, which is the whole set when that is
+    {e}.  The algebra is not read; it stays a parameter because callers
+    pass the cap by position after it."""
+    return valuations(ctx, [probe_menu(domain_n(ty)) for _, ty in ctx], cap)
 
 
 def enumerate_m_valuations(
@@ -486,7 +478,7 @@ def enumerate_m_valuations(
 ) -> list[dict[str, UniverseElem]]:
     """All inner valuations: each variable ranges over the M-value of its
     declared type under psi."""
-    pools = [enumerate_set(domain_m(ty, psi, alg, cap), alg, cap) for _, ty in ctx]
+    pools = [enumerate_set(domain_m(ty, psi), alg, cap) for _, ty in ctx]
     return valuations(ctx, pools, cap)
 
 
@@ -503,9 +495,8 @@ def _conversion_verdict(t: Term, u: Term, phi, psi, alg: FiniteAlgebra, cap: int
     n_u, m_u, ev_u = _staged(u)
     return (
         n_t == n_u
-        and equal_values(m_t(psi, alg, cap, []), m_u(psi, alg, cap, []), alg, cap)
-        and equal_values(ev_t(phi, psi, alg, cap, [], []), ev_u(phi, psi, alg, cap, [], []),
-                         alg, cap)
+        and equal_values(m_t(psi, []), m_u(psi, []))
+        and equal_values(ev_t(phi, psi, alg, cap, [], []), ev_u(phi, psi, alg, cap, [], []))
     )
 
 
@@ -522,13 +513,13 @@ def check_conversion_cc(
 
 
 @last_item
-def _substitution_outer(t: Term, x: str, u: Term, alg: FiniteAlgebra, cap: int, psi) -> tuple:
+def _substitution_outer(t: Term, x: str, u: Term, psi) -> tuple:
     # the substituted term is new on every item: staged, but not kept by term
     _, m_subbed, ev_subbed = _stage(substitute(t, x, u))
     _, m_t, ev_t = _staged(t)
     _, m_u, ev_u = _staged(u)
-    psi_ext = {**psi, x: m_u(psi, alg, cap, [])}
-    holds = equal_values(m_subbed(psi, alg, cap, []), m_t(psi_ext, alg, cap, []), alg, cap)
+    psi_ext = {**psi, x: m_u(psi, [])}
+    holds = equal_values(m_subbed(psi, []), m_t(psi_ext, []))
     return ev_subbed, ev_t, ev_u, psi_ext, holds
 
 
@@ -541,27 +532,13 @@ def check_substitution_cc(
     alg: FiniteAlgebra,
     cap: int = DEFAULT_CAP,
 ) -> bool:
-    ev_subbed, ev_t, ev_u, psi_ext, holds = _substitution_outer(t, x, u, alg, cap, psi=psi)
+    ev_subbed, ev_t, ev_u, psi_ext, holds = _substitution_outer(t, x, u, psi=psi)
     if not holds:
         return False
     phi_ext = {**phi, x: ev_u(phi, psi, alg, cap, [], [])}
     return equal_values(
-        ev_subbed(phi, psi, alg, cap, [], []),
-        ev_t(phi_ext, psi_ext, alg, cap, [], []),
-        alg,
-        cap,
+        ev_subbed(phi, psi, alg, cap, [], []), ev_t(phi_ext, psi_ext, alg, cap, [], [])
     )
-
-
-def check_n_substitution(t: Term, x: str, u: Term) -> bool:
-    """Outer-domain stability under substitution, for u free of the
-    universe-generating symbols."""
-    return domain_n(substitute(t, x, u)) == domain_n(t)
-
-
-def check_lemma1_cc(t: Term) -> bool:
-    """For terms free of Kind, Type, and U_Kind the outer domain is {e}."""
-    return domain_n(t) == SINGLETON_E
 
 
 def member_of_n(v: UniverseElem, s: SetValue, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> bool:
@@ -592,8 +569,8 @@ def member_of_n(v: UniverseElem, s: SetValue, alg: FiniteAlgebra, cap: int = DEF
                 return False
             if isinstance(v, (MConstFun, MClosure, MPiTKK1, MPiKKK, MPiKKK1)):
                 return all(
-                    member_of_n(apply_u(v, probe, alg, cap), cod, alg, cap)
-                    for probe in probe_menu(dom, alg)
+                    member_of_n(apply_u(v, probe), cod, alg, cap)
+                    for probe in probe_menu(dom)
                 )
             return False
     raise PiModuloError(f"membership in {s!r} is not decidable here")

@@ -208,11 +208,6 @@ def interp_stt(
 
 # --- the lemma checks ------------------------------------------------------
 
-def check_lemma1_stt(t: Term) -> bool:
-    """For terms free of Kind, Type, and o the domain collapses to {e}."""
-    return domain_stt(t) == SINGLETON_E
-
-
 # the substituted term is new on every item: staged once for all of the
 # item's valuations (`last_item`), but not kept by term; this one-layer
 # model has no outer valuation, so psi is always None

@@ -22,7 +22,6 @@ from .terms import (
     SortType,
     Term,
     Theory,
-    Var,
     _with_child,
     children,
     instantiate,

@@ -9,9 +9,16 @@ calls staged code, and that `_union_sets` asserts what the staged model
 relies on instead of building a set: a dependent product's codomain
 takes one value over its binder's N-set.  Like the model's, this
 `apply_u` applies a finite function by its graph alone, with no retry on
-canonical forms.  The value helpers they share with the models
-(enumeration, listability, defaults, and the probe-menu equality of
-functions over E) are imported, not copied.
+canonical forms.
+
+The middle layer here still takes the algebra and the cap, and so do the
+default inhabitants of N-sets and the probe-menu equality of functions
+over E, copied from the model before its middle layer stopped reading
+them: they list {e} with the algebra under the cap.  The staged middle
+layer is called without them (`STAGED_CC`), so the tests hold the model's
+algebra-free layer to this algebra-reading one on every algebra they
+visit.  The shared value layer of `values` (enumeration, listability and
+the collapsing constructors) is imported, not copied.
 
 `assert_stt_agrees` and `assert_cc_agrees` hold the models to the oracle:
 every layer of every evaluation must come out the same, a value with the
@@ -42,8 +49,6 @@ from pimodulo.model_cc import (
     SetElem,
     UniverseElem,
     as_set,
-    default_n_value,
-    equal_values,
 )
 from pimodulo.syntax import parse_term
 from pimodulo.terms import (
@@ -68,8 +73,11 @@ from pimodulo.values import (
     AlgElem,
     ElemValue,
     EPoint,
+    EUniverse,
     FiniteFun,
+    FunSpace,
     SetValue,
+    SingletonE,
     apply_elem,
     as_carrier,
     enumerable,
@@ -80,6 +88,57 @@ from pimodulo.values import (
 
 
 # --- the constructions model ---------------------------------------------------
+
+def probe_menu(s: SetValue, alg: FiniteAlgebra) -> list:
+    """A few members of s, used to compare functions that cannot be tabulated."""
+    match s:
+        case EUniverse():
+            return [
+                SetElem(CARRIER),
+                SetElem(SINGLETON_E),
+                SetElem(fun_space(CARRIER, CARRIER)),
+            ]
+        case FunSpace(dom, cod) if not enumerable(s):
+            if enumerable(dom):
+                keys = enumerate_set(dom, alg)
+                return [finite_fun((k, m) for k in keys) for m in probe_menu(cod, alg)]
+            return [MConstFun(dom, m) for m in probe_menu(cod, alg)]
+        case _:
+            return enumerate_set(s, alg)[:3]
+
+
+def canon_elem(v: UniverseElem, alg: FiniteAlgebra, cap: int = DEFAULT_CAP):
+    match v:
+        case FiniteFun(graph):
+            return ("fun", frozenset((k, canon_elem(val, alg, cap)) for k, val in graph))
+        case MPiKKK1(a):
+            return ("piKKK1", canon_elem(a, alg, cap))
+        case MConstFun() | MClosure():
+            results = tuple(
+                canon_elem(apply_u(v, probe, alg, cap), alg, cap)
+                for probe in probe_menu(v.dom, alg)
+            )
+            return ("bigfun", v.dom, results)
+    return v
+
+
+def equal_values(a: UniverseElem, b: UniverseElem, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> bool:
+    return a == b or canon_elem(a, alg, cap) == canon_elem(b, alg, cap)
+
+
+def default_n_value(s: SetValue, alg: FiniteAlgebra) -> UniverseElem:
+    match s:
+        case SingletonE():
+            return E_POINT
+        case EUniverse():
+            return SetElem(CARRIER)
+        case FunSpace(dom, cod):
+            filler = default_n_value(cod, alg)
+            if enumerable(dom):
+                return finite_fun((k, filler) for k in enumerate_set(dom, alg))
+            return MConstFun(dom, filler)
+    raise PiModuloError(f"no default inhabitant for {s!r}")
+
 
 def apply_u(f: UniverseElem, a: UniverseElem, alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> UniverseElem:
     match f:
@@ -405,7 +464,8 @@ def _shown(layers: list) -> list:
 
 STAGED_STT = (model_stt.domain_stt, model_stt.interp_stt)
 ORACLE_STT = (domain_stt, interp_stt)
-STAGED_CC = (model_cc.domain_n, model_cc.m_value, model_cc.interp_cc)
+# the staged middle layer reads neither the algebra nor the cap
+STAGED_CC = (model_cc.domain_n, lambda t, psi, alg, cap: model_cc.m_value(t, psi), model_cc.interp_cc)
 ORACLE_CC = (domain_n, m_value, interp_cc)
 
 

@@ -15,6 +15,7 @@ from importlib import resources
 
 import pytest
 
+from pimodulo.algebra import sample_full_algebras, write_alg
 from pimodulo.cli import main
 from pimodulo.syntax import parse_term, print_term
 
@@ -370,6 +371,36 @@ def test_model_check_finds_the_swapped_rule(capsys, tmp_path):
     assert code == 5
     assert "counterexample" in out
     assert "algebra:" in out
+
+
+FALSE_RULE_THEORY = """\
+o : Type
+eps : o -> Type
+imp : o -> o -> o
+
+[X : o, Y : o] eps (imp X Y) --> eps Y : Type
+"""
+
+
+def test_a_failing_rule_names_the_algebra_at_its_own_position(capsys, tmp_path):
+    # the 64 sampled algebras hold 61 distinct ones, so an algebra found by
+    # equality would name the first of two equal positions twice
+    path = tmp_path / "false.th"
+    path.write_text(FALSE_RULE_THEORY)
+    code, out = run_cli(capsys, "model-check", "--theory", str(path), "--algebra-size", "2",
+                        "--count", "64", "--pairs", "0", "--subst", "0")
+    assert code == 5
+    algebras = list(sample_full_algebras(2, 64, 0))
+    assert len(set(algebras)) == 61
+    named = []
+    for line in out.splitlines():
+        status, item, detail = line.split("\t")
+        if status == "counterexample":
+            i = int(item.removeprefix("rule r1 algebra "))
+            assert detail.endswith("algebra:; " + write_alg(algebras[i]).rstrip("\n").replace("\n", "; "))
+            named.append(i)
+    assert len(named) == len(set(named)) == 62
+    assert {40, 43, 48} <= set(named)
 
 
 # sha256 of model-check stdout, recorded before the two models shared one

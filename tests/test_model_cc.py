@@ -11,13 +11,13 @@ from pimodulo.algebra import enumerate_full_algebras, read_alg
 from pimodulo.errors import PiModuloError, SizeLimitExceeded, UnenumerableUnion
 from pimodulo.model_cc import (
     M_IDENT,
+    IPiDot1,
     MClosure,
     MIdent,
     SetElem,
+    apply_interp,
     apply_u,
     check_conversion_cc,
-    check_lemma1_cc,
-    check_n_substitution,
     check_substitution_cc,
     default_n_value,
     domain_m,
@@ -32,7 +32,7 @@ from pimodulo.model_cc import (
 )
 from pimodulo.reduction import one_step_reducts
 from pimodulo.syntax import parse_term
-from pimodulo.terms import KIND, TYPE, Const, FVar
+from pimodulo.terms import KIND, TYPE, Const, FVar, substitute
 from pimodulo.theories import builtin_theory
 from pimodulo.typecheck import infer
 from pimodulo.values import (
@@ -112,7 +112,7 @@ def test_enumeration_respects_the_cap():
 
 
 def test_probe_menu_for_the_full_universe():
-    menu = probe_menu(E_UNIVERSE, ALGS[1])
+    menu = probe_menu(E_UNIVERSE)
     assert SetElem(CARRIER) in menu
     assert SetElem(SINGLETON_E) in menu
     assert len(menu) == 3
@@ -121,17 +121,31 @@ def test_probe_menu_for_the_full_universe():
 def test_a_finite_function_is_applied_by_its_graph_alone():
     # a closure over E is no key of a graph over the carrier, whatever
     # values the closure takes
-    alg = ALGS[0]
-    a = m_value(cc("\\A : U_Kind. U_Type A"), {}, alg)
+    a = m_value(cc("\\A : U_Kind. U_Type A"), {})
     assert isinstance(a, MClosure)
     with pytest.raises(PiModuloError, match="applied a finite function outside its domain"):
-        apply_u(carrier_identity(2), a, alg)
+        apply_u(carrier_identity(2), a)
 
 
 def test_apply_identity():
+    assert apply_u(M_IDENT, AlgElem(1)) == AlgElem(1)
+    assert apply_u(M_IDENT, SetElem(CARRIER)) == SetElem(CARRIER)
+
+
+def test_the_middle_layer_applies_no_set():
+    with pytest.raises(PiModuloError, match="applied a non-function value SetElem"):
+        apply_u(SetElem(CARRIER), E_POINT)
+
+
+def test_a_pi_code_reads_the_outputs_of_its_argument():
     alg = ALGS[1]
-    assert apply_u(M_IDENT, AlgElem(1), alg) == AlgElem(1)
-    assert apply_u(M_IDENT, SetElem(CARRIER), alg) == SetElem(CARRIER)
+    identity = carrier_identity(2)
+    assert apply_interp(IPiDot1(1), identity, alg) == AlgElem(alg.pi(1, alg.mask_of({0, 1})))
+    with pytest.raises(PiModuloError, match="a pi code needs a finite function argument"):
+        apply_interp(IPiDot1(0), AlgElem(1), alg)
+    off_carrier = finite_fun([(AlgElem(0), E_POINT), (AlgElem(1), AlgElem(0))])
+    with pytest.raises(PiModuloError, match="pi code body output off the carrier"):
+        apply_interp(IPiDot1(0), off_carrier, alg)
 
 
 # --- outer domains ---
@@ -163,46 +177,41 @@ def test_abstraction_and_application_domains_delegate():
 
 
 def test_lemma1_sort_free_terms_live_in_the_singleton():
-    assert check_lemma1_cc(cc("\\x : U_Type. x"))
-    assert check_lemma1_cc(cc("eps_Type (pi_TTT c d)"))
-    assert check_lemma1_cc(cc("pi_KKK dot_Type f", "f"))
-    # the check is only meaningful on terms free of Kind, Type, and U_Kind
-    assert not check_lemma1_cc(Const("U_Kind"))
+    assert domain_n(cc("\\x : U_Type. x")) == SINGLETON_E
+    assert domain_n(cc("eps_Type (pi_TTT c d)")) == SINGLETON_E
+    assert domain_n(cc("pi_KKK dot_Type f", "f")) == SINGLETON_E
+    # the lemma is only about terms free of Kind, Type, and U_Kind
+    assert domain_n(Const("U_Kind")) != SINGLETON_E
 
 
 # --- middle layer ---
 
 
 def test_type_universe_denotes_the_carrier():
-    alg = ALGS[1]
-    assert m_value(cc("U_Type"), {}, alg) == SetElem(CARRIER)
-    assert m_value(cc("dot_Type"), {}, alg) == SetElem(CARRIER)
+    assert m_value(cc("U_Type"), {}) == SetElem(CARRIER)
+    assert m_value(cc("dot_Type"), {}) == SetElem(CARRIER)
 
 
 def test_kind_decoder_is_the_identity():
-    alg = ALGS[1]
-    assert m_value(cc("eps_Kind"), {}, alg) == MIdent()
-    assert m_value(cc("eps_Kind dot_Type"), {}, alg) == SetElem(CARRIER)
+    assert m_value(cc("eps_Kind"), {}) == MIdent()
+    assert m_value(cc("eps_Kind dot_Type"), {}) == SetElem(CARRIER)
 
 
 def test_decoded_type_of_a_code_application_is_the_carrier():
-    for alg in SOME_ALGS:
-        assert domain_m(cc("eps_Kind dot_Type"), {}, alg) == CARRIER
-        assert domain_m(cc("U_Type"), {}, alg) == CARRIER
+    assert domain_m(cc("eps_Kind dot_Type"), {}) == CARRIER
+    assert domain_m(cc("U_Type"), {}) == CARRIER
 
 
 def test_object_level_types_decode_to_the_singleton():
-    alg = ALGS[1]
-    assert domain_m(cc("eps_Type (pi_TTT c d)"), {}, alg) == SINGLETON_E
+    assert domain_m(cc("eps_Type (pi_TTT c d)"), {}) == SINGLETON_E
 
 
 def test_products_over_the_full_universe_need_a_constant_codomain():
-    alg = ALGS[1]
     # codomain independent of the bound variable: no union demanded
-    v = m_value(cc("Pi x : U_Kind. U_Type"), {}, alg)
+    v = m_value(cc("Pi x : U_Kind. U_Type"), {})
     assert v == SetElem(FunSpace(CARRIER, CARRIER))
     with pytest.raises(UnenumerableUnion):
-        m_value(cc("Pi x : U_Kind. eps_Kind x"), {}, alg)
+        m_value(cc("Pi x : U_Kind. eps_Kind x"), {})
 
 
 # --- inner interpretation ---
@@ -305,8 +314,9 @@ def test_instances_with_a_large_product_domain_hold_under_a_small_cap(t, u, alg)
 def test_outer_domains_are_stable_under_substitution():
     t = cc("Pi y : eps_Type x. U_Type", "x")
     u = cc("pi_KTT dot_Type f", "f")
-    assert check_n_substitution(t, "x", u)
-    assert check_n_substitution(cc("\\y : U_Kind. U_Kind"), "y", cc("dot_Type"))
+    assert domain_n(substitute(t, "x", u)) == domain_n(t)
+    kinds = cc("\\y : U_Kind. U_Kind")
+    assert domain_n(substitute(kinds, "y", cc("dot_Type"))) == domain_n(kinds)
 
 
 # --- valuations ---
@@ -336,11 +346,12 @@ def test_middle_valuations_range_over_the_decoded_type():
 
 
 def test_default_valuations_pick_canonical_inhabitants():
-    alg = ALGS[1]
     # binder extension only ever needs outer-layer sets, never the carrier
-    assert default_n_value(domain_n(cc("Pi x : U_Kind. U_Kind")), alg) is not None
-    with pytest.raises(Exception):
-        default_n_value(CARRIER, alg)
+    assert default_n_value(domain_n(cc("Pi x : U_Kind. U_Kind"))) is not None
+    with pytest.raises(PiModuloError, match="not an outer set"):
+        default_n_value(CARRIER)
+    with pytest.raises(PiModuloError, match="not an outer set"):
+        probe_menu(fun_space(CARRIER, E_UNIVERSE))
 
 
 # --- membership and equality ---
@@ -349,7 +360,7 @@ def test_default_valuations_pick_canonical_inhabitants():
 def test_signature_constants_inhabit_their_outer_domains():
     alg = ALGS[1]
     for name, ty in CC.signature:
-        v = m_value(Const(name), {}, alg)
+        v = m_value(Const(name), {})
         assert member_of_n(v, domain_n(ty), alg), name
 
 
@@ -366,10 +377,9 @@ def test_membership_in_basic_sets():
 
 
 def test_set_equality_is_extensional():
-    alg = ALGS[1]
     left = finite_fun([(AlgElem(0), AlgElem(1)), (AlgElem(1), AlgElem(1))])
     right = finite_fun([(AlgElem(k), AlgElem(1)) for k in range(2)])
-    assert equal_values(left, right, alg)
+    assert equal_values(left, right)
 
 
 # Every set built by `fun_space` from B, {e} and E, nested to depth 3.

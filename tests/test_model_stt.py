@@ -6,7 +6,6 @@ from pimodulo.algebra import FiniteAlgebra, enumerate_full_algebras
 from pimodulo.errors import PiModuloError, SizeLimitExceeded
 from pimodulo.model_stt import (
     check_conversion_stt,
-    check_lemma1_stt,
     check_substitution_stt,
     domain_stt,
     enumerate_valuations,
@@ -132,8 +131,8 @@ def test_products_take_function_spaces_with_collapse() -> None:
 
 
 def test_lemma1_isolates_sort_free_terms() -> None:
-    assert check_lemma1_stt(stt("eps (imp p q)", "p", "q"))
-    assert not check_lemma1_stt(stt("o"))
+    assert domain_stt(stt("eps (imp p q)", "p", "q")) == SINGLETON_E
+    assert domain_stt(stt("o")) != SINGLETON_E
 
 
 # ------------- interpretation -------------

@@ -119,15 +119,37 @@ def test_terms_equal_up_to_binder_hints_keep_their_own_hints():
     assert first == second
     shown = []
     for t in (first, second, first):
-        value = model_cc.m_value(t, {}, alg, CAP)
+        value = model_cc.m_value(t, {})
         assert repr(value) == repr(reference_models.m_value(t, {}, alg, CAP))
         shown.append(repr(value))
     assert "hint='x'" in shown[0] and "hint='y'" in shown[1]
     assert shown[0] == shown[2]
     # applying such a closure runs the body staged from its own term
     applied = parse_term("(\\A : U_Kind. \\y : eps_Kind A. y) U_Type")
-    assert (outcome(model_cc.m_value, applied, {}, alg, CAP)
+    assert (outcome(model_cc.m_value, applied, {})
             == outcome(reference_models.m_value, applied, {}, alg, CAP))
+
+
+# Functions over E are compared on the probe menu.  Each pair's middle
+# values are closures over E that differ as terms; the oracle compares them
+# with its own menu and canonical forms, so a staged menu or canonical form
+# that lost a case would give another verdict.  The first pair agrees on
+# the carrier and on {e} and differs on B -> B, the menu's third set: its
+# values there are B -> (B -> B) and (B -> B) -> (B -> B).  The second is
+# ill-typed: a pi code over such a closure, which must be compared through
+# the code, and which agrees on every probe.
+MENU_PAIRS = (
+    ("\\A : U_Kind. Pi x : eps_Kind dot_Type. eps_Kind A",
+     "\\A : U_Kind. Pi x : eps_Kind A. eps_Kind A"),
+    ("pi_KKK (\\A : U_Kind. A)", "pi_KKK (\\A : U_Kind. eps_Kind A)"),
+)
+
+
+@pytest.mark.parametrize("lhs, rhs", MENU_PAIRS, ids=("third-probe", "pi-code"))
+def test_functions_over_the_universe_compare_as_the_oracle_compares_them(lhs, rhs):
+    terms = (parse_term(lhs), parse_term(rhs))
+    for alg in PAIR_ALGS:
+        assert_cc_agrees(terms, (), alg, CAP)
 
 
 # --- the lemma checks ------------------------------------------------------------
