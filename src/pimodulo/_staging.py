@@ -29,6 +29,14 @@ Three memos, each for the checks that meet its keys again:
   checks are not kept this way: their per-algebra constants are cached
   by the algebra and by a whole table row, which would answer for reads
   the view never sees.
+
+Both of the last two key a valuation by value (`valuation_key`).  The
+enumerators hand out `Valuation`s: read-only dicts, hashed once, built
+once per context and carrier size and reused on every algebra of that
+size, so such a key costs no rehashing and meets the very object it was
+stored under.  Any other mapping is keyed by a read-only copy of its
+items, so a caller that changes its dict in place misses rather than
+getting a stale result.
 """
 
 from __future__ import annotations
@@ -47,6 +55,39 @@ STAGE_CACHE_SIZE = 64
 # constants are reused by every valuation of an item on it, and seldom
 # after: the sweeps visit 513 algebras.
 CONSTANT_CACHE_SIZE = 64
+
+
+class Valuation(dict):
+    """A valuation that cannot be changed, hashed once, from its items.
+    Every mutator raises `TypeError`; `repr`, `==` and `{**v, x: w}`, which
+    makes a plain dict, are a dict's."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._hash = hash(frozenset(self.items()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # pickle and copy would otherwise refill an empty one item by item
+        return Valuation, (dict(self),)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a Valuation cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    update = pop = popitem = clear = setdefault = _read_only
+
+
+def valuation_key(valuation):
+    """A valuation (or None) as a key by value: a `Valuation` as it is, any
+    other mapping as a read-only copy of its items."""
+    if valuation is None or type(valuation) is Valuation:
+        return valuation
+    return Valuation(valuation)
 
 
 class _Same:
@@ -76,25 +117,25 @@ def per_term(fn: Callable[[Term], Any], maxsize: int) -> Callable[[Term], Any]:
 
 def last_item(fn: Callable[..., Any]) -> Callable[..., Any]:
     """fn(*args, psi), kept for its last call only.  The arguments (terms
-    and names) must be the same objects as that call's,
-    and psi, an outer valuation or None, must equal that call's by value;
-    a copy of psi is kept, so a caller that changes its dict in place
-    cannot get a stale result.  A call that raises leaves the memo as it
-    was, so a failing call raises afresh every time.
+    and names) must be the same objects as that call's, and psi, an outer
+    valuation or None, must equal that call's by value (`valuation_key`:
+    fn gets the key).  A call that raises leaves the memo as it was, so a
+    failing call raises afresh every time.
 
     The substitution checks use it: the substituted term is new on every
     instance, so `per_term` would not find its stage again, and the
     `model_cc` middle layer, which reads psi but neither phi nor the
     algebra, is evaluated once per psi rather than once per phi and
     algebra."""
-    last = None  # (args, a copy of psi, result)
+    last = None  # (args, psi's key, result)
 
     def cached(*args, psi=None):
         nonlocal last
+        psi = valuation_key(psi)
         if last is not None and all(map(is_, last[0], args)) and last[1] == psi:
             return last[2]
         result = fn(*args, psi)
-        last = (args, None if psi is None else dict(psi), result)
+        last = (args, psi, result)
         return result
 
     return cached
@@ -141,10 +182,10 @@ def by_table_reads(maxsize: int) -> Callable:
     argument positional, kept for the last `maxsize` keys it ran on, and
     under each key as a tree of the algebra reads its results came from.
     The key is the leading arguments by identity (kept alive, as
-    `per_term` keeps its terms), phi and psi by value (dicts equal in
-    another order miss), the carrier size and the cap.  fn reads the
-    algebra through a `_Recorder` and must return no `_Read`.  A call that
-    raises keeps nothing."""
+    `per_term` keeps its terms), phi and psi by value (`valuation_key`),
+    the carrier size and the cap.  fn reads the algebra through a
+    `_Recorder` and must return no `_Read`.  A call that raises keeps
+    nothing."""
 
     def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
         # a key's tree hangs from the one slot of a list
@@ -152,7 +193,7 @@ def by_table_reads(maxsize: int) -> Callable:
 
         def cached(*args):
             *terms, phi, psi, alg, cap = args
-            root = trees((tuple(map(_Same, terms)), tuple(phi.items()), tuple(psi.items()),
+            root = trees((tuple(map(_Same, terms)), valuation_key(phi), valuation_key(psi),
                           alg.n, cap))
             slots, i = root, 0
             while type(node := slots[i]) is _Read:

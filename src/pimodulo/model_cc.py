@@ -34,13 +34,15 @@ Evaluation is staged: each term is turned once into closures for its three
 layers, which then run on every algebra and valuation (see below).
 
 A conversion verdict is kept across algebras (`_staging.by_table_reads`).
-It is kept under its terms (by identity), phi and psi (by value), the
-carrier size and the cap, as a tree of the `top` and `pi` reads the check
-made, and an algebra that agrees on those entries gets it without an
-evaluation.  Only the interpretation reads the algebra, through a view
-that logs those reads; the N-set and middle layers read no algebra, so a
-verdict they decide sits at the tree's root.  A check that raises keeps
-nothing, so its error is raised afresh on every call.
+It is kept under its terms (by identity), phi and psi (by value; the
+enumerators below build each valuation once per context and carrier size,
+so a sweep meets the very objects again), the carrier size and the cap,
+as a tree of the `top` and `pi` reads the check made, and an algebra that
+agrees on those entries gets it without an evaluation.  Only the
+interpretation reads the algebra, through a view that logs those reads;
+the N-set and middle layers read no algebra, so a verdict they decide
+sits at the tree's root.  A check that raises keeps nothing, so its error
+is raised afresh on every call.
 
 The substitution check keeps no verdicts: the sweeps check each instance
 on one algebra or a few, so a key would seldom be met twice.  The N-sets
@@ -57,7 +59,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from ._staging import CONSTANT_CACHE_SIZE, STAGE_CACHE_SIZE, by_table_reads, last_item, per_term
+from ._staging import (
+    CONSTANT_CACHE_SIZE,
+    STAGE_CACHE_SIZE,
+    by_table_reads,
+    last_item,
+    per_term,
+    valuation_key,
+)
 from .algebra import FiniteAlgebra
 from .errors import PiModuloError, UnenumerableUnion
 from .terms import (
@@ -80,6 +89,7 @@ from .values import (
     E_POINT,
     E_UNIVERSE,
     SINGLETON_E,
+    VALUATION_CACHE_SIZE,
     AlgElem,
     Carrier,
     ElemValue,
@@ -96,6 +106,7 @@ from .values import (
     enumerate_set,
     finite_fun,
     fun_space,
+    listing,
     valuations,
 )
 
@@ -466,7 +477,13 @@ def enumerate_psis(
     """All outer valuations for a context: each variable ranges over the
     probe menu of its type's N-set, which is the whole set when that is
     {e}.  The algebra is not read; it stays a parameter because callers
-    pass the cap by position after it."""
+    pass the cap by position after it.  The list is built once per context
+    and cap and shared, on every carrier size: callers must not change it."""
+    return _psis(ctx, cap)
+
+
+@lru_cache(maxsize=VALUATION_CACHE_SIZE)
+def _psis(ctx: Context, cap: int) -> list:
     return valuations(ctx, [probe_menu(domain_n(ty)) for _, ty in ctx], cap)
 
 
@@ -477,9 +494,14 @@ def enumerate_m_valuations(
     cap: int = DEFAULT_CAP,
 ) -> list[dict[str, UniverseElem]]:
     """All inner valuations: each variable ranges over the M-value of its
-    declared type under psi."""
-    pools = [enumerate_set(domain_m(ty, psi), alg, cap) for _, ty in ctx]
-    return valuations(ctx, pools, cap)
+    declared type under psi.  The list is built once per context, psi (by
+    value), carrier size and cap and shared: callers must not change it."""
+    return _m_valuations(ctx, valuation_key(psi), alg.n, cap)
+
+
+@lru_cache(maxsize=VALUATION_CACHE_SIZE)
+def _m_valuations(ctx: Context, psi, n: int, cap: int) -> list:
+    return valuations(ctx, [listing(domain_m(ty, psi), n, cap) for _, ty in ctx], cap)
 
 
 # Lemma verdicts kept at once, each under its item, valuation and carrier

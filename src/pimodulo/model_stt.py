@@ -35,6 +35,7 @@ from .values import (
     DEFAULT_CAP,
     E_POINT,
     SINGLETON_E,
+    VALUATION_CACHE_SIZE,
     AlgElem,
     ElemValue,
     EPoint,
@@ -239,6 +240,12 @@ def check_conversion_stt(
 def enumerate_valuations(
     ctx: Context, alg: FiniteAlgebra, cap: int = DEFAULT_CAP,
 ) -> list[dict[str, ElemValue]]:
-    """All valuations for a context; SizeLimitExceeded past the cap."""
-    pools = [enumerate_set(domain_stt(ty), alg, cap) for _, ty in ctx]
-    return valuations(ctx, pools, cap)
+    """All valuations for a context; SizeLimitExceeded past the cap.  They
+    read the algebra only for its carrier size, so the list is built once
+    per context, size and cap and shared: callers must not change it."""
+    return _valuations_over(ctx, alg.n, cap)
+
+
+@lru_cache(maxsize=VALUATION_CACHE_SIZE)
+def _valuations_over(ctx: Context, n: int, cap: int) -> list:
+    return valuations(ctx, [listing(domain_stt(ty), n, cap) for _, ty in ctx], cap)

@@ -13,7 +13,10 @@ Enumeration depends only on the carrier's size, so listings are cached
 by set, carrier size and cap, shared by every algebra of that size and by
 both models; keying by the cap keeps a call's verdict (a listing or
 SizeLimitExceeded) independent of earlier calls, and an error is never
-cached.  A cached listing is shared: callers must not change it.
+cached.  A cached listing is shared: callers must not change it.  The
+models' enumerators cache their lists of valuations the same way, by
+context, carrier size and cap, and there the rule is enforced for each
+valuation: it is a `Valuation`, which cannot be changed.
 
 A finite function is applied by index: its first application builds a
 dict from its graph, kept on the value but outside its fields, so
@@ -27,7 +30,7 @@ from functools import lru_cache
 from itertools import product
 from math import prod
 
-from ._staging import CONSTANT_CACHE_SIZE
+from ._staging import CONSTANT_CACHE_SIZE, Valuation
 from .algebra import FiniteAlgebra
 from .errors import PiModuloError, SizeLimitExceeded, UnenumerableUnion
 
@@ -36,6 +39,10 @@ DEFAULT_CAP = 10**6
 # benchmark's model-sweep, seed 0), so this keeps all of them while a long
 # run cannot hold every listing it ever made.
 ENUMERATION_CACHE_SIZE = 256
+# Valuation lists kept at once by each of the models' enumerators.  The
+# benchmark's model-sweep, seed 0, meets 52 (10 for stt, 6 and 36 for the
+# cc outer and inner valuations).
+VALUATION_CACHE_SIZE = 256
 
 
 # --- sets ------------------------------------------------------------------
@@ -192,7 +199,7 @@ def listing(s: SetValue, n: int, cap: int) -> list:
     raise PiModuloError(f"unknown set {s!r}")
 
 
-def valuations(ctx, pools: list, cap: int) -> list[dict]:
+def valuations(ctx, pools: list, cap: int) -> list[Valuation]:
     """Every choice of one element per pool, keyed by the names of the
     context's variables in turn; SizeLimitExceeded when there are more
     than `cap` choices."""
@@ -200,4 +207,4 @@ def valuations(ctx, pools: list, cap: int) -> list[dict]:
     if total > cap:
         raise SizeLimitExceeded(f"{total} valuations is over the cap {cap}")
     names = [name for name, _ in ctx]
-    return [dict(zip(names, combo)) for combo in product(*pools)]
+    return [Valuation(zip(names, combo)) for combo in product(*pools)]

@@ -7,6 +7,7 @@ algebra carrier.  Conversion and substitution checks must agree on all three.
 
 import pytest
 
+from pimodulo._staging import valuation_key
 from pimodulo.algebra import enumerate_full_algebras, read_alg
 from pimodulo.errors import PiModuloError, SizeLimitExceeded, UnenumerableUnion
 from pimodulo.model_cc import (
@@ -43,6 +44,7 @@ from pimodulo.values import (
     AlgElem,
     FiniteFun,
     FunSpace,
+    Valuation,
     cardinality,
     carrier_identity,
     enumerable,
@@ -343,6 +345,41 @@ def test_middle_valuations_range_over_the_decoded_type():
     (psi,) = enumerate_psis(ctx, alg)
     ms = enumerate_m_valuations(ctx, psi, alg)
     assert ms == [{"x": AlgElem(0)}, {"x": AlgElem(1)}]
+
+
+def test_valuations_are_built_once_per_context_carrier_size_and_cap():
+    ctx = (("X", cc("U_Kind")), ("x", cc("eps_Kind X", "X")))
+    small, large = ALGS[0], ALGS[-1]
+    assert small.n == 1 and ALGS[1].n == large.n == 2
+    psis = enumerate_psis(ctx, large)
+    assert all(type(psi) is Valuation for psi in psis)
+    # the outer valuations read no carrier at all
+    assert enumerate_psis(ctx, ALGS[1]) is psis and enumerate_psis(ctx, small) is psis
+    assert enumerate_psis(ctx, large, 1000) is not psis
+    psi = next(p for p in psis if p["X"] == SetElem(CARRIER))
+    phis = enumerate_m_valuations(ctx, psi, large)
+    assert len(phis) == 4 and all(type(phi) is Valuation for phi in phis)
+    assert enumerate_m_valuations(ctx, psi, ALGS[1]) is phis
+    assert enumerate_m_valuations(ctx, dict(psi), large) is phis
+    assert enumerate_m_valuations(ctx, psi, small) is not phis
+    assert enumerate_m_valuations(ctx, psi, large, 1000) is not phis
+
+
+def test_a_size_limit_on_inner_valuations_is_raised_on_every_call():
+    ctx = (("X", cc("U_Kind")), ("x", cc("eps_Kind X", "X")))
+    psi = {"X": SetElem(fun_space(CARRIER, CARRIER)), "x": E_POINT}
+    for _ in range(2):
+        with pytest.raises(SizeLimitExceeded):
+            enumerate_m_valuations(ctx, psi, ALGS[-1], 3)
+
+
+def test_a_valuation_is_its_own_key_and_a_dict_keys_by_a_snapshot():
+    psi = Valuation(X=SetElem(CARRIER))
+    assert valuation_key(psi) is psi and valuation_key(None) is None
+    live = dict(psi)
+    key = valuation_key(live)
+    live["X"] = SetElem(SINGLETON_E)
+    assert type(key) is Valuation and key == psi and hash(key) == hash(psi)
 
 
 def test_default_valuations_pick_canonical_inhabitants():

@@ -1,3 +1,4 @@
+import copy
 import pickle
 
 import pytest
@@ -21,6 +22,7 @@ from pimodulo.values import (
     AlgElem,
     EPoint,
     FiniteFun,
+    Valuation,
     apply_elem,
     enumerate_set,
     finite_fun,
@@ -91,6 +93,28 @@ def test_a_looked_up_finite_function_pickles_without_its_index() -> None:
     assert copy == f and hash(copy) == hash(f)
     assert "_index" not in vars(copy) and copy._index is None
     assert apply_elem(copy, AlgElem(0)) == AlgElem(1)
+
+
+@pytest.mark.parametrize("change", [
+    "v['x'] = w", "del v['x']", "v.update(x=w)", "v.pop('x')", "v.popitem()", "v.clear()",
+    "v.setdefault('y', w)", "v |= {'y': w}",
+])
+def test_a_valuation_cannot_be_changed(change) -> None:
+    v = Valuation(x=AlgElem(1))
+    with pytest.raises(TypeError, match="cannot be changed"):
+        exec(change, {"v": v, "w": AlgElem(0)})
+    assert v == {"x": AlgElem(1)}
+
+
+def test_a_valuation_is_a_dict_hashed_by_its_items() -> None:
+    plain = {"x": AlgElem(1), "y": finite_fun([(AlgElem(0), AlgElem(1))])}
+    v = Valuation(plain)
+    assert v == plain and repr(v) == repr(plain)
+    assert hash(v) == hash(Valuation(reversed(plain.items())))
+    widened = {**v, "z": AlgElem(0)}
+    assert type(widened) is dict and widened == {**plain, "z": AlgElem(0)}
+    for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+        assert type(twin) is Valuation and twin == v and hash(twin) == hash(v)
 
 
 def test_enumerate_set_sizes() -> None:
@@ -263,6 +287,23 @@ def test_valuations_past_the_cap_are_a_size_limit() -> None:
     ctx = tuple((name, stt("o -> o")) for name in "fgh")
     with pytest.raises(SizeLimitExceeded, match="64 valuations is over the cap 5"):
         enumerate_valuations(ctx, ALGS[0], cap=5)
+
+
+def test_valuations_are_built_once_per_context_carrier_size_and_cap() -> None:
+    ctx = (("x", stt("o")), ("f", stt("o -> o")))
+    vals = enumerate_valuations(ctx, ALGS[0])
+    assert all(type(v) is Valuation for v in vals)
+    assert enumerate_valuations(ctx, ALGS[-1]) is vals
+    assert enumerate_valuations(ctx, ALGS[0], cap=1000) is not vals
+    one = enumerate_valuations(ctx, next(enumerate_full_algebras(1)))
+    assert one is not vals and len(one) == 1
+
+
+def test_a_size_limit_is_raised_on_every_call() -> None:
+    ctx = tuple((name, stt("o -> o")) for name in "fgh")
+    for _ in range(2):
+        with pytest.raises(SizeLimitExceeded):
+            enumerate_valuations(ctx, ALGS[0], cap=5)
 
 
 def test_proof_variables_get_the_e_point() -> None:
