@@ -30,13 +30,18 @@ Three memos, each for the checks that meet its keys again:
   by the algebra and by a whole table row, which would answer for reads
   the view never sees.
 
-Both of the last two key a valuation by value (`valuation_key`).  The
-enumerators hand out `Valuation`s: read-only dicts, hashed once, built
+`per_term` and `by_table_reads` key a term by its identity (`id()`), not
+by alpha-equivalence: a term hashes its structure only once, but its `==`
+walks both terms and treats terms that differ only in binder hints as
+one.  A kept entry holds the objects its key names, so no other object
+can take their ids while it lives.  `by_table_reads` keys phi and psi the
+same way: the enumerators hand out `Valuation`s, read-only dicts built
 once per context and carrier size and reused on every algebra of that
-size, so such a key costs no rehashing and meets the very object it was
-stored under.  Any other mapping is keyed by a read-only copy of its
-items, so a caller that changes its dict in place misses rather than
-getting a stale result.
+size, so a sweep meets the very objects again.  Any other mapping is
+checked directly, without the memo: a copy of it would be a new object on
+every call, never met again.  `last_item` keys psi by value
+(`valuation_key`), so a caller that changes its dict in place misses
+rather than getting a stale result.
 """
 
 from __future__ import annotations
@@ -90,29 +95,18 @@ def valuation_key(valuation):
     return Valuation(valuation)
 
 
-class _Same:
-    """A term as a cache key compared by identity rather than by
-    alpha-equivalence.  A term computes its hash only once, but its `==`
-    still walks both terms, and it treats terms that differ only in binder
-    hints as one; an identity key keeps those apart.  A key held by a cache
-    keeps its term alive, so no other term can take its id."""
-
-    __slots__ = ("term",)
-
-    def __init__(self, term: Term):
-        self.term = term
-
-    def __hash__(self) -> int:
-        return id(self.term)
-
-    def __eq__(self, other) -> bool:
-        return self.term is other.term
-
-
 def per_term(fn: Callable[[Term], Any], maxsize: int) -> Callable[[Term], Any]:
-    """fn(t), kept for the last `maxsize` term objects it ran on."""
-    cached = lru_cache(maxsize=maxsize)(lambda key: fn(key.term))
-    return lambda t: cached(_Same(t))
+    """fn(t), kept for the last `maxsize` term objects it ran on.  A slot
+    keyed by id(t) holds (fn(t), t); a call that raises leaves it empty."""
+    slots = lru_cache(maxsize=maxsize)(lambda key: [])
+
+    def cached(t: Term) -> Any:
+        slot = slots(id(t))
+        if not slot:
+            slot += fn(t), t
+        return slot[0]
+
+    return cached
 
 
 def last_item(fn: Callable[..., Any]) -> Callable[..., Any]:
@@ -178,23 +172,24 @@ _MISSING = object()
 
 
 def by_table_reads(maxsize: int) -> Callable:
-    """A decorator: fn(*terms, phi, psi, alg, cap), called with every
-    argument positional, kept for the last `maxsize` keys it ran on, and
-    under each key as a tree of the algebra reads its results came from.
-    The key is the leading arguments by identity (kept alive, as
-    `per_term` keeps its terms), phi and psi by value (`valuation_key`),
-    the carrier size and the cap.  fn reads the algebra through a
-    `_Recorder` and must return no `_Read`.  A call that raises keeps
-    nothing."""
+    """A decorator: fn(t, u, phi, psi, alg, cap), kept for the last
+    `maxsize` keys it ran on, and under each key as a tree of the algebra
+    reads its results came from.  The key is t, u, phi and psi by identity,
+    the carrier size and the cap; the key's root keeps the four objects
+    alive.  A phi or psi that is not a `Valuation` is checked directly.  fn
+    reads the algebra through a `_Recorder` and must return no `_Read`.  A
+    call that raises keeps nothing."""
 
     def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
-        # a key's tree hangs from the one slot of a list
-        trees = lru_cache(maxsize=maxsize)(lambda key: [_MISSING])
+        # a key's tree hangs from slot 0 of a list; slot 1 keeps its objects
+        trees = lru_cache(maxsize=maxsize)(lambda *key: [_MISSING])
 
-        def cached(*args):
-            *terms, phi, psi, alg, cap = args
-            root = trees((tuple(map(_Same, terms)), valuation_key(phi), valuation_key(psi),
-                          alg.n, cap))
+        def cached(t, u, phi, psi, alg, cap):
+            if type(phi) is not Valuation or type(psi) is not Valuation:
+                return fn(t, u, phi, psi, alg, cap)
+            root = trees(id(t), id(u), id(phi), id(psi), alg.n, cap)
+            if len(root) == 1:
+                root.append((t, u, phi, psi))
             slots, i = root, 0
             while type(node := slots[i]) is _Read:
                 read = node[0]
@@ -202,7 +197,7 @@ def by_table_reads(maxsize: int) -> Callable:
             if node is not _MISSING:
                 return node
             recorder = _Recorder(alg)
-            result = fn(*terms, phi, psi, recorder, cap)
+            result = fn(t, u, phi, psi, recorder, cap)
             slots, i = root, 0
             for read, got in recorder.reads.items():
                 if slots[i] is _MISSING:

@@ -159,16 +159,23 @@ def enumerate_full_algebras(n: int):
 
 
 def sample_full_algebras(n: int, count: int, seed: int = 0):
+    """`count` distinct algebras of carrier size n, drawn at random: a draw
+    already yielded is skipped, and the sample stops at every algebra
+    there is when count is larger."""
     if n < 1:
         raise ValueError("carrier must be nonempty")
     rng = random.Random(seed)
     rows = 1 << n
-    for _ in range(count):
+    wanted, seen = min(count, n ** (n * rows) * n), set()
+    while len(seen) < wanted:
         top = rng.randrange(n)
         table = tuple(
             tuple(rng.randrange(n) for _ in range(rows)) for _ in range(n)
         )
-        yield FiniteAlgebra(n, top, table)
+        alg = FiniteAlgebra(n, top, table)
+        if alg not in seen:
+            seen.add(alg)
+            yield alg
 
 
 # --- .alg literal files ----------------------------------------------------

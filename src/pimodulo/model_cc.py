@@ -34,11 +34,12 @@ Evaluation is staged: each term is turned once into closures for its three
 layers, which then run on every algebra and valuation (see below).
 
 A conversion verdict is kept across algebras (`_staging.by_table_reads`).
-It is kept under its terms (by identity), phi and psi (by value; the
+It is kept under its terms, phi and psi (all by identity; the
 enumerators below build each valuation once per context and carrier size,
 so a sweep meets the very objects again), the carrier size and the cap,
 as a tree of the `top` and `pi` reads the check made, and an algebra that
-agrees on those entries gets it without an evaluation.  Only the
+agrees on those entries gets it without an evaluation.  A phi or psi that
+is a plain dict, not a `Valuation`, is checked without the memo.  Only the
 interpretation reads the algebra, through a view that logs those reads;
 the N-set and middle layers read no algebra, so a verdict they decide
 sits at the tree's root.  A check that raises keeps nothing, so its error

@@ -101,6 +101,14 @@ def test_sampling_is_seeded_and_sized() -> None:
     assert a != list(sample_full_algebras(3, 5, seed=12))
 
 
+def test_sampling_draws_no_algebra_twice_and_stops_at_every_algebra() -> None:
+    assert list(sample_full_algebras(1, 64)) == list(enumerate_full_algebras(1))
+    # seed 0 draws a repeat within its first 64 tables at size 2
+    assert len(set(sample_full_algebras(2, 64))) == 64
+    every = list(sample_full_algebras(2, 600))
+    assert len(every) == len(set(every)) == 512
+
+
 # ------------- orders -------------
 
 

@@ -383,15 +383,14 @@ imp : o -> o -> o
 
 
 def test_a_failing_rule_names_the_algebra_at_its_own_position(capsys, tmp_path):
-    # the 64 sampled algebras hold 61 distinct ones, so an algebra found by
-    # equality would name the first of two equal positions twice
+    # each of the 64 sampled algebras is named at its own position
     path = tmp_path / "false.th"
     path.write_text(FALSE_RULE_THEORY)
     code, out = run_cli(capsys, "model-check", "--theory", str(path), "--algebra-size", "2",
                         "--count", "64", "--pairs", "0", "--subst", "0")
     assert code == 5
     algebras = list(sample_full_algebras(2, 64, 0))
-    assert len(set(algebras)) == 61
+    assert len(set(algebras)) == 64
     named = []
     for line in out.splitlines():
         status, item, detail = line.split("\t")
@@ -400,7 +399,16 @@ def test_a_failing_rule_names_the_algebra_at_its_own_position(capsys, tmp_path):
             assert detail.endswith("algebra:; " + write_alg(algebras[i]).rstrip("\n").replace("\n", "; "))
             named.append(i)
     assert len(named) == len(set(named)) == 62
-    assert {40, 43, 48} <= set(named)
+
+
+def test_a_sample_larger_than_the_algebras_of_its_size_checks_each_once(capsys, tmp_path):
+    # size 1 has one algebra, so a sample of 64 is that one
+    path = tmp_path / "false.th"
+    path.write_text(FALSE_RULE_THEORY)
+    code, out = run_cli(capsys, "model-check", "--theory", str(path), "--algebra-size", "1",
+                        "--count", "64", "--pairs", "0", "--subst", "0")
+    assert code == 0
+    assert out.splitlines()[0] == "ok\trule r1\tholds on 1 algebras"
 
 
 # sha256 of model-check stdout, recorded before the two models shared one

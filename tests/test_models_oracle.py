@@ -22,15 +22,19 @@ are also held to the oracle's on every algebra, with the algebras taken
 in either order, for items whose verdict depends on the algebra: among
 them one whose verdict the middle layer decides, with no table read, on
 some outer valuations, and `top` on the rest.  A check that raises keeps
-nothing.
+nothing.  The memos key terms and valuations by identity: fresh terms
+never meet a dropped term's entry, a kept term dies once its entries are
+evicted, and a second pass over the rules makes no evaluation.
 """
 
+import gc
+import weakref
 from itertools import islice
 
 import pytest
 
 from pimodulo.algebra import enumerate_full_algebras
-from pimodulo import model_cc, model_stt
+from pimodulo import _staging, model_cc, model_stt
 from pimodulo.errors import PiModuloError
 from pimodulo.generate import convertible_pairs, sample_well_typed
 from pimodulo.syntax import parse_term
@@ -339,3 +343,92 @@ def test_a_failing_check_raises_afresh_on_every_call():
         assert expected[0] == "raised" and "outside its domain" in expected[2]
         for _ in range(2):
             assert conversion_outcomes(model_cc.check_conversion_cc, t, u, (), alg) == [expected]
+
+
+# The term memos key a term by its id, and a kept entry holds the term, so
+# no fresh term can take a kept term's id.  Each round parses fresh terms
+# and drops them at its end, so a memo that kept an id without its term
+# would hand a later round's term a dropped one's result.  Each case keeps
+# one memo: with valuations from the enumerators the verdict trees, with
+# stages made afresh on every miss; with plain dicts the stages, the trees
+# being bypassed.
+
+ROUNDS = 200
+
+
+def identity_rounds(plain):
+    ctx = (("X", Const("U_Kind")),)
+    rounds = []
+    for r in range(ROUNDS):
+        x, y, dot = (parse_term(text, var_names=frozenset({"X"})) for text in ("X", "X", "dot_Type"))
+        pairs = ((x, y), (x, dot)) if r % 2 == 0 else ((x, dot), (x, y))
+        verdicts = {}
+        for t, u in pairs:
+            verdicts[u is dot] = [
+                all(model_cc.check_conversion_cc(
+                    t, u, *((dict(phi), dict(psi)) if plain else (phi, psi)), alg, CAP)
+                    for phi, psi in sweep_valuations("cc", ctx, alg))
+                for alg in SUBST_ALGS
+            ]
+        rounds.append(verdicts)
+        # the round's terms die here, so the next round's may take their ids
+        del x, y, dot, pairs, t, u
+    return rounds
+
+
+@pytest.mark.parametrize("plain", (False, True), ids=("trees", "stages"))
+def test_a_kept_id_is_never_taken_by_a_fresh_term(plain, monkeypatch):
+    if not plain:
+        monkeypatch.setattr(model_cc, "_staged", model_cc._stage)
+    rounds = identity_rounds(plain)
+    assert len(SUBST_ALGS) == 33
+    assert rounds[0] == {False: [True] * 33, True: [False] * 33}
+    assert [r for r, verdicts in enumerate(rounds) if verdicts != rounds[0]] == []
+
+
+def test_a_kept_term_is_dropped_once_its_keys_are_evicted():
+    alg = ALGS[1]
+    (valuation,) = sweep_valuations("cc", (), alg)
+    t = parse_term("eps_Kind dot_Type")
+    model_cc.check_conversion_cc(t, t, *valuation, alg, CAP)
+    watched = weakref.ref(t)
+    del t
+    assert watched() is not None
+    for _ in range(model_cc.VERDICT_CACHE_SIZE + 1):
+        u = parse_term("eps_Kind dot_Type")
+        model_cc.check_conversion_cc(u, u, *valuation, alg, CAP)
+    del u
+    gc.collect()
+    assert watched() is None
+
+
+def test_the_trees_answer_every_rule_once_grown(monkeypatch):
+    misses = [0]
+
+    class Counting(_staging._Recorder):
+        __slots__ = ()
+
+        def __init__(self, alg):
+            super().__init__(alg)
+            misses[0] += 1
+
+    monkeypatch.setattr(_staging, "_Recorder", Counting)
+    rules = builtin_theory("cc").theory.rules
+    passes = []
+    for _ in range(2):
+        misses[0] = 0
+        verdicts = [[outcome(model_cc.check_conversion_cc, rule.lhs, rule.rhs, *valuation, alg, CAP)
+                     for valuation in sweep_valuations("cc", rule.ctx, alg)]
+                    for rule in rules for alg in ALGS]
+        passes.append((misses[0], verdicts))
+    (first, verdicts), (second, again) = passes
+    assert first <= 403 and second == 0 and again == verdicts
+    # a plain-dict psi is checked without the trees, as the oracle checks it
+    misses[0] = 0
+    for rule in rules:
+        for alg in SUBST_ALGS:
+            for phi, psi in sweep_valuations("cc", rule.ctx, alg):
+                assert (outcome(model_cc.check_conversion_cc, rule.lhs, rule.rhs, phi, dict(psi), alg, CAP)
+                        == outcome(reference_models.check_conversion_cc,
+                                   rule.lhs, rule.rhs, phi, psi, alg, CAP))
+    assert misses[0] == 0
