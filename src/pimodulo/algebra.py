@@ -187,7 +187,7 @@ def write_alg(alg: FiniteAlgebra) -> str:
 
 
 def read_alg(text: str) -> FiniteAlgebra:
-    rows = [line.split() for line in text.splitlines() if line.strip()]
+    rows = [line.split() for line in text.split("\n") if line.strip()]
     if not rows or len(rows[0]) != 2:
         raise ValueError("first line must be: n top")
     n, top = int(rows[0][0]), int(rows[0][1])

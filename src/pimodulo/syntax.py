@@ -1,12 +1,18 @@
 """Surface syntax: lexer, parser, and printer.
 
-The lexer makes one pass of one token pattern and hands out plain
-``(kind, text, (line, column))`` tuples.  The term parser and the
-printer each run on an explicit stack, so a term's depth costs them no
-recursion: the parser keeps a frame for each open parenthesis, binder
-annotation and binder body, and the printer a todo stack of text
-pieces, subterms and binder names entering and leaving scope.  Arrow
-chains and application spines are loops in both.
+The lexer is one `findall` of one pattern, whose matches pair each
+token with the blanks before it; a token's kind comes from its first
+character and its column from the lengths before it, and it is handed
+out as a plain ``(kind, text, (line, column))`` tuple.  The pattern's
+last alternative takes a character no token starts with, which the
+lexer reports where it stands.  The term parser and the printer each
+run on an explicit stack, so a term's depth costs them no recursion:
+the parser keeps a frame for each open parenthesis, binder annotation
+and binder body, and the printer a todo stack of text pieces, subterms
+and binder names entering and leaving scope.  Arrow chains and
+application spines are loops in both.  Both are linear in binder
+depth: the parser finds a bound name's index from the depths its
+binders sit at, kept under the name.
 
 Term grammar (binders extend as far right as possible, arrows associate
 to the right, application to the left):
@@ -25,12 +31,15 @@ and ``|-``.
 
 Theory files are line oriented: one declaration, rewrite rule, or
 directive per line.  Judgement files hold one ``ctx |- term [: type]``
-per line.
+per line.  A line ends at ``\\n`` and nowhere else: a form feed or a
+Unicode line separator belongs to its line, as part of a comment or as
+an unexpected character.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 
 from .errors import DuplicateName, ParseError
@@ -57,55 +66,62 @@ RESERVED = frozenset({"Type", "Kind", "Pi"})
 
 # --- lexer ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<WS>[ \t\r]+)
-    | (?P<NL>\n)
-    | (?P<COMMENT>;[^\n]*)
-    | (?P<RULEARROW>-->)
-    | (?P<ARROW>->|→)
-    | (?P<TURNSTILE>\|-|⊢)
-    | (?P<LAMBDA>\\|λ)
-    | (?P<PIU>Π)
-    | (?P<NAME>[A-Za-z_][A-Za-z0-9_']*(?:\[[^\]\s]+\])?)
-    | (?P<LPAR>\()
-    | (?P<RPAR>\))
-    | (?P<LBRACK>\[)
-    | (?P<RBRACK>\])
-    | (?P<COLON>:)
-    | (?P<DOT>\.)
-    | (?P<COMMA>,)
-    | (?P<HASH>\#[A-Za-z]+)
-    """,
+# Each match is one token and the blanks before it.  The last alternative
+# takes a character that starts no token, so no character is skipped;
+# blanks at the very end match nothing.
+_PAIR_RE = re.compile(
+    r"""([ \t\r]*)
+        ( [A-Za-z_][A-Za-z0-9_']*(?:\[[^\]\s]+\])?   # a name
+        | --> | -> | \|- | \#[A-Za-z]+
+        | [()\[\]:.,→⊢\\λΠ\n]
+        | ;[^\n]*                                    # a comment
+        | [^ \t\r]                                   # no token
+        )""",
     re.VERBOSE,
 )
+
+# a token's kind by its first character, where that settles it
+_KIND = dict.fromkeys(string.ascii_letters + "_", "NAME")
+_KIND.update({
+    "(": "LPAR", ")": "RPAR", "[": "LBRACK", "]": "RBRACK", ":": "COLON",
+    ".": "DOT", ",": "COMMA", "⊢": "TURNSTILE", "→": "ARROW", "\\": "LAMBDA",
+    "λ": "LAMBDA",
+})
+# ... and where it does not, by the whole token: alone, "-" and "|" are
+# no token, and neither is "#", which starts a directive name
+_WHOLE = {"->": "ARROW", "-->": "RULEARROW", "|-": "TURNSTILE"}
 
 
 def tokenize(text: str, first_line: int = 1) -> list[tuple[str, str, tuple[int, int]]]:
     """The (kind, text, (line, column)) tokens of text, ending in one EOF
-    token, in one pass of the token pattern; a gap between two matches
-    starts with a character no token takes."""
+    token, from one `findall`; a column is the sum of the lengths before
+    it on its line."""
     tokens = []
     line = first_line
-    bol = 0
-    end = 0
-    for m in _TOKEN_RE.finditer(text):
-        start = m.start()
-        if start != end:
-            break
-        end = m.end()
-        kind = m.lastgroup
-        if kind == "NL":
-            line += 1
-            bol = end
-        elif kind != "WS" and kind != "COMMENT":
-            if kind == "PIU":
-                tokens.append(("NAME", "Pi", (line, start - bol + 1)))
-            else:
-                tokens.append((kind, m.group(), (line, start - bol + 1)))
-    if end != len(text):
-        raise ParseError(f"unexpected character {text[end]!r}", span=(line, end - bol + 1))
-    tokens.append(("EOF", "", (line, len(text) - bol + 1)))
+    col = 1
+    for blanks, tok in _PAIR_RE.findall(text):
+        col += len(blanks)
+        first = tok[0]
+        kind = _KIND.get(first)
+        if kind is None:
+            if first == "\n":
+                line += 1
+                col = 1
+                continue
+            if first == ";":
+                continue  # runs to the line break, which resets col
+            kind = _WHOLE.get(tok)
+            if kind is None:
+                if first == "Π":
+                    tokens.append(("NAME", "Pi", (line, col)))
+                    col += 1
+                    continue
+                if len(tok) == 1:
+                    raise ParseError(f"unexpected character {tok!r}", span=(line, col))
+                kind = "HASH"  # the one other token of more than one character
+        tokens.append((kind, tok, (line, col)))
+        col += len(tok)
+    tokens.append(("EOF", "", (line, len(text) - text.rfind("\n"))))
     return tokens
 
 
@@ -113,6 +129,11 @@ def tokenize(text: str, first_line: int = 1) -> list[tuple[str, str, tuple[int, 
 
 # frames of the term parser's stack, under their first field
 _PAREN, _ANNOTATION, _BODY = range(3)
+
+
+def _expected(what: str, tok: tuple) -> ParseError:
+    shown = tok[1] or "end of input"
+    return ParseError(f"expected {what}, found {shown!r}", span=tok[2])
 
 
 class _Parser:
@@ -132,8 +153,7 @@ class _Parser:
     def expect(self, kind: str, what: str) -> tuple:
         tok = self.tokens[self.pos]
         if tok[0] != kind:
-            shown = tok[1] or "end of input"
-            raise ParseError(f"expected {what}, found {shown!r}", span=tok[2])
+            raise _expected(what, tok)
         self.pos += 1
         return tok
 
@@ -155,7 +175,8 @@ class _Parser:
         tokens = self.tokens
         var_names = self.var_names
         pos = self.pos
-        bound: list[str] = []  # binder names, innermost last; "!" for an arrow
+        depth = 0  # the binders open here, an arrow's anonymous one too
+        scopes: dict[str, list[int]] = {}  # a name's binders, by depth, innermost last
         frames: list[tuple] = []
         arrows: list[tuple[Term, tuple[int, int]]] = []
         spine: Term | None = None
@@ -167,8 +188,8 @@ class _Parser:
                     t = SortType(span=span)
                 elif text == "Kind":
                     t = SortKind(span=span)
-                elif text in bound:
-                    t = Var(bound[::-1].index(text), span=span)
+                elif stack := scopes.get(text):
+                    t = Var(depth - 1 - stack[-1], span=span)
                 elif text in var_names:
                     t = FVar(text, span=span)
                 else:
@@ -182,14 +203,16 @@ class _Parser:
                 continue
             if spine is None:
                 if kind == "LAMBDA" or kind == "NAME":  # text is "Pi"
-                    self.pos = pos + 1
-                    _, name, name_span = self.expect("NAME", "a binder name")
+                    name_kind, name, name_span = tokens[pos + 1]
+                    if name_kind != "NAME":
+                        raise _expected("a binder name", tokens[pos + 1])
                     if name in RESERVED:
                         raise ParseError(
                             f"{name!r} is reserved and cannot bind", span=name_span
                         )
-                    self.expect("COLON", "':'")
-                    pos = self.pos
+                    if tokens[pos + 2][0] != "COLON":
+                        raise _expected("':'", tokens[pos + 2])
+                    pos += 3
                     frames.append((_ANNOTATION, Lam if kind == "LAMBDA" else Pi,
                                    name, span, arrows))
                     arrows = []
@@ -198,7 +221,7 @@ class _Parser:
                 raise ParseError(f"expected a term, found {shown!r}", span=span)
             if kind == "ARROW":
                 arrows.append((spine, span))
-                bound.append("!")
+                depth += 1
                 pos += 1
                 spine = None
                 continue
@@ -206,8 +229,8 @@ class _Parser:
             # until one is an argument or an annotation
             t = spine
             while True:
+                depth -= len(arrows)
                 for left, arrow_span in reversed(arrows):
-                    bound.pop()
                     t = Pi("_", left, t, span=arrow_span)
                 if not frames:
                     self.pos = pos
@@ -215,21 +238,24 @@ class _Parser:
                 frame = frames.pop()
                 if frame[0] == _BODY:
                     _, node, name, head_span, arrows, ann = frame
-                    bound.pop()
+                    scopes[name].pop()
+                    depth -= 1
                     t = node(name, ann, t, span=head_span)
                     continue
-                self.pos = pos
                 if frame[0] == _PAREN:
-                    self.expect("RPAR", "')'")
+                    if kind != "RPAR":
+                        raise _expected("')'", tokens[pos])
                     _, spine, paren_span, arrows = frame
                     spine = t if spine is None else App(spine, t, span=paren_span)
                 else:
-                    self.expect("DOT", "'.'")
+                    if kind != "DOT":
+                        raise _expected("'.'", tokens[pos])
                     _, node, name, head_span, arrows = frame
                     frames.append((_BODY, node, name, head_span, arrows, t))
-                    bound.append(name)
+                    scopes.setdefault(name, []).append(depth)
+                    depth += 1
                     arrows, spine = [], None
-                pos = self.pos
+                pos += 1
                 break
 
     # ctx := (NAME ':' term (',' NAME ':' term)*)?
@@ -287,10 +313,10 @@ def parse_judgement(text: str, line: int = 1) -> Judgement:
 
 
 def parse_judgements(text: str) -> list[Judgement]:
-    """The judgements of a file, one a line; columns count from the
-    start of each line as written."""
+    """The judgements of a file, one a line; lines end at "\\n" alone,
+    and columns count from the start of each line as written."""
     out: list[Judgement] = []
-    for i, raw in enumerate(text.splitlines(), start=1):
+    for i, raw in enumerate(text.split("\n"), start=1):
         content = _strip_comment(raw)
         if content.strip():
             out.append(parse_judgement(content, i))
@@ -388,7 +414,7 @@ def parse_theory(text: str, path: str | None = None) -> TheoryFile:
     the rewritten line, with its bracket suffixes canonicalised and, on a
     schema line, the type variable expanded.
     """
-    lines = [(_strip_comment(raw), i) for i, raw in enumerate(text.splitlines(), 1)]
+    lines = [(_strip_comment(raw), i) for i, raw in enumerate(text.split("\n"), 1)]
     lines = [(content, i) for content, i in lines if content.strip()]
 
     simpletypes: list[str] = []

@@ -189,6 +189,12 @@ def test_read_rejects_missing_rows() -> None:
         read_alg("2 0\n0 0 0 0\n")
 
 
+def test_read_ends_rows_at_a_line_feed_alone() -> None:
+    # a next-line character inside a row does not split it in two
+    with pytest.raises(ValueError, match="expected 2 table rows, found 1"):
+        read_alg("2 0\n0 1\x851 1\n")
+
+
 def test_read_rejects_a_bad_header() -> None:
     with pytest.raises(ValueError):
         read_alg("2\n")

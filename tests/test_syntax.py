@@ -169,6 +169,30 @@ def test_printing_is_linear_in_binder_depth() -> None:
     assert times[2] < 10 * times[0], times
 
 
+def test_parsing_is_linear_in_binder_depth() -> None:
+    # every annotation names the outermost binder, so a parser that finds
+    # a bound name's index by searching the binder list from the inside
+    # walks the whole chain each time: 4n binders would take about 16
+    # times as long as n
+    def timed(n: int) -> float:
+        text = "\\x0 : o. " + "".join(f"\\x{i} : eps x0 -> x0. " for i in range(1, n)) + "x0"
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            t = parse_term(text)
+            best = min(best, time.perf_counter() - start)
+        for _ in range(n - 1):
+            t = t.body
+        # the last binder sits n - 1 binders inside the first
+        assert t.annotation == Pi("_", App(Const("eps"), Var(n - 2)), Var(n - 1))
+        assert t.body == Var(n - 1)
+        return best
+
+    n = 2000
+    times = [timed(n), timed(2 * n), timed(4 * n)]
+    assert times[2] < 10 * times[0], times
+
+
 # ------------- judgements -------------
 
 
@@ -201,6 +225,21 @@ def test_parse_judgements_skips_comments_and_blanks() -> None:
     text = "; a comment\n\n|- imp ; trailing\n|- o\n"
     got = parse_judgements(text)
     assert [j.line for j in got] == [3, 4]
+
+
+def test_judgement_lines_end_at_a_line_feed_alone() -> None:
+    # a form feed ends no line, so the judgement after it is on line 2
+    got = parse_judgements("; section one\f\n|- o : o\n")
+    assert [j.line for j in got] == [2]
+    assert got[0].term.span == (2, 4)
+    # nor does a Unicode line separator: it cannot end a comment early
+    for sep in ("\u2028", "\x85"):
+        got = parse_judgements(f"|- o ; see{sep}|- broken (\n|- o : Type\n")
+        assert [j.line for j in got] == [1, 2]
+    # outside a comment, it is a character no token starts with
+    with pytest.raises(ParseError, match="unexpected character") as exc:
+        parse_judgements("|- o\n|- o\f : Type\n")
+    assert exc.value.span == (2, 5)
 
 
 def test_print_judgement_round_trips() -> None:
@@ -260,6 +299,15 @@ def test_parse_theory_accepts_a_minimal_file() -> None:
     assert [n for n, _ in tf.theory.signature] == ["c", "f"]
     assert len(tf.theory.rules) == 1
     assert print_rule(tf.theory.rules[0]) == "[X : c] f X --> X : c"
+
+
+def test_theory_lines_end_at_a_line_feed_alone() -> None:
+    with pytest.raises(ParseError, match="trailing input") as exc:
+        parse_theory("; section one\f\nc : Type )\n")
+    assert exc.value.span == (2, 10)
+    for sep in ("\u2028", "\x85"):
+        tf = parse_theory(f"c : Type ; see{sep}d : c\n")
+        assert [n for n, _ in tf.theory.signature] == ["c"]
 
 
 def test_parse_theory_rejects_a_single_arrow_in_rules() -> None:
