@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from .algebra import enumerate_full_algebras, sample_full_algebras, write_alg
 from .errors import DuplicateName, FuelError, ParseError, PiModuloError
@@ -262,17 +263,17 @@ def cmd_model_check(args, rep: Reporter) -> None:
                      f"holds on {total} algebras")
 
     ctx = _default_context(family)
-    seeds = [t for t, _ in sample_well_typed(tf.theory, args.pairs, args.seed, ctx)]
-    pairs = list(convertible_pairs(tf.theory, seeds, max_size=40, ctx=ctx))[: args.pairs]
+    sample = partial(sample_well_typed, tf.theory, ctx=ctx, fuel=args.fuel)
+    seeds = [t for t, _ in sample(args.pairs, args.seed)]
+    pairs = list(convertible_pairs(tf.theory, seeds, 40, ctx, args.fuel))[: args.pairs]
     pair_algs = algebras[:: max(1, len(algebras) // 8)]
     specs = [(family, alg, t, u, None, ctx) for t, u in pairs for alg in pair_algs]
     _report_items(rep, _run_items(specs, args.jobs), "pair", "pair-conversion", "pairs",
                   f"{len(pairs)} convertible pairs over {len(pair_algs)} algebras")
 
-    subst_terms = [t for t, _ in sample_well_typed(tf.theory, args.subst, args.seed + 1, ctx)]
+    subst_terms = [t for t, _ in sample(args.subst, args.seed + 1)]
     x = ctx[0][0]
-    images = [u for u, ty in sample_well_typed(tf.theory, args.subst, args.seed + 2, ctx)
-              if ty == ctx[0][1]]
+    images = [u for u, ty in sample(args.subst, args.seed + 2) if ty == ctx[0][1]]
     if not images:
         images = [parse_term("imp p q" if family == "stt" else "p",
                              var_names=frozenset(n for n, _ in ctx))]
@@ -400,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fuel", type=_natural, default=os.environ.get("PIMODULO_FUEL") or "1000000",
                        help="reduction budget (env PIMODULO_FUEL)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=_positive, default=1)
         p.add_argument("--format", choices=("text", "json-lines"), default="text")
 
     p = sub.add_parser("check", help="type-check judgement files against a theory")
@@ -425,6 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="algebras to sample; 0 means all when the size allows")
     p.add_argument("--pairs", type=_natural, default=24)
     p.add_argument("--subst", type=_natural, default=12)
+    p.add_argument("--jobs", type=_positive, default=1)
     common(p)
     p.set_defaults(run=cmd_model_check)
 

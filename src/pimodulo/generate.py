@@ -226,15 +226,18 @@ def convertible_pairs(
     seeds,
     max_size: int = 8,
     ctx: Context = (),
+    fuel: int = DEFAULT_FUEL,
 ):
     """Pairs of convertible terms: each seed against every prefix of its
     normalization trace, against its one-step reducts, and under a typed
     identity redex.  Well-typed seeds give well-typed pairs, which is what
-    the model sweeps need."""
+    the model sweeps need.  Normalizing a seed and each of the two type
+    inferences get `fuel` steps of their own; a seed whose normalization
+    runs out is skipped, and one whose inference does loses its redex."""
     seen: set[tuple[Term, Term]] = set()
     for seed in seeds:
         trace: list = []
-        result = normalize(seed, theory, trace=trace)
+        result = normalize(seed, theory, fuel=Fuel(fuel), trace=trace)
         if isinstance(result, FuelExhausted):
             continue
         chain = [seed] + [step for _, _, step in trace]
@@ -250,9 +253,9 @@ def convertible_pairs(
                     seen.add((seed, r))
                     yield seed, r
         try:
-            seed_ty = infer(theory, ctx, seed)
+            seed_ty = infer(theory, ctx, seed, Fuel(fuel))
             expanded = App(Lam("x", seed_ty, Var(0)), seed)
-            infer(theory, ctx, expanded)
+            infer(theory, ctx, expanded, Fuel(fuel))
         except PiModuloError:
             continue
         if term_size(expanded) <= max_size and (expanded, seed) not in seen:

@@ -17,9 +17,12 @@ nor the enumeration cap.  The inner interpretation maps a term and two
 valuations (phi over M-values, psi over N-values) to an element of M at
 the term's type; with a finite algebra every interpretation-level value
 is finite except the shared meaning of the four pi codes, which is kept
-symbolic and applied on demand (`apply_interp`), the one value that
-reads `pi`.  The sets and tabulated elements are the shared ones of
-`values`; the symbolic elements below are this model's own.
+symbolic and applied on demand (`values.IPiDot1`), the one value that
+reads `pi`.  The sets, tabulated elements and interpretation clauses for
+sorts, variables, applications, abstractions and products are the
+shared ones of `values`; this module supplies the N-sets, the middle
+layer, the constants, each binder's set (its annotation's middle value
+under psi) and the symbolic elements below.
 
 Values compare by structure.  The constructors of `values` apply the
 collapse conventions (a function space into {e} is {e}; a function whose
@@ -98,14 +101,21 @@ from .values import (
     EUniverse,
     FiniteFun,
     FunSpace,
+    IPiDot1,
     SetValue,
     SingletonE,
     apply_elem,
-    as_carrier,
     carrier_identity,
     enumerable,
     enumerate_set,
+    ev_app,
+    ev_bound,
+    ev_free,
+    ev_lam,
+    ev_pi,
+    ev_top,
     finite_fun,
+    fixed,
     fun_space,
     listing,
     valuations,
@@ -153,14 +163,6 @@ class MClosure:
     env: tuple
     psi: tuple  # sorted (name, value) pairs
     dom: SetValue
-
-
-@dataclass(frozen=True)
-class IPiDot1:
-    """The four pi codes' shared meaning, applied to its first argument:
-    expects a finite function f with graph S -> B and yields
-    pi(c, the set of f's outputs)."""
-    c: int
 
 
 UniverseElem = (
@@ -252,26 +254,12 @@ def apply_u(f: UniverseElem, a: UniverseElem) -> UniverseElem:
     raise PiModuloError(f"applied a non-function value {f!r}")
 
 
-def apply_interp(f: UniverseElem, a: UniverseElem, alg: FiniteAlgebra) -> UniverseElem:
-    """Application in the interpretation, whose functions are tabulated
-    except the pi codes' shared meaning, the one value that reads `pi`."""
-    if type(f) is not IPiDot1:
-        return apply_elem(f, a)
-    if not isinstance(a, FiniteFun):
-        raise PiModuloError(f"a pi code needs a finite function argument, got {a!r}")
-    outs = set()
-    for _, out in a.graph:
-        if not isinstance(out, AlgElem):
-            raise PiModuloError(f"pi code body output off the carrier: {out!r}")
-        outs.add(out.value)
-    return AlgElem(alg.pi(f.c, alg.mask_of(outs)))
-
-
 # --- staged evaluation ---------------------------------------------------------
 #
 # A term is staged once into three things: its N-set, a closure m(psi, env)
 # for its middle-layer value and a closure ev(phi, psi, alg, cap, phi_env,
-# psi_env) for its interpretation.  Only the interpretation reads the
+# psi_env) for its interpretation, built from the clauses in `values`
+# except at constants.  Only the interpretation reads the
 # algebra and the cap: the middle layer is a function of the term, psi and
 # the binder environment, since a binder over {e}, the one N-set that can
 # be listed, has the one-point graph at e.  Everything fixed by the term
@@ -299,17 +287,14 @@ _PI_CODES = frozenset({"pi_TTT", "pi_TKK", "pi_KTT", "pi_KKK"})
 def _stage_leaf(node: Term) -> tuple:
     cls = type(node)
     if cls is SortKind or cls is SortType:
-        return E_UNIVERSE, _m_constant(SetElem(CARRIER)), _ev_top
+        return E_UNIVERSE, fixed(SetElem(CARRIER)), ev_top
     if cls is Var:
         i = -1 - node.index
 
         def m_var(psi, env):
             return env[i]
 
-        def ev_var(phi, psi, alg, cap, phi_env, psi_env):
-            return phi_env[i]
-
-        return SINGLETON_E, m_var, ev_var
+        return SINGLETON_E, m_var, ev_bound(node.index)
     if cls is FVar:
         x = node.name
 
@@ -318,20 +303,15 @@ def _stage_leaf(node: Term) -> tuple:
                 raise PiModuloError(f"outer valuation has no value for {x}")
             return psi[x]
 
-        def ev_free(phi, psi, alg, cap, phi_env, psi_env):
-            if x not in phi:
-                raise PiModuloError(f"valuation has no value for {x}")
-            return phi[x]
-
-        return SINGLETON_E, m_free, ev_free
+        return SINGLETON_E, m_free, ev_free(x)
     name = node.name
     if name in _M_CONSTS:
-        m = _m_constant(_M_CONSTS[name])
+        m = fixed(_M_CONSTS[name])
     else:
         def m(psi, env):
             raise PiModuloError(f"constant {name} has no middle-layer value here")
     if name in _M_UNIVERSE_CONSTS:
-        ev = _ev_top
+        ev = ev_top
     elif name in _DECODERS:
         def ev(phi, psi, alg, cap, phi_env, psi_env):
             return carrier_identity(alg.n)
@@ -344,14 +324,16 @@ def _stage_leaf(node: Term) -> tuple:
     return (E_UNIVERSE if name == "U_Kind" else SINGLETON_E), m, ev
 
 
-def _m_constant(value: UniverseElem):
-    def m(psi, env):
-        return value
-    return m
+def _binder(n_ann: SetValue, m_ann):
+    """binder(psi, psi_env) for the shared clauses: the set the variable
+    ranges over, its annotation's middle value under psi, and psi_env
+    under the binder, extended by the default inhabitant of its N-set."""
+    filler = default_n_value(n_ann)
 
+    def binder(psi, psi_env):
+        return as_set(m_ann(psi, psi_env), "binder domain"), psi_env + [filler]
 
-def _ev_top(phi, psi, alg, cap, phi_env, psi_env):
-    return AlgElem(alg.top)
+    return binder
 
 
 def _stage_app(node: App, fn: tuple, arg: tuple) -> tuple:
@@ -364,19 +346,12 @@ def _stage_app(node: App, fn: tuple, arg: tuple) -> tuple:
             return E_POINT
         return apply_u(f_val, m_arg(psi, env))
 
-    def ev(phi, psi, alg, cap, phi_env, psi_env):
-        f_val = ev_fn(phi, psi, alg, cap, phi_env, psi_env)
-        if type(f_val) is EPoint:
-            return E_POINT
-        return apply_interp(f_val, ev_arg(phi, psi, alg, cap, phi_env, psi_env), alg)
-
-    return n_fn, m, ev
+    return n_fn, m, ev_app(ev_fn, ev_arg)
 
 
 def _stage_lam(node: Lam, ann: tuple, body: tuple) -> tuple:
     n_ann, m_ann, _ = ann
     n_body, m_body, ev_body = body
-    filler = default_n_value(n_ann)
     if n_ann == SINGLETON_E:
         def m(psi, env):
             return finite_fun([(E_POINT, m_body(psi, env + [E_POINT]))])
@@ -384,21 +359,12 @@ def _stage_lam(node: Lam, ann: tuple, body: tuple) -> tuple:
         def m(psi, env):
             return MClosure(node.body, tuple(env), tuple(sorted(psi.items(), key=itemgetter(0))), n_ann)
 
-    def ev(phi, psi, alg, cap, phi_env, psi_env):
-        m_dom = as_set(m_ann(psi, psi_env), "binder domain")
-        inner = psi_env + [filler]
-        return finite_fun([
-            (c, ev_body(phi, psi, alg, cap, phi_env + [c], inner))
-            for c in enumerate_set(m_dom, alg, cap)
-        ])
-
-    return n_body, m, ev
+    return n_body, m, ev_lam(_binder(n_ann, m_ann), ev_body)
 
 
 def _stage_pi(node: Pi, ann: tuple, cod: tuple) -> tuple:
     n_ann, m_ann, ev_ann = ann
     n_cod, m_cod, ev_cod = cod
-    filler = default_n_value(n_ann)
     # the only listable N-set is {e}, so a union over it has one part, at e
     unlistable_union = uses_bound(node.codomain) and n_ann != SINGLETON_E
 
@@ -409,17 +375,7 @@ def _stage_pi(node: Pi, ann: tuple, cod: tuple) -> tuple:
         union = as_set(m_cod(psi, env + [E_POINT]), "product codomain")
         return SetElem(fun_space(dom_set, union))
 
-    def ev(phi, psi, alg, cap, phi_env, psi_env):
-        w_dom = as_carrier(ev_ann(phi, psi, alg, cap, phi_env, psi_env), "product domain")
-        m_dom = as_set(m_ann(psi, psi_env), "binder domain")
-        inner = psi_env + [filler]
-        outs = {
-            as_carrier(ev_cod(phi, psi, alg, cap, phi_env + [c], inner), "product codomain")
-            for c in enumerate_set(m_dom, alg, cap)
-        }
-        return AlgElem(alg.pi(w_dom, alg.mask_of(outs)))
-
-    return fun_space(n_ann, n_cod), m, ev
+    return fun_space(n_ann, n_cod), m, ev_pi(ev_ann, _binder(n_ann, m_ann), ev_cod)
 
 
 def _stage(t: Term) -> tuple:

@@ -6,7 +6,11 @@ interpretation (an element).  Domains are the algebra's carrier B, the
 one-point set {e}, or function spaces over them; the values, their
 collapse convention and their enumeration live in `values`.  Evaluation is
 staged: each term is turned once into a closure, which then runs on every
-algebra and valuation (see below).
+algebra and valuation (see below).  The clauses for sorts, variables,
+applications, abstractions and products are the ones `values` shares
+with `model_cc`; this module supplies the constants (`o`, `iota`, `eps`,
+`imp` and each `all[A]`) and the set each binder ranges over, its
+annotation's domain, fixed at stage time.
 """
 
 from __future__ import annotations
@@ -33,18 +37,22 @@ from .terms import (
 from .values import (
     CARRIER,
     DEFAULT_CAP,
-    E_POINT,
     SINGLETON_E,
     VALUATION_CACHE_SIZE,
     AlgElem,
     ElemValue,
-    EPoint,
     SetValue,
     apply_elem,
     as_carrier,
     carrier_identity,
-    enumerate_set,
+    ev_app,
+    ev_bound,
+    ev_free,
+    ev_lam,
+    ev_pi,
+    ev_top,
     finite_fun,
+    fixed,
     fun_space,
     listing,
     valuations,
@@ -53,95 +61,53 @@ from .values import (
 
 # --- staged evaluation -----------------------------------------------------
 #
-# A term is staged once into its domain and a closure ev(phi, alg, cap, env)
-# for its interpretation: which node kind runs and each binder's domain are
-# settled at stage time, and everything that depends on the algebra, the
-# cap or the valuation happens when the closure runs, in the order the
-# model defines, so a failing evaluation raises the same error a walk of
-# the term would.
+# A term is staged once into its domain and a closure ev(phi, psi, alg,
+# cap, phi_env, psi_env) for its interpretation, built from the clauses
+# `values` shares with `model_cc`.  This model has no outer valuation, so
+# psi is None and psi_env stays empty; it supplies its constants and, for
+# each binder, the domain of its annotation, fixed at stage time.
+# Everything that depends on the algebra, the cap or the valuation happens
+# when the closure runs, in the order the model defines, so a failing
+# evaluation raises the same error a walk of the term would.
 
 
 def _stage_leaf(node: Term) -> tuple:
     cls = type(node)
     if cls is SortKind or cls is SortType:
-        return CARRIER, _ev_top
+        return CARRIER, ev_top
     if cls is Var:
-        i = -1 - node.index
-
-        def ev_var(phi, alg, cap, env):
-            return env[i]
-
-        return SINGLETON_E, ev_var
+        return SINGLETON_E, ev_bound(node.index)
     if cls is FVar:
-        x = node.name
-
-        def ev_free(phi, alg, cap, env):
-            if x not in phi:
-                raise PiModuloError(f"valuation has no value for {x}")
-            return phi[x]
-
-        return SINGLETON_E, ev_free
+        return SINGLETON_E, ev_free(node.name)
     name = node.name
     if name == "o" or name == "iota":
-        ev = _ev_top
+        ev = ev_top
     elif name == "eps":
-        def ev(phi, alg, cap, env):
+        def ev(phi, psi, alg, cap, phi_env, psi_env):
             return carrier_identity(alg.n)
     elif name == "imp":
-        def ev(phi, alg, cap, env):
+        def ev(phi, psi, alg, cap, phi_env, psi_env):
             return _imp(alg)
     elif name.startswith("all["):
-        def ev(phi, alg, cap, env):
-            w_c = as_carrier(_quantifier(name)[1]({}, alg, cap, []), "quantifier domain")
+        def ev(phi, psi, alg, cap, phi_env, psi_env):
+            w_c = as_carrier(_quantifier(name)[1]({}, None, alg, cap, [], []), "quantifier domain")
             return _all_table(name, alg.n, cap, w_c, alg.pi_table[w_c])
     else:
-        def ev(phi, alg, cap, env):
+        def ev(phi, psi, alg, cap, phi_env, psi_env):
             raise PiModuloError(f"constant {name} has no interpretation here")
     return (CARRIER if name == "o" else SINGLETON_E), ev
 
 
-def _ev_top(phi, alg, cap, env):
-    return AlgElem(alg.top)
-
-
 def _stage_app(node: App, fn: tuple, arg: tuple) -> tuple:
-    domain, ev_fn = fn
-    _, ev_arg = arg
-
-    def ev(phi, alg, cap, env):
-        f_val = ev_fn(phi, alg, cap, env)
-        if type(f_val) is EPoint:
-            return E_POINT
-        return apply_elem(f_val, ev_arg(phi, alg, cap, env))
-
-    return domain, ev
+    return fn[0], ev_app(fn[1], arg[1])
 
 
 def _stage_lam(node: Lam, ann: tuple, body: tuple) -> tuple:
-    dom_set = ann[0]
-    domain, ev_body = body
-
-    def ev(phi, alg, cap, env):
-        return finite_fun([
-            (c, ev_body(phi, alg, cap, env + [c])) for c in enumerate_set(dom_set, alg, cap)
-        ])
-
-    return domain, ev
+    return body[0], ev_lam(fixed((ann[0], [])), body[1])
 
 
 def _stage_pi(node: Pi, dom: tuple, cod: tuple) -> tuple:
-    dom_set, ev_dom = dom
-    cod_set, ev_cod = cod
-
-    def ev(phi, alg, cap, env):
-        w_dom = as_carrier(ev_dom(phi, alg, cap, env), "product domain")
-        outs = {
-            as_carrier(ev_cod(phi, alg, cap, env + [c]), "product codomain")
-            for c in enumerate_set(dom_set, alg, cap)
-        }
-        return AlgElem(alg.pi(w_dom, alg.mask_of(outs)))
-
-    return fun_space(dom_set, cod_set), ev
+    return fun_space(dom[0], cod[0]), ev_pi(dom[1], fixed((dom[0], [])), cod[1])
 
 
 def _stage(t: Term) -> tuple:
@@ -204,7 +170,7 @@ def interp_stt(
     cap: int = DEFAULT_CAP,
 ) -> ElemValue:
     """Interpretation under a valuation; phi maps free variables to values."""
-    return _staged(t)[1](phi, alg, cap, [])
+    return _staged(t)[1](phi, None, alg, cap, [], [])
 
 
 # --- the lemma checks ------------------------------------------------------
@@ -221,7 +187,7 @@ def check_substitution_stt(
     t: Term, x: str, u: Term,
     phi: dict[str, ElemValue], alg: FiniteAlgebra, cap: int = DEFAULT_CAP,
 ) -> bool:
-    direct = _staged_substitution(t, x, u)[1](phi, alg, cap, [])
+    direct = _staged_substitution(t, x, u)[1](phi, None, alg, cap, [], [])
     shifted = interp_stt(t, {**phi, x: interp_stt(u, phi, alg, cap)}, alg, cap)
     return direct == shifted
 
@@ -234,7 +200,7 @@ def check_conversion_stt(
     dom_u, ev_u = _staged(u)
     if dom_t != dom_u:
         return False
-    return ev_t(phi, alg, cap, []) == ev_u(phi, alg, cap, [])
+    return ev_t(phi, None, alg, cap, [], []) == ev_u(phi, None, alg, cap, [], [])
 
 
 def enumerate_valuations(

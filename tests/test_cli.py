@@ -242,6 +242,21 @@ def test_fuel_errors_print_a_bounded_term(capsys, tmp_path, fuel):
     assert judged[1].startswith("ok\t")
 
 
+def test_fuel_runs_out_while_a_type_error_is_shown(capsys, tmp_path):
+    # x : P |- x : Q fails at once, as P's weak head is a product and Q's
+    # is not; the error shows P's normal form, and normalizing P never
+    # ends, so the judgement reports the budget, not the type error
+    (tmp_path / "loop.th").write_text(LOOP_THEORY)
+    (tmp_path / "loop.tm").write_text("x : P |- x : Q\n")
+    code, out = run_cli(capsys, "check", "--theory", str(tmp_path / "loop.th"),
+                        "--fuel", "1000", str(tmp_path / "loop.tm"))
+    assert code == 3
+    judged = [l for l in out.splitlines() if str(tmp_path / "loop.tm") in l]
+    assert len(judged) == 1
+    assert judged[0].startswith(f"fuel-exhausted\t{tmp_path / 'loop.tm'}:1\t"
+                                "ran out of fuel while normalizing")
+
+
 # --- normalize ---
 
 
@@ -361,6 +376,23 @@ def test_a_negative_count_or_size_is_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert argv[1] in captured.err
+
+
+@pytest.mark.parametrize("argv", (
+    ("check", "builtin:stt_basics"),
+    ("normalize", "o"),
+    ("consistency-scan", "--target", "x : o |- o"),
+    ("sn-scan", "--count", "1"),
+))
+def test_jobs_is_a_usage_error_outside_model_check(capsys, argv):
+    # only model-check splits its items over workers; the others once
+    # accepted the flag and ignored it
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--jobs", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--jobs" in captured.err
 
 
 def test_model_check_finds_the_swapped_rule(capsys, tmp_path):
@@ -590,6 +622,36 @@ def test_sn_scan_honours_the_fuel_budget_while_sampling(tmp_path):
                          capture_output=True, text=True, timeout=5)
     assert run.returncode == 0
     assert run.stdout.splitlines()[-1].startswith("ok\t")
+
+
+# every implication rewrites to a larger one, so the sampled seed `imp q q`
+# normalizes forever; the rule itself fails on some algebras
+GROWING_THEORY = """\
+o : Type
+eps : o -> Type
+imp : o -> o -> o
+[X : o, Y : o] imp X Y --> imp X (imp X Y) : o
+"""
+
+
+@pytest.mark.parametrize("budget", ("flag", "environment"))
+def test_model_check_honours_the_fuel_budget_while_pairing(tmp_path, budget):
+    # pairing a seed with its reducts must stop at the budget given, not
+    # run to the default
+    (tmp_path / "grow.th").write_text(GROWING_THEORY)
+    argv = [sys.executable, "-m", "pimodulo.cli", "model-check", "--theory",
+            str(tmp_path / "grow.th"), "--count", "2", "--pairs", "12", "--subst", "3"]
+    env = dict(os.environ)
+    if budget == "flag":
+        argv += ["--fuel", "100"]
+    else:
+        env["PIMODULO_FUEL"] = "100"
+    run = subprocess.run(argv, capture_output=True, text=True, timeout=5, env=env)
+    assert run.returncode == 5
+    assert run.stdout.splitlines()[-2:] == [
+        "ok\tpairs\t12 convertible pairs over 2 algebras",
+        "ok\tsubstitution\t3 instances over 2 algebras",
+    ]
 
 
 @pytest.mark.parametrize("limit", ("0", "-3"))

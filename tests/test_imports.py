@@ -1,8 +1,12 @@
-"""Every name a `pimodulo` module imports is used in it.
+"""Every name a `pimodulo` module imports is used in it, and every private
+name a module defines is read somewhere in the package.
 
-Deleting code can leave an import behind.  Each module is parsed with
-`ast`, and a name it imports but never reads fails the test.  A name the
-module lists in `__all__` is re-exported, and counts as used.
+Deleting code can leave an import, or a helper that only the deleted code
+called, behind.  Each module is parsed with `ast`.  A name it imports but
+never reads fails the first test.  A name the module lists in `__all__`
+is re-exported, and counts as used.  A module-level `_name` (function,
+class or constant) fails the second test unless its module reads it or
+some module imports it or reads it as an attribute.
 """
 
 import ast
@@ -68,3 +72,55 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level private names, as `module.name`, that no module
+    reads: their own module by name, any module by import or attribute."""
+    defined, local, anywhere = [], {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names if _private(name)]
+        local[module] = {n.id for n in ast.walk(tree)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                anywhere.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                anywhere |= {alias.name for alias in node.names}
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name not in local[module] and name not in anywhere)
+
+
+def test_the_check_finds_an_unread_private_name():
+    sources = {
+        "a": (
+            "__all__ = []\n"
+            "_LIMIT = 3\n"
+            "_dead: int = 1\n"
+            "_other = 0\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+            "class _Gone:\n"
+            "    pass\n"
+        ),
+        "b": "import a\nfrom a import _helper\nx = a._other\n",
+    }
+    assert unread_private_names(sources) == ["a._Gone", "a._dead"]
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unread_private_names(sources) == []

@@ -8,7 +8,7 @@ algebra carrier.  Conversion and substitution checks must agree on all three.
 import pytest
 
 from pimodulo._staging import valuation_key
-from pimodulo.algebra import enumerate_full_algebras, read_alg
+from pimodulo.algebra import FiniteAlgebra, enumerate_full_algebras, mask_elements, read_alg
 from pimodulo.errors import PiModuloError, SizeLimitExceeded, UnenumerableUnion
 from pimodulo.model_cc import (
     M_IDENT,
@@ -16,7 +16,6 @@ from pimodulo.model_cc import (
     MClosure,
     MIdent,
     SetElem,
-    apply_interp,
     apply_u,
     check_conversion_cc,
     check_substitution_cc,
@@ -45,6 +44,7 @@ from pimodulo.values import (
     FiniteFun,
     FunSpace,
     Valuation,
+    apply_interp,
     cardinality,
     carrier_identity,
     enumerable,
@@ -111,6 +111,21 @@ def test_enumeration_respects_the_cap():
     assert len(list(enumerate_set(space, alg))) == 4
     with pytest.raises(SizeLimitExceeded):
         list(enumerate_set(space, alg, cap=3))
+
+
+def test_a_large_nested_function_space_is_over_the_cap():
+    # the 3-element Goedel chain: a -> b is top when a <= b and b otherwise,
+    # pi(a, S) the meet of a -> s over S; the product's binder set has
+    # 3 ** (3 ** 27) elements, a number too long to print
+    def arrow(a, b):
+        return 2 if a <= b else b
+
+    chain = FiniteAlgebra(3, 2, tuple(
+        tuple(min((arrow(a, s) for s in mask_elements(mask, 3)), default=2) for mask in range(8))
+        for a in range(3)
+    ))
+    with pytest.raises(SizeLimitExceeded):
+        interp_cc(cc("((U_Kind -> U_Kind -> U_Type) -> U_Type) -> Type"), {}, {}, chain)
 
 
 def test_probe_menu_for_the_full_universe():
