@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .reduction import DEFAULT_FUEL, Fuel, FuelExhausted, match_pattern, one_step_reducts
+from .reduction import DEFAULT_FUEL, Fuel, FuelExhausted, one_step_reducts
 from .terms import (
     App,
     Const,
@@ -37,9 +37,9 @@ from .terms import (
     Term,
     Theory,
     Var,
+    bind_pattern,
     children,
     instantiate,
-    substitute_many,
     subterm_at,
     subterm_positions,
 )
@@ -308,9 +308,10 @@ def created_beta_redices_are_trivial(t: Term, theory: Theory) -> bool:
     site.  Redexes that merely travel inside a pattern-variable image
     are residuals of redexes of t, not new ones.
     """
+    compiled = theory.rule_index.compiled
     for pos, sub in subterm_positions(t):
-        for rule in theory.rules:
-            binding = match_pattern(rule.lhs, sub)
+        for rule, (lhs, _, _) in zip(theory.rules, compiled):
+            binding = bind_pattern(lhs, sub)
             if binding is None:
                 continue
             if not _rhs_applications_trivial(rule.rhs, binding):
@@ -330,8 +331,11 @@ def _rhs_applications_trivial(rhs: Term, binding: dict[str, Term]) -> bool:
             redex = isinstance(binding.get(x), Lam)
         case App(Lam(_, _, _), arg):
             redex = True
-    if redex and not isinstance(substitute_many(arg, binding), (Var, FVar)):
-        return False
+    if redex:
+        # arg's instance is a variable exactly when this image is one
+        image = binding.get(arg.name, arg) if isinstance(arg, FVar) else arg
+        if not isinstance(image, (Var, FVar)):
+            return False
     return all(_rhs_applications_trivial(c, binding) for c in children(rhs))
 
 

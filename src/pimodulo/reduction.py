@@ -4,6 +4,16 @@ A theory's rules are the only rewrite rules there are: beta alone is
 reduction under a theory without rules (`Theory.without_rules`).
 Rewriting is fuel-bounded throughout: the rewrite relation of a user theory
 need not terminate, so exhaustion is a reported value, never a wrong answer.
+
+Every rule step goes through the theory's compiled rules
+(`Theory.rule_index`, `terms.RuleIndex`), behind one root test that
+`r_root`, and so `root_steps`, shares with the search's `_first_step`:
+beta is an application whose function is an abstraction, by exact type;
+a root whose class is not among the index's `roots` goes to no rule,
+which under the shipped theories skips every binder, sort and variable;
+any other root is dispatched to its bucket, whose compiled lhs programs
+run in declaration order until one matches and its rhs program builds
+the reduct.
 """
 
 from __future__ import annotations
@@ -18,12 +28,12 @@ from .terms import (
     Pi,
     Position,
     RewriteRule,
-    SortKind,
-    SortType,
     Term,
     Theory,
     _with_child,
+    bind_pattern,
     children,
+    compile_lhs,
     instantiate,
     spine,
     substitute_many,
@@ -59,46 +69,26 @@ class Fuel:
 
 
 def beta_root(t: Term) -> Term | None:
-    match t:
-        case App(Lam(_, _, body), arg):
-            return instantiate(body, arg)
-        case _:
-            return None
+    if type(t) is App and type(t.fn) is Lam:
+        return instantiate(t.fn.body, t.arg)
+    return None
 
 
 def match_pattern(lhs: Term, t: Term) -> dict[str, Term] | None:
-    """First-order match of an algebraic pattern against a subject term.
+    """First-order match of an algebraic pattern against a subject term,
+    by the pattern's compiled lhs program (`terms.compile_lhs`).
 
     Pattern variables are the free variables of lhs; left-linearity makes the
     binding unique when it exists.
     """
-    binding: dict[str, Term] = {}
-
-    def go(pat: Term, sub: Term) -> bool:
-        match pat:
-            case FVar(x):
-                binding[x] = sub
-                return True
-            case Const(c):
-                return isinstance(sub, Const) and sub.name == c
-            case App(pf, pa):
-                return isinstance(sub, App) and go(pf, sub.fn) and go(pa, sub.arg)
-            case SortType() | SortKind():
-                return pat == sub
-            case _:
-                # binders never occur in an algebraic pattern
-                return False
-
-    return binding if go(lhs, t) else None
+    return bind_pattern(compile_lhs(lhs), t)
 
 
 def r_root(t: Term, theory: Theory) -> tuple[Term, str] | None:
-    """First rule in declaration order whose lhs matches at the root."""
-    for rule in theory.rule_index.candidates(t):
-        binding = match_pattern(rule.lhs, t)
-        if binding is not None:
-            return substitute_many(rule.rhs, binding), rule.label
-    return None
+    """First rule in declaration order whose lhs matches at the root,
+    behind the root test of the module docstring."""
+    index = theory.rule_index
+    return index.rewrite(t) if type(t) in index.roots else None
 
 
 def root_steps(t: Term, theory: Theory) -> list[tuple[Term, str]]:
@@ -106,12 +96,9 @@ def root_steps(t: Term, theory: Theory) -> list[tuple[Term, str]]:
     reduct = beta_root(t)
     if reduct is not None:
         out.append((reduct, "beta"))
-    # a theory without rules skips its rule index, which a beta-only scan
-    # would otherwise probe at every position
-    if theory.rules:
-        hit = r_root(t, theory)
-        if hit is not None:
-            out.append(hit)
+    hit = r_root(t, theory)
+    if hit is not None:
+        out.append(hit)
     return out
 
 
@@ -198,11 +185,12 @@ Ancestors = list[tuple[Term, int, Term]]
 
 def _first_step(t: Term, theory: Theory) -> tuple[Term, str] | None:
     """The step leftmost-outermost takes at the root of t: beta before rules."""
-    if isinstance(t, App) and isinstance(t.fn, Lam):
+    cls = type(t)
+    if cls is App and type(t.fn) is Lam:
         return instantiate(t.fn.body, t.arg), "beta"
-    if theory.rules:
-        return r_root(t, theory)
-    return None
+    # r_root's root test, inline: this runs at every position searched
+    index = theory.rule_index
+    return index.rewrite(t) if cls in index.roots else None
 
 
 def _rebuild(above: Ancestors, sub: Term, level: int = 0) -> Term:

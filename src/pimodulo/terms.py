@@ -8,11 +8,16 @@ Every traversal walks an explicit stack, so term depth costs it no
 recursion: the queries fold over one preorder walk, `_walk`, the
 substitutions run on one rebuild, `_rebind`, `fold` builds a value
 bottom-up, and the position helpers swap one child at a time,
-`_with_child`.  Each node caches `loose_bound`, how many enclosing
-binders its loose indices need, so `shift` and `instantiate` hand back
-unchanged, rather than copy, a subterm none of whose indices they can
-reach.  Applications and binders cache two more facts, outside the
-fields, so `==` and `repr` ignore them, and a pickle leaves both behind:
+`_with_child`.  A theory's rewrite rules are compiled once, into its
+`RuleIndex`: each lhs to a flat preorder list of checks and each rhs to
+a postfix list of build steps, both run on explicit stacks too, so a
+rule step neither matches nor substitutes by recursion or by `_rebind`.
+
+Each node caches `loose_bound`, how many enclosing binders its loose
+indices need, so `shift` and `instantiate` hand back unchanged, rather
+than copy, a subterm none of whose indices they can reach.
+Applications and binders cache two more facts, outside the fields, so
+`==` and `repr` ignore them, and a pickle leaves both behind:
 
 - `_hash`, the value the dataclass would compute, so a set or dict
   lookup hashes a term once, not node by node;
@@ -26,7 +31,7 @@ fields, so `==` and `repr` ignore them, and a pickle leaves both behind:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Callable, Union
 
@@ -399,27 +404,159 @@ class RewriteRule:
     label: str = field(default="rule", compare=False)
 
 
-class RuleIndex:
-    """A theory's rules by the head constant and spine arity of their lhs,
-    then by the head constant of the lhs's first argument.
+# A rule compiles to two flat programs.  The lhs program is the pattern in
+# preorder, one check per node against a stack of subject nodes: `(App,
+# None)` takes an application apart, `(Const, name)` wants that constant,
+# `(SortType, None)` or `(SortKind, None)` that sort, and `(None, name)`
+# binds the pattern variable `name` to the node, bindings in preorder.  A
+# pattern holding a binder or a bound variable matches nothing, and
+# compiles to None.  The rhs program is postfix, run on a stack of built
+# terms: `(_PUSH, term, None)` pushes a subterm without pattern variables,
+# shared by every reduct and taken from a span-free copy of the rhs;
+# `(_VAR, k, d)` pushes binding k shifted by the d binders above it;
+# `(App, None, None)`, `(Pi, hint, None)` and `(Lam, hint, None)` build a
+# node from the top two.  So a reduct is what substituting the bindings
+# into the rhs gives, with every node the rule builds span-free.
 
-    A rule whose first argument is a pattern variable sits in every bucket
-    of its head, and a rule whose lhs has no constant head in every bucket,
-    so each bucket holds, in declaration order, every rule that can match a
-    subject with that key.  Spines are unwound at most `limit` applications
-    deep: a longer spine matches no constant-headed pattern.
+LhsProgram = tuple[tuple[Any, Any], ...]
+RhsProgram = tuple[tuple[Any, Any, Any], ...]
+CompiledRule = tuple[LhsProgram | None, RhsProgram, str]
+_PUSH, _VAR = "push", "var"
+
+
+def compile_lhs(lhs: Term) -> LhsProgram | None:
+    program = []
+    for node, _ in _walk(lhs):
+        cls = type(node)
+        if cls is App or cls is SortType or cls is SortKind:
+            program.append((cls, None))
+        elif cls is Const:
+            program.append((Const, node.name))
+        elif cls is FVar:
+            program.append((None, node.name))
+        else:
+            return None
+    return tuple(program)
+
+
+def _match_lhs(program: LhsProgram | None, t: Term) -> list[Term] | None:
+    """The bindings of an lhs program on the subject t, in preorder."""
+    if program is None:
+        return None
+    stack = [t]
+    binds = []
+    for cls, name in program:
+        node = stack.pop()
+        if cls is None:
+            binds.append(node)
+        elif type(node) is not cls:
+            return None
+        elif cls is App:
+            stack += (node.arg, node.fn)
+        elif cls is Const and node.name != name:
+            return None
+    return binds
+
+
+def bind_pattern(program: LhsProgram | None, t: Term) -> dict[str, Term] | None:
+    """The bindings of an lhs program on t by pattern-variable name."""
+    binds = _match_lhs(program, t)
+    if binds is None:
+        return None
+    return dict(zip((name for cls, name in program if cls is None), binds))
+
+
+def _compile_rhs(rhs: Term, slots: dict[str, int]) -> RhsProgram:
+    """The rhs program of rhs, binding k standing for the pattern variable
+    `x` with `slots[x] == k`.  Children before parents on an explicit
+    stack; a subterm without pattern variables stays pending, built
+    span-free, until a sibling needs code or the walk ends."""
+    program: list = []
+    pending: list[Term] = []
+
+    def emit(op, x, y) -> None:
+        program.extend((_PUSH, g, None) for g in pending)
+        pending.clear()
+        program.append((op, x, y))
+
+    ground: list[bool] = []
+    todo = [(rhs, 0, False)]
+    while todo:
+        node, d, ready = todo.pop()
+        cls = type(node)
+        if ready:
+            second = ground.pop()
+            if ground[-1] and second:
+                b = pending.pop()
+                pending[-1] = App(pending[-1], b) if cls is App else cls(node.hint, pending[-1], b)
+            else:
+                emit(cls, None if cls is App else node.hint, None)
+                ground[-1] = False
+        elif cls is App:
+            todo += ((node, d, True), (node.arg, d, False), (node.fn, d, False))
+        elif cls is Pi:
+            todo += ((node, d, True), (node.codomain, d + 1, False), (node.domain, d, False))
+        elif cls is Lam:
+            todo += ((node, d, True), (node.body, d + 1, False), (node.annotation, d, False))
+        elif cls is FVar and node.name in slots:
+            emit(_VAR, slots[node.name], d)
+            ground.append(False)
+        else:
+            pending.append(replace(node, span=None))
+            ground.append(True)
+    program.extend((_PUSH, g, None) for g in pending)
+    return tuple(program)
+
+
+def _build_rhs(program: RhsProgram, binds: list[Term]) -> Term:
+    stack: list[Term] = []
+    for op, x, y in program:
+        if op is _PUSH:
+            stack.append(x)
+        elif op is _VAR:
+            stack.append(shift(binds[x], y))
+        else:
+            b = stack.pop()
+            stack[-1] = App(stack[-1], b) if op is App else op(x, stack[-1], b)
+    return stack[0]
+
+
+def _compile_rule(rule: RewriteRule) -> CompiledRule:
+    lhs = compile_lhs(rule.lhs)
+    names = [name for cls, name in lhs or () if cls is None]
+    # a repeated pattern variable keeps its last binding
+    slots = {name: k for k, name in enumerate(names)}
+    return lhs, _compile_rhs(rule.rhs, slots), rule.label
+
+
+class RuleIndex:
+    """A theory's rules, compiled, by the head constant and spine arity of
+    their lhs, then by the head constant of the lhs's first argument.
+
+    `compiled` holds every rule's `_compile_rule` in declaration order.  A
+    rule whose first argument is a pattern variable sits in every bucket
+    of its head, and a rule whose lhs has no constant head in every bucket
+    and in `generic`, so each bucket holds, in declaration order, every
+    rule that can match a subject with that key; a rule whose lhs matches
+    nothing sits in none.  Spines are unwound at most `limit` applications
+    deep: a longer spine matches no constant-headed pattern.  `roots` holds
+    the classes of the roots worth dispatching: applications and
+    constants, every class when `generic` is not empty, none without rules.
     """
 
     def __init__(self, rules: tuple[RewriteRule, ...]):
+        self.compiled = tuple(_compile_rule(rule) for rule in rules)
         keyed = []
         self.limit = 0
-        for rule in rules:
+        for rule, compiled in zip(rules, self.compiled):
+            if compiled[0] is None:
+                continue
             head, args = spine(rule.lhs)
             first, first_args = spine(args[0]) if args else (None, [])
             self.limit = max(self.limit, len(args), len(first_args))
             key = (head.name, len(args)) if isinstance(head, Const) else None
             first_name = first.name if key and isinstance(first, Const) else None
-            keyed.append((key, first_name, rule))
+            keyed.append((key, first_name, compiled))
         self.generic = tuple(rule for key, _, rule in keyed if key is None)
         self.table = {}
         for key in {key for key, _, _ in keyed if key is not None}:
@@ -431,22 +568,36 @@ class RuleIndex:
                 if name is not None
             }
             self.table[key] = (by_first, default)
+        if self.generic:
+            self.roots = frozenset((*_NODES, Var, FVar, Const, SortType, SortKind))
+        else:
+            self.roots = frozenset((App, Const)) if keyed else frozenset()
 
-    def candidates(self, t: Term) -> tuple[RewriteRule, ...]:
-        """The rules that may match t at the root, in declaration order."""
+    def candidates(self, t: Term) -> tuple[CompiledRule, ...]:
+        """The compiled rules that may match t at the root, in declaration
+        order."""
         arity, first = 0, None
-        while isinstance(t, App) and arity < self.limit:
+        while type(t) is App and arity < self.limit:
             first, t = t.arg, t.fn
             arity += 1
-        entry = self.table.get((t.name, arity)) if isinstance(t, Const) else None
+        entry = self.table.get((t.name, arity)) if type(t) is Const else None
         if entry is None:
             return self.generic
         by_first, default = entry
         depth = 0
-        while isinstance(first, App) and depth < self.limit:
+        while type(first) is App and depth < self.limit:
             first = first.fn
             depth += 1
-        return by_first.get(first.name, default) if isinstance(first, Const) else default
+        return by_first.get(first.name, default) if type(first) is Const else default
+
+    def rewrite(self, t: Term) -> tuple[Term, str] | None:
+        """The first rule in declaration order that rewrites t at the root,
+        applied, with its label."""
+        for lhs, rhs, label in self.candidates(t):
+            binds = _match_lhs(lhs, t)
+            if binds is not None:
+                return _build_rhs(rhs, binds), label
+        return None
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,13 @@
 
 Every step tries every rule at every position from the root, then
 rebuilds with `replace_at`; this is slow but plainly leftmost-outermost,
-so the oracle tests hold `pimodulo.reduction` to it.  Only the strategy
-lives here: the matching and substitution helpers are the package's own.
+so the oracle tests hold `pimodulo.reduction` to it.  It shares no
+root-step code with the package: beta is found by a `match` statement,
+rules match through `match_pattern` below, the package's recursive
+matcher as it was before rules were compiled, and contracta are built by
+the recursive `instantiate` and `substitute_many` of `reference_terms`.
+So `reduction.r_root(sub) == r_root(sub)` holds the compiled rules and
+the root test to code they do not run.
 
 The oracle has two modes, beta plus the theory's rules and beta alone.
 The package takes no mode: `assert_agrees` asks it for beta alone as
@@ -13,21 +18,56 @@ reduction under `theory.without_rules()`.
 from __future__ import annotations
 
 from pimodulo import reduction
-from pimodulo.reduction import Fuel, FuelExhausted, beta_root, match_pattern
+from pimodulo.reduction import Fuel, FuelExhausted
 from pimodulo.syntax import print_term
 from pimodulo.terms import (
     App,
+    Const,
+    FVar,
+    Lam,
     Position,
+    SortKind,
+    SortType,
     Term,
     Theory,
     children,
     replace_at,
-    substitute_many,
     subterm_positions,
 )
+from reference_terms import instantiate, substitute_many
 
 BETA = "beta"
 BETA_R = "beta-R"
+
+
+def beta_root(t: Term) -> Term | None:
+    match t:
+        case App(Lam(_, _, body), arg):
+            return instantiate(body, arg)
+        case _:
+            return None
+
+
+def match_pattern(lhs: Term, t: Term) -> dict[str, Term] | None:
+    """First-order match of an algebraic pattern against a subject term."""
+    binding: dict[str, Term] = {}
+
+    def go(pat: Term, sub: Term) -> bool:
+        match pat:
+            case FVar(x):
+                binding[x] = sub
+                return True
+            case Const(c):
+                return isinstance(sub, Const) and sub.name == c
+            case App(pf, pa):
+                return isinstance(sub, App) and go(pf, sub.fn) and go(pa, sub.arg)
+            case SortType() | SortKind():
+                return pat == sub
+            case _:
+                # binders never occur in an algebraic pattern
+                return False
+
+    return binding if go(lhs, t) else None
 
 
 def r_root(t: Term, theory: Theory) -> tuple[Term, str] | None:

@@ -34,6 +34,7 @@ from pimodulo.terms import (
 )
 from pimodulo.syntax import parse_theory
 from pimodulo.theories import builtin_theory
+from reference_reduction import BETA, BETA_R, assert_agrees
 
 STT = builtin_theory("stt").theory
 CC = builtin_theory("cc").theory
@@ -137,6 +138,80 @@ def test_r_root_tries_a_rule_without_a_constant_head_everywhere() -> None:
 
 def test_r_root_returns_none_off_pattern() -> None:
     assert r_root(stt_term("eps p", "p"), STT) is None
+
+
+ANY_APP = RewriteRule((), App(FVar("F"), FVar("Y")), FVar("Y"), TYPE, label="any")
+# a rule without a constant head that fires at a leaf, under binders too
+SORT = RewriteRule((), TYPE, Const("d"), TYPE, label="sort")
+ORDERED_TERMS = (
+    "c", "d", "g a d", "g b d", "g (h a b) d", "g c c", "h a b", "h (g b c) c",
+    "g a", "g a b c", "h a", "c a", "g (g c b) (h c a)", "x", "x c", "h x (g x c)",
+    "\\y : Type. g y c", "(\\y : Type. g y c) b", "\\y : c. h y (g a y)",
+    "Pi y : c. g b y", "Pi y : Type. c", "Type", "g c ((\\y : Type. y) c)",
+)
+
+
+@pytest.mark.parametrize("headless", (False, True), ids=("ordered", "with-any"))
+def test_the_root_test_and_compiled_rules_agree_with_the_reference(headless) -> None:
+    # the index skips a root that is neither an application nor a constant
+    # unless a rule without a constant head is about; `any` goes in second,
+    # so it both follows and precedes keyed rules
+    rules = ORDERED.rules
+    if headless:
+        rules = rules[:1] + (ANY_APP,) + rules[1:] + (SORT,)
+    theory = Theory(ORDERED.signature, rules)
+    assert r_root(Const("c"), theory) == (Const("d"), "r5")
+    assert whnf(Const("c"), theory) == Const("d")
+    for text in ORDERED_TERMS:
+        t = stt_term(text, "x")
+        for mode in (BETA, BETA_R):
+            for fuel in (0, 1, 3, 100):
+                assert_agrees(t, theory, mode, fuel)
+
+
+DEEP = 1500
+
+
+def test_a_rule_with_a_deep_rhs_compiles_and_fires() -> None:
+    # w X --> X -> X -> ... -> X, DEEP arrows, past the recursion limit
+    rhs = FVar("X")
+    for _ in range(DEEP):
+        rhs = Pi("_", FVar("X"), rhs)
+    rule = RewriteRule((("X", TYPE),), App(Const("w"), FVar("X")), rhs, TYPE, label="deep")
+    theory = Theory(ORDERED.signature, (rule,))
+    reduct, label = r_root(App(Const("w"), Const("a")), theory)
+    assert label == "deep"
+    for _ in range(DEEP):
+        assert type(reduct) is Pi and reduct.domain == Const("a")
+        reduct = reduct.codomain
+    assert reduct == Const("a")
+
+
+def test_a_rule_with_a_deep_lhs_compiles_and_fires() -> None:
+    # s (s (... (s X))) --> X, DEEP applications deep
+    def nest(t, n):
+        for _ in range(n):
+            t = App(Const("s"), t)
+        return t
+
+    rule = RewriteRule((("X", TYPE),), nest(FVar("X"), DEEP), FVar("X"), TYPE, label="deep")
+    theory = Theory(ORDERED.signature, (rule,))
+    assert r_root(nest(Const("a"), DEEP + 1), theory) == (App(Const("s"), Const("a")), "deep")
+    assert r_root(nest(Const("a"), DEEP - 1), theory) is None
+    assert normalize(nest(Const("a"), 2 * DEEP), theory) == Const("a")
+
+
+def test_a_reduct_takes_no_span_from_the_theory_file() -> None:
+    # every node the rule builds is span-free, eps included; the leaves
+    # bound to pattern variables keep the subject's spans
+    t = stt_term("eps (imp p q)", "p", "q")
+    p, q = t.arg.fn.arg, t.arg.arg
+    assert p.span is not None and q.span is not None
+    reduct, _ = r_root(t, STT)
+    assert reduct == stt_term("eps p -> eps q", "p", "q")
+    built = (reduct, reduct.domain, reduct.domain.fn, reduct.codomain, reduct.codomain.fn)
+    assert all(node.span is None for node in built)
+    assert reduct.domain.arg is p and reduct.codomain.arg is q
 
 
 # ------------- one-step reducts -------------
