@@ -233,20 +233,21 @@ def convertible_pairs(
     identity redex.  Well-typed seeds give well-typed pairs, which is what
     the model sweeps need.  Normalizing a seed and each of the two type
     inferences get `fuel` steps of their own; a seed whose normalization
-    runs out is skipped, and one whose inference does loses its redex."""
+    runs out keeps the trace prefixes taken before it did, each distinct
+    term once, and one whose inference does loses its redex."""
     seen: set[tuple[Term, Term]] = set()
     for seed in seeds:
         trace: list = []
-        result = normalize(seed, theory, fuel=Fuel(fuel), trace=trace)
-        if isinstance(result, FuelExhausted):
-            continue
-        chain = [seed] + [step for _, _, step in trace]
-        for i, a in enumerate(chain):
-            for b in chain[i:]:
-                if term_size(a) <= max_size and term_size(b) <= max_size:
-                    if (a, b) not in seen:
-                        seen.add((a, b))
-                        yield a, b
+        normalize(seed, theory, fuel=Fuel(fuel), trace=trace)
+        # the strategy is deterministic, so a trace that meets a term again
+        # is a loop: keeping each term once keeps the trace to that point
+        chain = dict.fromkeys([seed] + [step for _, _, step in trace])
+        small = [t for t in chain if term_size(t) <= max_size]
+        for i, a in enumerate(small):
+            for b in small[i:]:
+                if (a, b) not in seen:
+                    seen.add((a, b))
+                    yield a, b
         for r in one_step_reducts(seed, theory):
             if term_size(seed) <= max_size and term_size(r) <= max_size:
                 if (seed, r) not in seen:

@@ -119,7 +119,7 @@ def one_step_reducts(t: Term, theory: Theory) -> list[Term]:
         node, path = stack.pop()
         if type(path) is int:
             if len(out) == path:
-                object.__setattr__(node, "_normal", rules)
+                node._normal = rules
             continue
         mark = node._normal
         if mark is not None and (mark is rules or not rules):
@@ -233,7 +233,7 @@ def _search(t: Term, above: Ancestors, theory: Theory, head: bool = False):
                 t = children(parent)[1]
                 above.append((parent, 1, t))
                 break
-            object.__setattr__(parent, "_normal", rules)
+            parent._normal = rules
             t = parent
         else:
             return None, t
@@ -289,8 +289,12 @@ def whnf(t: Term, theory: Theory, *, fuel: Fuel | None = None) -> Term | FuelExh
 
     Rule patterns can require inner structure, so while the root is an
     application this keeps stepping below it; an application root is left
-    only when the whole term is normal.
+    only when the whole term is normal.  A root that is no application
+    and that `_search`'s root test sends to no rule is returned at once.
     """
+    cls = type(t)
+    if cls is not App and cls not in theory.rule_index.roots:
+        return t
     return _reduce(t, theory, Fuel() if fuel is None else fuel, None, head=True)
 
 

@@ -17,8 +17,8 @@ from pimodulo.generate import (
     gen_raw_term,
     sample_well_typed,
 )
-from pimodulo.reduction import convertible, is_normal
-from pimodulo.syntax import parse_term, print_term
+from pimodulo.reduction import Fuel, FuelExhausted, convertible, is_normal, normalize
+from pimodulo.syntax import parse_term, parse_theory, print_term
 from pimodulo.terms import App, Const, FVar, Lam, Pi, TYPE, Var, term_size, uses_bound
 from pimodulo.theories import builtin_theory
 from pimodulo.typecheck import infer
@@ -130,6 +130,24 @@ def test_pairs_include_reflexive_and_expanded_forms():
     pairs = list(convertible_pairs(STT, [seed], max_size=9, ctx=ctx))
     assert (seed, seed) in pairs
     assert any(a != b for a, b in pairs)
+
+
+def test_a_seed_out_of_fuel_keeps_its_one_step_reducts():
+    # two rule steps normalize the seed, so one step of fuel runs out
+    names = frozenset({"p", "q"})
+    seed = parse_term("eps (imp p (imp p q))", var_names=names)
+    reduct = parse_term("eps p -> eps (imp p q)", var_names=names)
+    assert isinstance(normalize(seed, STT, fuel=Fuel(1)), FuelExhausted)
+    ctx = (("p", Const("o")), ("q", Const("o")))
+    pairs = list(convertible_pairs(STT, [seed], max_size=40, ctx=ctx, fuel=1))
+    assert pairs[:3] == [(seed, seed), (seed, reduct), (reduct, reduct)]
+    assert all(convertible(a, b, STT) is True for a, b in pairs)
+
+
+def test_a_looping_seed_pairs_each_term_of_its_loop_once():
+    theory = parse_theory("A : Type\nB : Type\n[] A --> B : Type\n[] B --> A : Type\n").theory
+    a, b = Const("A"), Const("B")
+    assert list(convertible_pairs(theory, [a], fuel=100)) == [(a, a), (a, b), (b, b)]
 
 
 # --- normal inhabitants ---

@@ -331,6 +331,55 @@ def test_whnf_unfolds_a_bare_constant_at_the_root() -> None:
     assert whnf(Const("c"), DEFINITION) == Const("d")
 
 
+STABLE_ROOTS = {
+    "stt": (
+        STT,
+        "Pi x : eps (imp p q). eps ((\\y : o. y) p)",
+        "\\x : o. eps (imp x ((\\y : o. y) p))",
+        "o",
+        "imp",
+    ),
+    "cc": (
+        CC,
+        "Pi x : eps_Type U. eps_Kind dot_Type",
+        "\\x : U_Type. eps_Type (pi_TTT x (\\y : eps_Type x. x))",
+        "U_Kind",
+        "pi_TTT",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STABLE_ROOTS))
+def test_whnf_returns_a_stable_root_itself_at_no_fuel(name) -> None:
+    # a binder, a sort, a variable and a constant no rule rewrites, the
+    # binders with a redex inside
+    theory, *texts = STABLE_ROOTS[name]
+    roots = [stt_term(text, "p", "q", "U") for text in texts]
+    roots += [TYPE, FVar("p"), Var(0)]
+    assert {type(t) for t in roots} == {Pi, Lam, Const, type(TYPE), FVar, Var}
+    for t in roots:
+        fuel = Fuel(0)
+        assert whnf(t, theory, fuel=fuel) is t
+        assert whnf(t, theory) is t
+        assert fuel.remaining == 0
+
+
+def test_a_headless_rule_still_fires_at_a_stable_root() -> None:
+    # with a rule without a constant head every root is tried, `sort` fires
+    # at a bare sort, under a binder too, and `any` at an application only
+    theory = Theory(ORDERED.signature, ORDERED.rules[:1] + (ANY_APP,) + ORDERED.rules[1:] + (SORT,))
+    fuel = Fuel(1)
+    assert whnf(TYPE, theory, fuel=fuel) == Const("d")
+    assert fuel.remaining == 0
+    assert isinstance(whnf(TYPE, theory, fuel=Fuel(0)), FuelExhausted)
+    roots = [TYPE, FVar("x"), Var(0), Const("a"), Const("c")]
+    roots += [stt_term(text, "x") for text in ("\\y : Type. g y c", "Pi y : Type. c", "Pi y : c. x")]
+    for t in roots:
+        for mode in (BETA, BETA_R):
+            for fuel in (0, 1, 3, 100):
+                assert_agrees(t, theory, mode, fuel)
+
+
 # ------------- convertibility -------------
 
 
@@ -396,7 +445,7 @@ def test_a_mark_holds_under_its_own_rules_and_under_none() -> None:
     # a planted mark on a redex shows which walks trust it
     for walk in (is_normal, lambda t, th: one_step_reducts(t, th) == []):
         redex = stt_term("eps ((\\x : o. x) p)", "p")
-        object.__setattr__(redex, "_normal", STT.rules)
+        redex._normal = STT.rules
         assert walk(redex, STT)
         assert walk(redex, STT.without_rules())
         assert not walk(redex, CC)
