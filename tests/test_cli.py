@@ -257,6 +257,30 @@ def test_fuel_runs_out_while_a_type_error_is_shown(capsys, tmp_path):
                                 "ran out of fuel while normalizing")
 
 
+LOOP_CUT = "(" * 23 + "..." + " -> Q)" * 23 + " -> Q"
+
+
+def test_loop_theory_outputs_stay_pinned(capsys, tmp_path, monkeypatch):
+    # both runs meet a type that normalizes forever: the scan while it
+    # normalizes the target's heads, the check while it shows the type
+    # error; both report the budget, the check with the cut last term
+    monkeypatch.delenv("PIMODULO_FUEL", raising=False)
+    theory, judgement = tmp_path / "loop.th", tmp_path / "loop.tm"
+    theory.write_text(LOOP_THEORY)
+    judgement.write_text("x : P |- x : Q\n")
+    code, out = run_cli(capsys, "consistency-scan", "--theory", str(theory),
+                        "--target", "x : P |- Q", "--max-size", "4", "--fuel", "1000")
+    assert (code, out) == (
+        3, "fuel-exhausted\tfatal\tnormalization budget exhausted during enumeration\n")
+    code, out = run_cli(capsys, "check", "--theory", str(theory), str(judgement))
+    assert (code, out.splitlines()) == (3, [
+        "ok\tconstant P\t",
+        "ok\tconstant Q\t",
+        "ok\trule r1\t",
+        f"fuel-exhausted\t{judgement}:1\tran out of fuel while normalizing term: {LOOP_CUT}",
+    ])
+
+
 # --- normalize ---
 
 
