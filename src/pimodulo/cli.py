@@ -88,12 +88,15 @@ class Reporter:
             print(f"{status}\t{item_id}\t{flat}")
 
 
-def _error_status(exc: PiModuloError) -> str:
+def _outcome(exc: PiModuloError) -> tuple[str, str]:
+    """The status and the text of an error, both of its settled form: an
+    error whose types run out of fuel as they are shown reports that."""
+    exc = exc.settled()
     if isinstance(exc, ParseError):
-        return "parse-error"
+        return "parse-error", str(exc)
     if isinstance(exc, FuelError):
-        return "fuel-exhausted"
-    return "type-error"
+        return "fuel-exhausted", str(exc)
+    return "type-error", str(exc)
 
 
 def _read_source(spec: str) -> str:
@@ -137,7 +140,7 @@ def cmd_check(args, rep: Reporter) -> None:
                     check(tf.theory, j.ctx, j.term, j.expected, Fuel(args.fuel))
                     rep.emit(item, "judgement", "ok", print_judgement(j))
             except PiModuloError as exc:
-                rep.emit(item, "judgement", _error_status(exc), str(exc))
+                rep.emit(item, "judgement", *_outcome(exc))
 
 
 # --- normalize -----------------------------------------------------------------
@@ -154,7 +157,7 @@ def cmd_normalize(args, rep: Reporter) -> None:
         text = args.term if args.file is None else _read_source(args.file)
         t = parse_term(text)
     except PiModuloError as exc:
-        rep.emit("input", "term", _error_status(exc), str(exc))
+        rep.emit("input", "term", *_outcome(exc))
         return
     trace: list = []
     result = normalize(t, _reducing(tf.theory, args.mode), fuel=Fuel(args.fuel), trace=trace)
@@ -326,7 +329,7 @@ def cmd_consistency_scan(args, rep: Reporter) -> None:
     try:
         check_frame(tf.theory, j.ctx, j.term, Fuel(args.fuel))
     except PiModuloError as exc:
-        rep.emit("target", "config", _error_status(exc), str(exc))
+        rep.emit("target", "config", *_outcome(exc))
         return
     found = 0
     for t in enumerate_normal_inhabitants(tf.theory, j.term, args.max_size, j.ctx,
@@ -463,7 +466,7 @@ def main(argv=None) -> int:
         try:
             args.run(args, rep)
         except PiModuloError as exc:
-            rep.emit("fatal", "error", _error_status(exc), str(exc))
+            rep.emit("fatal", "error", *_outcome(exc))
         except BrokenPipeError:
             raise
         except OSError as exc:

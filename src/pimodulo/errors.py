@@ -4,12 +4,36 @@ Each failure is a subclass of `PiModuloError`, which the CLI maps to a
 status and an exit code by class.  A failure carries optional detail
 fields (source span, offending term, expected and actual forms) that
 `str` prints when present.
+
+A detail may be a `Deferred`: a function and its arguments, called the
+first time the error's text is read.  The kernel raises its type errors
+so, since showing a type means normalizing it, and most callers only
+test the class.  Rendering can itself fail: showing a type runs on the
+fuel of the check that failed, and may run out.  `settled()` renders
+every detail once, in field order, and returns the error, or the
+`FuelError` that rendering raised; the outcome is kept, and `str` of an
+error whose rendering failed raises that failure again.  Whoever reports
+an error takes its status and its text from `settled()`.  An error
+pickles as its settled form, so a copy holds text, not a theory.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
+
+class Deferred(partial):
+    """An error detail rendered when the error's text is first read."""
+
+    __slots__ = ()
+
+
+_DEFERRABLE = ("term", "expected", "actual")
+
 
 class PiModuloError(Exception):
+    _failure = None
+
     def __init__(self, message, *, span=None, term=None, expected=None, actual=None):
         super().__init__(message)
         self.message = message
@@ -18,7 +42,22 @@ class PiModuloError(Exception):
         self.expected = expected
         self.actual = actual
 
+    def settled(self) -> PiModuloError:
+        """This error with its details rendered, or the error that
+        rendering one of them raised."""
+        if self._failure is None:
+            try:
+                for name in _DEFERRABLE:
+                    value = getattr(self, name)
+                    if isinstance(value, Deferred):
+                        setattr(self, name, value())
+            except PiModuloError as failure:
+                self._failure = failure
+        return self if self._failure is None else self._failure
+
     def __str__(self):
+        if self.settled() is not self:
+            raise self._failure
         parts = [self.message]
         if self.span is not None:
             parts.insert(0, f"{self.span}:")
@@ -29,6 +68,10 @@ class PiModuloError(Exception):
         if self.actual is not None:
             parts.append(f"actual: {self.actual}")
         return " ".join(parts)
+
+    def __reduce__(self):
+        settled = self.settled()
+        return super().__reduce__() if settled is self else settled.__reduce__()
 
 
 class ParseError(PiModuloError):

@@ -19,7 +19,6 @@ from .reduction import (
     DEFAULT_FUEL,
     Fuel,
     FuelExhausted,
-    convertible,
     is_normal,
     normalize,
     one_step_reducts,
@@ -41,7 +40,7 @@ from .terms import (
     instantiate,
     term_size,
 )
-from .typecheck import check_codomain, head_product, infer
+from .typecheck import applied_type, check_codomain, head_product, infer
 
 
 def enumerate_raw_terms(max_size: int, atoms: tuple[Term, ...] = (TYPE,)):
@@ -106,10 +105,8 @@ def sample_well_typed(
     its parts and, mostly, typed from their stored types by the kernel's
     own rules:
 
-    - an application by `head_product` and, once the argument's type
-      converts to the domain, the normalized codomain at the argument; a
-      candidate that fails the conversion is dropped, as `applied_type`
-      would reject it, but without building its error message;
+    - an application by `head_product` and `applied_type`, the codomain
+      at the argument normalized;
     - a binder whose body closes over no context variable: the body has
       the same type under the binder as outside it, so a product takes
       the body's sort, and an abstraction the normalized product of its
@@ -197,9 +194,7 @@ def sample_well_typed(
         try:
             if type(t) is App:
                 pi = head_product(theory, f.term, f.ty, budget)
-                if convertible(a.ty, pi.domain, theory, budget) is not True:
-                    continue
-                ty = _normal(instantiate(pi.codomain, a.term), theory, budget, "sampling")
+                ty = _normal(applied_type(theory, pi, a.term, a.ty, budget), theory, budget, "sampling")
             elif type(t) not in (Lam, Pi):
                 ty = atom.ty
             elif closes is not None:

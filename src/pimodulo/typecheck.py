@@ -4,9 +4,18 @@ Types are kept as the typing rules build them and reduced, to weak-head
 form only, where a product or a sort must be seen: the head of an
 application, a binder domain, a sort check.  Every other comparison is
 left to `convertible`, so a term types even if a type in it has no normal
-form.  The public `infer` reports normal forms, and so do error messages,
-computed once the error is certain.  Rewrite rules and signatures are
-validated against the bare calculus, with beta conversion only.
+form.  The public `infer` reports normal forms, and so do error messages.
+Rewrite rules and signatures are validated against the bare calculus,
+with beta conversion only.
+
+An error message is built when it is first read, not at the raise: its
+terms and the normal forms of its types are `Deferred` details, and the
+types are normalized on the same `Fuel` that the failing check ran on.
+So `check` and `infer` raise the type error itself even when showing its
+types would run out of fuel; the `FuelError` of showing surfaces only
+when the error is settled (`PiModuloError.settled`, or `str`).  A kernel
+fault, such as a loose bound variable, is a `RuntimeError`, not a
+`PiModuloError`.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
+    Deferred,
     DomainMismatch,
     DuplicateName,
     FuelError,
@@ -75,11 +85,14 @@ def _cut(t: Term, depth: int) -> Term:
     return t
 
 
+def _cut_text(t: Term) -> str:
+    return print_term(_cut(t, FUEL_TERM_DEPTH))[:FUEL_TERM_CHARS]
+
+
 def _fueled(result, doing: str):
     """The result of a reduction, or a FuelError if it ran out of fuel."""
     if isinstance(result, FuelExhausted):
-        text = print_term(_cut(result.last, FUEL_TERM_DEPTH))[:FUEL_TERM_CHARS]
-        raise FuelError(f"ran out of fuel while {doing}", term=text)
+        raise FuelError(f"ran out of fuel while {doing}", term=Deferred(_cut_text, result.last))
     return result
 
 
@@ -113,7 +126,7 @@ def _infer(theory: Theory, ctx: Context, t: Term, fuel: Fuel) -> Term:
                 raise UnboundVariable(f"undeclared constant {c}", span=t.span)
             return ty
         case Var(i):
-            raise PiModuloError(f"loose bound variable #{i} (internal invariant broken)")
+            raise RuntimeError(f"loose bound variable #{i} (internal invariant broken)")
         case App(f, a):
             pi = head_product(theory, f, _infer(theory, ctx, f, fuel), fuel, t.span)
             return applied_type(theory, pi, a, _infer(theory, ctx, a, fuel), fuel, t.span)
@@ -132,7 +145,7 @@ def _infer(theory: Theory, ctx: Context, t: Term, fuel: Fuel) -> Term:
             if s not in (TYPE, KIND):
                 raise IllegalSort("product codomain is not a type or a kind", span=t.span)
             return s
-    raise PiModuloError(f"unhandled term {t!r}")
+    raise RuntimeError(f"no typing rule for a {type(t).__name__} node")
 
 
 # The application and abstraction rules' premises on types, apart from
@@ -148,8 +161,8 @@ def head_product(theory: Theory, f: Term, fty: Term, fuel: Fuel, span=None) -> P
         raise NotAFunction(
             "application head is not a function",
             span=span,
-            term=print_term(f),
-            actual=_shown(pi, theory, fuel),
+            term=Deferred(print_term, f),
+            actual=Deferred(_shown, pi, theory, fuel),
         )
     return pi
 
@@ -161,9 +174,9 @@ def applied_type(theory: Theory, pi: Pi, a: Term, aty: Term, fuel: Fuel, span=No
         raise DomainMismatch(
             "argument type does not match the function domain",
             span=span,
-            term=print_term(a),
-            expected=_shown(pi.domain, theory, fuel),
-            actual=_shown(aty, theory, fuel),
+            term=Deferred(print_term, a),
+            expected=Deferred(_shown, pi.domain, theory, fuel),
+            actual=Deferred(_shown, aty, theory, fuel),
         )
     return instantiate(pi.codomain, a)
 
@@ -188,8 +201,8 @@ def _check_is_type(theory: Theory, ctx: Context, a: Term, fuel: Fuel) -> None:
         raise IllegalSort(
             "binder domain must be a type",
             span=a.span,
-            term=print_term(a),
-            actual=_shown(s, theory, fuel),
+            term=Deferred(print_term, a),
+            actual=Deferred(_shown, s, theory, fuel),
         )
 
 
@@ -207,9 +220,9 @@ def check(
         raise TypeMismatch(
             "term does not have the expected type",
             span=t.span,
-            term=print_term(t),
-            expected=_shown(expected, theory, fuel),
-            actual=_shown(actual, theory, fuel),
+            term=Deferred(print_term, t),
+            expected=Deferred(_shown, expected, theory, fuel),
+            actual=Deferred(_shown, actual, theory, fuel),
         )
 
 
@@ -222,7 +235,7 @@ def check_context(theory: Theory, ctx: Context, fuel: Fuel | None = None) -> Non
             raise DuplicateName(f"name {name} is already declared")
         seen.add(name)
         if _whnf_type(theory, ctx[:i], ty, fuel) not in (TYPE, KIND):
-            raise IllegalSort(f"type of {name} has no sort", term=print_term(ty))
+            raise IllegalSort(f"type of {name} has no sort", term=Deferred(print_term, ty))
 
 
 def check_frame(
@@ -241,8 +254,8 @@ def check_frame(
         raise IllegalSort(
             "not a type: its type is not a sort",
             span=ty.span,
-            term=print_term(ty),
-            actual=_shown(s, theory, fuel),
+            term=Deferred(print_term, ty),
+            actual=Deferred(_shown, s, theory, fuel),
         )
 
 
@@ -253,7 +266,8 @@ def check_rule(theory: Theory, rule: RewriteRule, fuel: Fuel | None = None) -> N
     check_context(plain, rule.ctx, fuel)
     for part, name in ((rule.lhs, "lhs"), (rule.rhs, "rhs"), (rule.rtype, "rule type")):
         if not is_normal(part, plain):
-            raise NotBetaNormal(f"{name} of rule {rule.label} is not beta-normal", term=print_term(part))
+            raise NotBetaNormal(f"{name} of rule {rule.label} is not beta-normal",
+                                 term=Deferred(print_term, part))
     try:
         lhs_vars = pattern_variables(rule.lhs)
     except ValueError as exc:
@@ -300,13 +314,13 @@ def check_theory(theory: Theory, fuel: Fuel | None = None) -> TheoryReport:
                 raise IllegalSort(f"type of constant {name} has no sort")
             report.items.append((label, "ok"))
         except PiModuloError as exc:
-            report.items.append((label, str(exc)))
+            report.items.append((label, str(exc.settled())))
     for rule in theory.rules:
         label = f"rule {rule.label}"
         try:
             check_rule(theory, rule, fuel)
             report.items.append((label, "ok"))
         except PiModuloError as exc:
-            report.items.append((label, str(exc)))
+            report.items.append((label, str(exc.settled())))
     report.warnings.extend(rule_overlap_warnings(theory))
     return report

@@ -17,7 +17,8 @@ import pytest
 
 from pimodulo.algebra import sample_full_algebras, write_alg
 from pimodulo.cli import main
-from pimodulo.syntax import parse_term, print_term
+from pimodulo.syntax import Judgement, parse_term, print_term
+from pimodulo.terms import Var
 
 BROKEN_THEORY = """\
 ; simple-type vocabulary with the implication rule's sides swapped
@@ -811,6 +812,18 @@ def test_internal_failures_get_their_own_exit_code(capsys, tmp_path):
              and not line.startswith("ok\trule ")]
     assert len(lines) == 1
     assert lines[0].startswith("internal-error\tfatal\tRecursionError: ")
+
+
+def test_a_kernel_fault_is_not_a_type_error(capsys, tmp_path, monkeypatch):
+    # exit 1 means a type error and nothing else: a loose bound variable,
+    # which no parsed judgement holds, is pimodulo's own fault
+    monkeypatch.setattr("pimodulo.cli.parse_judgements",
+                        lambda text: [Judgement(ctx=(), term=Var(0), expected=None, line=1)])
+    (tmp_path / "any.tm").write_text("|- o\n")
+    code, out = run_cli(capsys, "check", "--theory", "stt", str(tmp_path / "any.tm"))
+    assert code == 6
+    assert out.splitlines()[-1] == (
+        "internal-error\tfatal\tRuntimeError: loose bound variable #0 (internal invariant broken)")
 
 
 @pytest.mark.parametrize("fmt", ("text", "json-lines"))

@@ -8,6 +8,7 @@ from pimodulo.errors import (
     NonAlgebraicLhs,
     NotAFunction,
     NotBetaNormal,
+    PiModuloError,
     TypeMismatch,
     UnboundVariable,
 )
@@ -97,6 +98,23 @@ def test_loose_variables_are_unbound() -> None:
 def test_kind_has_no_type() -> None:
     with pytest.raises(IllegalSort):
         infer(STT, (), KIND)
+
+
+def test_a_loose_bound_variable_is_a_fault_not_a_type_error() -> None:
+    # no parsed term reaches the kernel with a loose index; one that does
+    # is a fault of pimodulo, which the CLI reports as internal-error
+    with pytest.raises(RuntimeError, match="loose bound variable #0") as exc:
+        infer(STT, (), Var(0))
+    assert not isinstance(exc.value, PiModuloError)
+
+
+def test_a_term_of_no_known_class_names_only_its_class() -> None:
+    class Stray:
+        def __repr__(self):
+            raise AssertionError("repr recurses on deep terms and must not be called")
+
+    with pytest.raises(RuntimeError, match="^no typing rule for a Stray node$"):
+        infer(STT, (), Stray())
 
 
 def test_binder_annotations_must_be_sorted() -> None:
