@@ -114,7 +114,7 @@ def cmd_check(args, rep: Reporter) -> None:
         if status == "ok":
             rep.emit(label, "theory", "ok")
         else:
-            rep.emit(label, "theory", "type-error", status)
+            rep.emit(label, "theory", *_outcome(status))
     for warning in report.warnings:
         rep.emit("overlap", "theory", "ok", warning)
     for spec in args.files:

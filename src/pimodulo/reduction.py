@@ -7,13 +7,14 @@ need not terminate, so exhaustion is a reported value, never a wrong answer.
 
 Every rule step goes through the theory's compiled rules
 (`Theory.rule_index`, `terms.RuleIndex`), behind one root test that
-`r_root`, and so `root_steps`, shares with the search's `_first_step`:
+`r_root` and `one_step_reducts` share with the search's `_first_step`:
 beta is an application whose function is an abstraction, by exact type;
-a root whose class is not among the index's `roots` goes to no rule,
-which under the shipped theories skips every binder, sort and variable;
+a root that is neither an application nor a constant goes to no rule;
 any other root is dispatched to its bucket, whose compiled lhs programs
-run in declaration order until one matches and its rhs program builds
-the reduct.
+run in declaration order and whose rhs programs build the reducts.  A
+rule whose lhs is not an algebraic pattern sits in no bucket and never
+fires, and no algebraic pattern matches a beta redex, so a position has
+a beta step or rule steps, never both.
 """
 
 from __future__ import annotations
@@ -31,11 +32,8 @@ from .terms import (
     Term,
     Theory,
     _with_child,
-    bind_pattern,
     children,
-    compile_lhs,
     instantiate,
-    spine,
     substitute_many,
     subterm_positions,
 )
@@ -68,38 +66,11 @@ class Fuel:
         return True
 
 
-def beta_root(t: Term) -> Term | None:
-    if type(t) is App and type(t.fn) is Lam:
-        return instantiate(t.fn.body, t.arg)
-    return None
-
-
-def match_pattern(lhs: Term, t: Term) -> dict[str, Term] | None:
-    """First-order match of an algebraic pattern against a subject term,
-    by the pattern's compiled lhs program (`terms.compile_lhs`).
-
-    Pattern variables are the free variables of lhs; left-linearity makes the
-    binding unique when it exists.
-    """
-    return bind_pattern(compile_lhs(lhs), t)
-
-
 def r_root(t: Term, theory: Theory) -> tuple[Term, str] | None:
     """First rule in declaration order whose lhs matches at the root,
     behind the root test of the module docstring."""
     index = theory.rule_index
     return index.rewrite(t) if type(t) in index.roots else None
-
-
-def root_steps(t: Term, theory: Theory) -> list[tuple[Term, str]]:
-    out = []
-    reduct = beta_root(t)
-    if reduct is not None:
-        out.append((reduct, "beta"))
-    hit = r_root(t, theory)
-    if hit is not None:
-        out.append(hit)
-    return out
 
 
 def one_step_reducts(t: Term, theory: Theory) -> list[Term]:
@@ -112,7 +83,7 @@ def one_step_reducts(t: Term, theory: Theory) -> list[Term]:
     entry that is popped once its subterm is walked, carrying the number
     of reducts found before its own root steps: if none were found since,
     its whole subterm is normal and gets the mark."""
-    rules = theory.rules
+    rules, index = theory.rules, theory.rule_index
     out: list[Term] = []
     stack: list[tuple[Term, tuple | int | None]] = [(t, None)]
     while stack:
@@ -125,13 +96,17 @@ def one_step_reducts(t: Term, theory: Theory) -> list[Term]:
         if mark is not None and (mark is rules or not rules):
             continue
         found = len(out)
-        for reduct, _ in root_steps(node, theory):
+        cls = type(node)
+        if cls is App and type(node.fn) is Lam:
+            reducts = [instantiate(node.fn.body, node.arg)]
+        else:
+            reducts = index.rewrites(node) if cls in index.roots else ()
+        for reduct in reducts:
             up = path
             while up is not None:
                 parent, i, up = up
                 reduct = _with_child(parent, i, reduct)
             out.append(reduct)
-        cls = type(node)
         if cls is App:
             stack += ((node, found), (node.arg, (node, 1, path)), (node.fn, (node, 0, path)))
         elif cls is Pi:
@@ -154,10 +129,10 @@ def one_step_reducts(t: Term, theory: Theory) -> list[Term]:
 # failing them the search resumes at p.  The steps taken are exactly those
 # of a rescan from the root after every step.
 #
-# A binder is a redex only under a bare pattern-variable lhs, which fires
-# at the root and so never lets the search go below it.  The step lies
-# below the nearest binder, so every node from it up keeps its constructor:
-# an application above it keeps its beta status, and a rule pattern sees
+# No binder is a redex: beta contracts an application, and an algebraic
+# lhs has a constant head.  So a step lies below the nearest binder above
+# it, and every node from that binder up keeps its constructor: an
+# application above it keeps its beta status, and a rule pattern sees
 # through a binder only with a pattern variable, which matches whatever
 # lies below.
 #
@@ -184,7 +159,8 @@ Ancestors = list[tuple[Term, int, Term]]
 
 
 def _first_step(t: Term, theory: Theory) -> tuple[Term, str] | None:
-    """The step leftmost-outermost takes at the root of t: beta before rules."""
+    """The step leftmost-outermost takes at the root of t: beta, or the
+    first rule in declaration order that matches."""
     cls = type(t)
     if cls is App and type(t.fn) is Lam:
         return instantiate(t.fn.body, t.arg), "beta"
@@ -331,34 +307,6 @@ def convertible(
 
 def is_normal(t: Term, theory: Theory) -> bool:
     return _search(t, [], theory)[0] is None
-
-
-def pattern_variables(lhs: Term) -> list[str]:
-    """Pattern variables of an algebraic lhs in left-to-right order.
-
-    Raises ValueError when lhs is not algebraic: it must be a constant applied
-    to a spine of pattern variables or nested algebraic patterns, linear, with
-    no binders.
-    """
-    seen: list[str] = []
-
-    def arg_ok(t: Term) -> bool:
-        match t:
-            case FVar(x):
-                if x in seen:
-                    return False
-                seen.append(x)
-                return True
-            case _:
-                return const_headed(t)
-
-    def const_headed(t: Term) -> bool:
-        head, args = spine(t)
-        return isinstance(head, Const) and all(arg_ok(a) for a in args)
-
-    if not const_headed(lhs):
-        raise ValueError("lhs is not an algebraic pattern")
-    return seen
 
 
 def patterns_overlap(l1: Term, l2: Term, skip_root: bool = False) -> bool:

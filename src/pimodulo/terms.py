@@ -418,16 +418,19 @@ class RewriteRule:
 # A rule compiles to two flat programs.  The lhs program is the pattern in
 # preorder, one check per node against a stack of subject nodes: `(App,
 # None)` takes an application apart, `(Const, name)` wants that constant,
-# `(SortType, None)` or `(SortKind, None)` that sort, and `(None, name)`
-# binds the pattern variable `name` to the node, bindings in preorder.  A
-# pattern holding a binder or a bound variable matches nothing, and
-# compiles to None.  The rhs program is postfix, run on a stack of built
-# terms: `(_PUSH, term, None)` pushes a subterm without pattern variables,
-# shared by every reduct and taken from a span-free copy of the rhs;
-# `(_VAR, k, d)` pushes binding k shifted by the d binders above it;
-# `(App, None, None)`, `(Pi, hint, None)` and `(Lam, hint, None)` build a
-# node from the top two.  So a reduct is what substituting the bindings
-# into the rhs gives, with every node the rule builds span-free.
+# and `(None, name)` binds the pattern variable `name` to the node,
+# bindings in preorder.  Only an algebraic pattern compiles: a constant
+# head applied to arguments, each a pattern variable that occurs nowhere
+# else in the pattern or again such a pattern.  Any other lhs, with a
+# variable at a head, a repeated variable, a sort, a binder or a bound
+# variable, compiles to None, and its rule never fires.  The rhs program
+# is postfix, run on a stack of built terms: `(_PUSH, term, None)` pushes
+# a subterm without pattern variables, shared by every reduct and taken
+# from a span-free copy of the rhs; `(_VAR, k, d)` pushes binding k
+# shifted by the d binders above it; `(App, None, None)`, `(Pi, hint,
+# None)` and `(Lam, hint, None)` build a node from the top two.  So a
+# reduct is what substituting the bindings into the rhs gives, with every
+# node the rule builds span-free.
 
 LhsProgram = tuple[tuple[Any, Any], ...]
 RhsProgram = tuple[tuple[Any, Any, Any], ...]
@@ -436,24 +439,35 @@ _PUSH, _VAR = "push", "var"
 
 
 def compile_lhs(lhs: Term) -> LhsProgram | None:
+    """The lhs program of an algebraic pattern, None for any other lhs."""
     program = []
-    for node, _ in _walk(lhs):
+    seen = set()
+    stack = [(lhs, False)]
+    while stack:
+        node, is_arg = stack.pop()
         cls = type(node)
-        if cls is App or cls is SortType or cls is SortKind:
-            program.append((cls, None))
+        if cls is App:
+            program.append((App, None))
+            stack += ((node.arg, True), (node.fn, False))
         elif cls is Const:
             program.append((Const, node.name))
-        elif cls is FVar:
+        elif cls is FVar and is_arg and node.name not in seen:
+            seen.add(node.name)
             program.append((None, node.name))
         else:
             return None
     return tuple(program)
 
 
-def _match_lhs(program: LhsProgram | None, t: Term) -> list[Term] | None:
+def pattern_names(lhs: Term) -> list[str] | None:
+    """The pattern variables of an algebraic lhs from left to right, None
+    for any other lhs."""
+    program = compile_lhs(lhs)
+    return None if program is None else [name for cls, name in program if cls is None]
+
+
+def _match_lhs(program: LhsProgram, t: Term) -> list[Term] | None:
     """The bindings of an lhs program on the subject t, in preorder."""
-    if program is None:
-        return None
     stack = [t]
     binds = []
     for cls, name in program:
@@ -471,7 +485,7 @@ def _match_lhs(program: LhsProgram | None, t: Term) -> list[Term] | None:
 
 def bind_pattern(program: LhsProgram | None, t: Term) -> dict[str, Term] | None:
     """The bindings of an lhs program on t by pattern-variable name."""
-    binds = _match_lhs(program, t)
+    binds = None if program is None else _match_lhs(program, t)
     if binds is None:
         return None
     return dict(zip((name for cls, name in program if cls is None), binds))
@@ -535,9 +549,7 @@ def _build_rhs(program: RhsProgram, binds: list[Term]) -> Term:
 def _compile_rule(rule: RewriteRule) -> CompiledRule:
     lhs = compile_lhs(rule.lhs)
     names = [name for cls, name in lhs or () if cls is None]
-    # a repeated pattern variable keeps its last binding
-    slots = {name: k for k, name in enumerate(names)}
-    return lhs, _compile_rhs(rule.rhs, slots), rule.label
+    return lhs, _compile_rhs(rule.rhs, {name: k for k, name in enumerate(names)}), rule.label
 
 
 class RuleIndex:
@@ -546,13 +558,12 @@ class RuleIndex:
 
     `compiled` holds every rule's `_compile_rule` in declaration order.  A
     rule whose first argument is a pattern variable sits in every bucket
-    of its head, and a rule whose lhs has no constant head in every bucket
-    and in `generic`, so each bucket holds, in declaration order, every
-    rule that can match a subject with that key; a rule whose lhs matches
-    nothing sits in none.  Spines are unwound at most `limit` applications
-    deep: a longer spine matches no constant-headed pattern.  `roots` holds
-    the classes of the roots worth dispatching: applications and
-    constants, every class when `generic` is not empty, none without rules.
+    of its head, so each bucket holds, in declaration order, every rule
+    that can match a subject with that key; a rule whose lhs does not
+    compile sits in none.  Spines are unwound at most `limit` applications
+    deep: a longer spine matches no pattern.  `roots` holds the classes of
+    the roots worth dispatching: applications and constants, none without
+    a rule that compiles.
     """
 
     def __init__(self, rules: tuple[RewriteRule, ...]):
@@ -565,13 +576,11 @@ class RuleIndex:
             head, args = spine(rule.lhs)
             first, first_args = spine(args[0]) if args else (None, [])
             self.limit = max(self.limit, len(args), len(first_args))
-            key = (head.name, len(args)) if isinstance(head, Const) else None
-            first_name = first.name if key and isinstance(first, Const) else None
-            keyed.append((key, first_name, compiled))
-        self.generic = tuple(rule for key, _, rule in keyed if key is None)
+            first_name = first.name if isinstance(first, Const) else None
+            keyed.append(((head.name, len(args)), first_name, compiled))
         self.table = {}
-        for key in {key for key, _, _ in keyed if key is not None}:
-            members = [(first, rule) for k, first, rule in keyed if k in (key, None)]
+        for key in {key for key, _, _ in keyed}:
+            members = [(first, rule) for k, first, rule in keyed if k == key]
             default = tuple(rule for first, rule in members if first is None)
             by_first = {
                 name: tuple(rule for first, rule in members if first in (name, None))
@@ -579,10 +588,7 @@ class RuleIndex:
                 if name is not None
             }
             self.table[key] = (by_first, default)
-        if self.generic:
-            self.roots = frozenset((*_NODES, Var, FVar, Const, SortType, SortKind))
-        else:
-            self.roots = frozenset((App, Const)) if keyed else frozenset()
+        self.roots = frozenset((App, Const)) if keyed else frozenset()
 
     def candidates(self, t: Term) -> tuple[CompiledRule, ...]:
         """The compiled rules that may match t at the root, in declaration
@@ -593,7 +599,7 @@ class RuleIndex:
             arity += 1
         entry = self.table.get((t.name, arity)) if type(t) is Const else None
         if entry is None:
-            return self.generic
+            return ()
         by_first, default = entry
         depth = 0
         while type(first) is App and depth < self.limit:
@@ -609,6 +615,16 @@ class RuleIndex:
             if binds is not None:
                 return _build_rhs(rhs, binds), label
         return None
+
+    def rewrites(self, t: Term) -> list[Term]:
+        """Every rule that rewrites t at the root, applied, in declaration
+        order."""
+        out = []
+        for lhs, rhs, _ in self.candidates(t):
+            binds = _match_lhs(lhs, t)
+            if binds is not None:
+                out.append(_build_rhs(rhs, binds))
+        return out
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ from .reduction import (
     convertible,
     is_normal,
     normalize,
-    pattern_variables,
     rule_overlap_warnings,
     whnf,
 )
@@ -66,6 +65,7 @@ from .terms import (
     free_vars,
     instantiate,
     open_binder,
+    pattern_names,
 )
 
 # The last term of a reduction that ran out of fuel can be arbitrarily deep
@@ -268,10 +268,9 @@ def check_rule(theory: Theory, rule: RewriteRule, fuel: Fuel | None = None) -> N
         if not is_normal(part, plain):
             raise NotBetaNormal(f"{name} of rule {rule.label} is not beta-normal",
                                  term=Deferred(print_term, part))
-    try:
-        lhs_vars = pattern_variables(rule.lhs)
-    except ValueError as exc:
-        raise NonAlgebraicLhs(f"rule {rule.label}: {exc}") from None
+    lhs_vars = pattern_names(rule.lhs)
+    if lhs_vars is None:
+        raise NonAlgebraicLhs(f"rule {rule.label}: lhs is not an algebraic pattern")
     ctx_names = {n for n, _ in rule.ctx}
     if not set(lhs_vars) <= ctx_names:
         stray = sorted(set(lhs_vars) - ctx_names)
@@ -287,14 +286,16 @@ def check_rule(theory: Theory, rule: RewriteRule, fuel: Fuel | None = None) -> N
 
 @dataclass
 class TheoryReport:
-    items: list[tuple[str, str]] = field(default_factory=list)
+    """Each item's label with "ok" or its settled error."""
+
+    items: list[tuple[str, str | PiModuloError]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return all(status == "ok" for _, status in self.items)
 
-    def errors(self) -> list[tuple[str, str]]:
+    def errors(self) -> list[tuple[str, str | PiModuloError]]:
         return [(label, status) for label, status in self.items if status != "ok"]
 
 
@@ -314,13 +315,13 @@ def check_theory(theory: Theory, fuel: Fuel | None = None) -> TheoryReport:
                 raise IllegalSort(f"type of constant {name} has no sort")
             report.items.append((label, "ok"))
         except PiModuloError as exc:
-            report.items.append((label, str(exc.settled())))
+            report.items.append((label, exc.settled()))
     for rule in theory.rules:
         label = f"rule {rule.label}"
         try:
             check_rule(theory, rule, fuel)
             report.items.append((label, "ok"))
         except PiModuloError as exc:
-            report.items.append((label, str(exc.settled())))
+            report.items.append((label, exc.settled()))
     report.warnings.extend(rule_overlap_warnings(theory))
     return report

@@ -3,12 +3,15 @@
 Every step tries every rule at every position from the root, then
 rebuilds with `replace_at`; this is slow but plainly leftmost-outermost,
 so the oracle tests hold `pimodulo.reduction` to it.  It shares no
-root-step code with the package: beta is found by a `match` statement,
-rules match through `match_pattern` below, the package's recursive
+root-step code with the package.  Beta is found by a `match` statement.
+A rule fires only when `is_algebraic` below accepts its lhs: the
+package's recursive test as it was before `terms.compile_lhs` decided
+it.  Rules match through `match_pattern` below, the package's recursive
 matcher as it was before rules were compiled, and contracta are built by
 the recursive `instantiate` and `substitute_many` of `reference_terms`.
 So `reduction.r_root(sub) == r_root(sub)` holds the compiled rules and
-the root test to code they do not run.
+the root test to code they do not run.  Every rule that matches at a
+position gives a one-step reduct there; the strategy takes the first.
 
 The oracle has two modes, beta plus the theory's rules and beta alone.
 The package takes no mode: `assert_agrees` asks it for beta alone as
@@ -32,6 +35,7 @@ from pimodulo.terms import (
     Theory,
     children,
     replace_at,
+    spine,
     subterm_positions,
 )
 from reference_terms import instantiate, substitute_many
@@ -70,12 +74,40 @@ def match_pattern(lhs: Term, t: Term) -> dict[str, Term] | None:
     return binding if go(lhs, t) else None
 
 
-def r_root(t: Term, theory: Theory) -> tuple[Term, str] | None:
+def is_algebraic(lhs: Term) -> bool:
+    """A constant applied to a spine of pattern variables or nested
+    algebraic patterns, linear, with no binders."""
+    seen: list[str] = []
+
+    def arg_ok(t: Term) -> bool:
+        match t:
+            case FVar(x):
+                if x in seen:
+                    return False
+                seen.append(x)
+                return True
+            case _:
+                return const_headed(t)
+
+    def const_headed(t: Term) -> bool:
+        head, args = spine(t)
+        return isinstance(head, Const) and all(arg_ok(a) for a in args)
+
+    return const_headed(lhs)
+
+
+def rule_steps(t: Term, theory: Theory) -> list[tuple[Term, str]]:
+    out = []
     for rule in theory.rules:
-        binding = match_pattern(rule.lhs, t)
+        binding = match_pattern(rule.lhs, t) if is_algebraic(rule.lhs) else None
         if binding is not None:
-            return substitute_many(rule.rhs, binding), rule.label
-    return None
+            out.append((substitute_many(rule.rhs, binding), rule.label))
+    return out
+
+
+def r_root(t: Term, theory: Theory) -> tuple[Term, str] | None:
+    steps = rule_steps(t, theory)
+    return steps[0] if steps else None
 
 
 def root_steps(t: Term, theory: Theory, mode: str) -> list[tuple[Term, str]]:
@@ -84,9 +116,7 @@ def root_steps(t: Term, theory: Theory, mode: str) -> list[tuple[Term, str]]:
     if reduct is not None:
         out.append((reduct, "beta"))
     if mode == BETA_R:
-        hit = r_root(t, theory)
-        if hit is not None:
-            out.append(hit)
+        out += rule_steps(t, theory)
     return out
 
 

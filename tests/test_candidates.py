@@ -24,7 +24,7 @@ from pimodulo.candidates import (
     stt_measure,
 )
 from pimodulo.reduction import Fuel, FuelExhausted, one_step_reducts
-from pimodulo.syntax import parse_term
+from pimodulo.syntax import parse_term, parse_theory
 from pimodulo.terms import App, Const, FVar, Lam, RewriteRule, TYPE, Theory, Var
 from pimodulo.theories import builtin_theory
 
@@ -75,6 +75,15 @@ def test_rewrite_steps_count_with_a_theory():
     t = stt_term("eps (imp p q)", "p", "q")
     assert sn_check(t) == StronglyNormalizing(0)
     assert sn_check(t, theory=STT) == StronglyNormalizing(1)
+
+
+def test_a_second_rule_that_loops_is_not_certified():
+    # c --> d comes first, c --> c second: the first rule alone would
+    # make c normalize in one step
+    theory = parse_theory("c : Type\nd : Type\n[] c --> d : Type\n[] c --> c : Type\n").theory
+    verdict = sn_check(Const("c"), fuel=1000, theory=theory)
+    assert isinstance(verdict, FuelExhausted)
+    assert verdict.last == Const("c")
 
 
 def test_verdicts_match_cleanly():

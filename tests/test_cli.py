@@ -282,6 +282,64 @@ def test_loop_theory_outputs_stay_pinned(capsys, tmp_path, monkeypatch):
     ])
 
 
+# A rule that checks only after a beta step in its type: (\y : A. P y) a.
+FUEL_THEORY = """\
+A : Type
+a : A
+P : A -> Type
+f : A -> P a
+g : A -> (\\y : A. P y) a
+[x : A] f x --> g x : P a
+"""
+
+
+def test_a_theory_item_out_of_fuel_reports_the_budget(capsys, tmp_path):
+    path = tmp_path / "fuel.th"
+    path.write_text(FUEL_THEORY)
+    code, out = run_cli(capsys, "check", "--theory", str(path), "--fuel", "0")
+    assert (code, out.splitlines()[-1]) == (
+        3, "fuel-exhausted\trule r1\tran out of fuel while comparing types term: (\\y : A. P y) a")
+    code, out = run_cli(capsys, "check", "--theory", str(path), "--fuel", "5")
+    assert code == 0
+    assert all(line.startswith("ok\t") for line in out.splitlines())
+
+
+# A nonlinear rule: check rejects it, and it never fires.
+NONLINEAR_THEORY = """\
+A : Type
+B : Type
+a : A
+b : A
+c : B
+f : A -> A -> B
+P : B -> Type
+p : P c
+[x : A] f x x --> c : B
+"""
+
+
+def test_a_rule_with_a_nonlinear_lhs_never_fires(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("PIMODULO_FUEL", raising=False)
+    theory, judgement = tmp_path / "nonlinear.th", tmp_path / "nonlinear.tm"
+    theory.write_text(NONLINEAR_THEORY)
+    judgement.write_text("|- p : P (f a b)\n")
+    code, out = run_cli(capsys, "normalize", "--theory", str(theory), "f a b")
+    assert (code, out) == (0, "ok\tresult\tf a b\n")
+    code, out = run_cli(capsys, "check", "--theory", str(theory), str(judgement))
+    assert (code, out.splitlines()[-2:]) == (1, [
+        "type-error\trule r1\trule r1: lhs is not an algebraic pattern",
+        f"type-error\t{judgement}:1\t(1, 4): term does not have the expected type"
+        " term: p expected: P (f a b) actual: P c",
+    ])
+
+
+def test_a_rule_without_a_constant_head_never_fires(capsys, tmp_path):
+    path = tmp_path / "headless.th"
+    path.write_text("A : Type\na : A\n[x : A] x --> a : A\n")
+    code, out = run_cli(capsys, "normalize", "--theory", str(path), "--fuel", "20", "Type")
+    assert (code, out) == (0, "ok\tresult\tType\n")
+
+
 # --- normalize ---
 
 
@@ -780,6 +838,18 @@ def test_sn_scan_exit_code_follows_the_unknown_allowance(capsys, allowed, code):
                        "--seed", "0", "--allow-unknown", str(allowed))
     assert out.count("unknown\tterm ") == 45
     assert got == code
+
+
+def test_sn_scan_follows_every_matching_rule(capsys, tmp_path):
+    # c --> d alone would make c normalize; c --> c, c's second rule, loops
+    path = tmp_path / "overlap.th"
+    path.write_text("c : Type\nd : Type\nk : c\n[] c --> d : Type\n[] c --> c : Type\n")
+    code, out = run_cli(capsys, "sn-scan", "--theory", str(path), "--mode", "beta-R",
+                        "--count", "5", "--fuel", "1000")
+    assert (code, out.splitlines()) == (3, [
+        "unknown\tterm 2\tc not certified; search stopped at c",
+        "fuel-exhausted\tsummary\t4 normalizing, 1 unknown",
+    ])
 
 
 # --- configuration ---

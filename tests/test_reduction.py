@@ -8,13 +8,10 @@ import pytest
 from pimodulo.reduction import (
     Fuel,
     FuelExhausted,
-    beta_root,
     convertible,
     is_normal,
-    match_pattern,
     normalize,
     one_step_reducts,
-    pattern_variables,
     patterns_overlap,
     r_root,
     rule_overlap_warnings,
@@ -30,6 +27,9 @@ from pimodulo.terms import (
     TYPE,
     Theory,
     Var,
+    bind_pattern,
+    compile_lhs,
+    pattern_names,
     subterm_positions,
 )
 from pimodulo.syntax import parse_theory
@@ -55,31 +55,23 @@ def stt_term(text: str, *names: str):
 # ------------- root steps -------------
 
 
-def test_beta_root_contracts_a_redex() -> None:
-    t = App(Lam("x", TYPE, Var(0)), FVar("y"))
-    assert beta_root(t) == FVar("y")
-
-
-def test_beta_root_rejects_non_redexes() -> None:
-    assert beta_root(FVar("y")) is None
-    assert beta_root(App(FVar("f"), FVar("y"))) is None
-
-
 def test_match_pattern_binds_each_variable() -> None:
     lhs = App(App(Const("imp"), FVar("X")), FVar("Y"))
     subject = App(App(Const("imp"), Const("a")), FVar("b"))
-    assert match_pattern(lhs, subject) == {"X": Const("a"), "Y": FVar("b")}
+    assert bind_pattern(compile_lhs(lhs), subject) == {"X": Const("a"), "Y": FVar("b")}
 
 
 def test_match_pattern_requires_the_constants() -> None:
     lhs = App(Const("imp"), FVar("X"))
-    assert match_pattern(lhs, App(Const("eps"), Const("a"))) is None
+    assert bind_pattern(compile_lhs(lhs), App(Const("eps"), Const("a"))) is None
 
 
 def test_match_pattern_never_matches_binders() -> None:
-    # algebraic patterns have no binders, so a lambda subject fails
+    # algebraic patterns have no binders: a lambda subject fails, and a
+    # lambda lhs compiles to no program
     lhs = App(Const("eps"), FVar("X"))
-    assert match_pattern(Lam("x", TYPE, Var(0)), lhs) is None
+    assert bind_pattern(compile_lhs(lhs), Lam("x", TYPE, Var(0))) is None
+    assert bind_pattern(compile_lhs(Lam("x", TYPE, Var(0))), lhs) is None
 
 
 # Rules of g interleave constant first arguments (a, b) with a pattern
@@ -126,13 +118,13 @@ def test_r_root_fires_the_first_matching_rule() -> None:
     assert fired("d") is None
 
 
-def test_r_root_tries_a_rule_without_a_constant_head_everywhere() -> None:
-    # no checked theory has one, but the index must not lose it
+def test_r_root_never_tries_a_rule_without_a_constant_head() -> None:
+    # no checked theory has one, and the index holds it in no bucket
     any_app = RewriteRule((), App(FVar("F"), FVar("Y")), FVar("Y"), TYPE, label="any")
     theory = Theory(ORDERED.signature, ORDERED.rules[:1] + (any_app,))
     assert r_root(stt_term("g a d"), theory) == (Const("a"), "r1")
-    assert r_root(stt_term("g b d"), theory) == (Const("d"), "any")
-    assert r_root(stt_term("h a (c d)"), theory) == (stt_term("c d"), "any")
+    assert r_root(stt_term("g b d"), theory) is None
+    assert r_root(stt_term("h a (c d)"), theory) is None
     assert r_root(Lam("x", TYPE, Var(0)), theory) is None
 
 
@@ -141,7 +133,7 @@ def test_r_root_returns_none_off_pattern() -> None:
 
 
 ANY_APP = RewriteRule((), App(FVar("F"), FVar("Y")), FVar("Y"), TYPE, label="any")
-# a rule without a constant head that fires at a leaf, under binders too
+# a rule without a constant head whose lhs is a leaf
 SORT = RewriteRule((), TYPE, Const("d"), TYPE, label="sort")
 ORDERED_TERMS = (
     "c", "d", "g a d", "g b d", "g (h a b) d", "g c c", "h a b", "h (g b c) c",
@@ -153,13 +145,14 @@ ORDERED_TERMS = (
 
 @pytest.mark.parametrize("headless", (False, True), ids=("ordered", "with-any"))
 def test_the_root_test_and_compiled_rules_agree_with_the_reference(headless) -> None:
-    # the index skips a root that is neither an application nor a constant
-    # unless a rule without a constant head is about; `any` goes in second,
-    # so it both follows and precedes keyed rules
+    # the index skips a root that is neither an application nor a constant;
+    # `any` and `sort` have no constant head, so the reference, like the
+    # index, never fires them, wherever they sit among the keyed rules
     rules = ORDERED.rules
     if headless:
         rules = rules[:1] + (ANY_APP,) + rules[1:] + (SORT,)
     theory = Theory(ORDERED.signature, rules)
+    assert theory.rule_index.roots == {App, Const}
     assert r_root(Const("c"), theory) == (Const("d"), "r5")
     assert whnf(Const("c"), theory) == Const("d")
     for text in ORDERED_TERMS:
@@ -233,6 +226,22 @@ def test_one_step_reducts_deduplicate_alpha_equal_results() -> None:
     t = App(ident, App(ident, FVar("y")))
     got = one_step_reducts(t, Theory())
     assert got == [App(ident, FVar("y"))]
+
+
+# two rules for c, the first a definition and the second a loop
+OVERLAP = parse_theory("c : Type\nd : Type\nk : c\n[] c --> d : Type\n[] c --> c : Type\n").theory
+
+
+def test_one_step_reducts_take_every_matching_rule() -> None:
+    # the strategy takes the first rule, the reducts every one, in order
+    assert r_root(Const("c"), OVERLAP) == (Const("d"), "r1")
+    assert one_step_reducts(Const("c"), OVERLAP) == [Const("d"), Const("c")]
+    assert one_step_reducts(App(FVar("f"), Const("c")), OVERLAP) == [
+        App(FVar("f"), Const("d")),
+        App(FVar("f"), Const("c")),
+    ]
+    for mode in (BETA, BETA_R):
+        assert_agrees(App(FVar("f"), Const("c")), OVERLAP, mode, 10)
 
 
 def test_beta_mode_ignores_rewrite_rules() -> None:
@@ -364,17 +373,19 @@ def test_whnf_returns_a_stable_root_itself_at_no_fuel(name) -> None:
         assert fuel.remaining == 0
 
 
-def test_a_headless_rule_still_fires_at_a_stable_root() -> None:
-    # with a rule without a constant head every root is tried, `sort` fires
-    # at a bare sort, under a binder too, and `any` at an application only
+def test_a_headless_rule_never_fires_at_a_stable_root() -> None:
+    # `sort` does not fire at a bare sort, nor `any` at an application, so
+    # a root that is neither an application nor a constant is returned at
+    # once, and a constant no rule rewrites too
     theory = Theory(ORDERED.signature, ORDERED.rules[:1] + (ANY_APP,) + ORDERED.rules[1:] + (SORT,))
-    fuel = Fuel(1)
-    assert whnf(TYPE, theory, fuel=fuel) == Const("d")
-    assert fuel.remaining == 0
-    assert isinstance(whnf(TYPE, theory, fuel=Fuel(0)), FuelExhausted)
-    roots = [TYPE, FVar("x"), Var(0), Const("a"), Const("c")]
+    assert whnf(TYPE, theory, fuel=Fuel(0)) is TYPE
+    roots = [TYPE, FVar("x"), Var(0), Const("a")]
     roots += [stt_term(text, "x") for text in ("\\y : Type. g y c", "Pi y : Type. c", "Pi y : c. x")]
     for t in roots:
+        fuel = Fuel(0)
+        assert whnf(t, theory, fuel=fuel) is t
+        assert fuel.remaining == 0
+    for t in roots + [Const("c")]:
         for mode in (BETA, BETA_R):
             for fuel in (0, 1, 3, 100):
                 assert_agrees(t, theory, mode, fuel)
@@ -481,18 +492,16 @@ def test_a_mark_is_invisible_to_equality_hash_repr_and_pickle() -> None:
 
 def test_pattern_variables_in_left_to_right_order() -> None:
     lhs = App(App(Const("imp"), FVar("X")), FVar("Y"))
-    assert pattern_variables(lhs) == ["X", "Y"]
+    assert pattern_names(lhs) == ["X", "Y"]
 
 
 def test_pattern_variables_reject_nonlinear_patterns() -> None:
     lhs = App(App(Const("imp"), FVar("X")), FVar("X"))
-    with pytest.raises(ValueError):
-        pattern_variables(lhs)
+    assert pattern_names(lhs) is None
 
 
 def test_pattern_variables_reject_binders() -> None:
-    with pytest.raises(ValueError):
-        pattern_variables(Lam("x", TYPE, Var(0)))
+    assert pattern_names(Lam("x", TYPE, Var(0))) is None
 
 
 def test_shipped_theories_have_no_overlaps() -> None:

@@ -7,10 +7,11 @@ observable of a reduction has to agree with `reference_reduction`.
 
 import pytest
 
-from pimodulo.generate import sample_well_typed
+from pimodulo.generate import enumerate_raw_terms, sample_well_typed
 from pimodulo.syntax import parse_term, parse_theory
+from pimodulo.terms import TYPE, Const, FVar, compile_lhs
 from pimodulo.theories import builtin_theory
-from reference_reduction import BETA, BETA_R, assert_agrees
+from reference_reduction import BETA, BETA_R, assert_agrees, is_algebraic
 
 CONTEXTS = {
     "stt": "p : o, q : o, f : eps p -> eps q, a : eps p",
@@ -87,3 +88,15 @@ def test_binder_nests_reduce_as_the_reference_does(text):
     for mode in (BETA, BETA_R):
         for fuel in (0, 1, 5, 50):
             assert_agrees(t, loop, mode, fuel)
+
+
+def test_exactly_the_algebraic_patterns_compile():
+    # every raw term up to size 5 as an lhs: a variable at a head, a
+    # repeated variable, a sort, a binder or a bound variable compiles to
+    # no program, and anything else does
+    atoms = (Const("f"), Const("c"), FVar("x"), FVar("y"), TYPE)
+    compiled = 0
+    for lhs in enumerate_raw_terms(5, atoms):
+        assert (compile_lhs(lhs) is None) == (not is_algebraic(lhs)), lhs
+        compiled += compile_lhs(lhs) is not None
+    assert compiled > 0
